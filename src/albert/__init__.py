@@ -21,7 +21,6 @@ from .exceptions import (
     AlbertError,
     ComplexRootsError,
     InconsistentError,
-    NoConvergenceError,
     NonAssociativeComponentsError,
     NonNullMomentumError,
     NotAnEigenvalueError,
@@ -46,7 +45,7 @@ from .jordan import (
     sandwich,
 )
 from .octonion import Octonion, associator, e, format_octonion
-from .oracle import OracleReport, embed, jacobi_eigenvalues, modified_char_check
+from .oracle import OracleReport, embed, modified_char_check
 from .spectral import (
     SpectralDecomposition,
     decompose,
@@ -68,7 +67,6 @@ __all__ = [
     "Hermitian2",
     "InconsistentError",
     "JordanMatrix",
-    "NoConvergenceError",
     "NonAssociativeComponentsError",
     "NonNullMomentumError",
     "NotAnEigenvalueError",
@@ -100,7 +98,6 @@ __all__ = [
     "freudenthal_product",
     "idempotent_from_q",
     "invariant_double_decomposition",
-    "jacobi_eigenvalues",
     "jordan_product",
     "matvec",
     "modified_char_check",

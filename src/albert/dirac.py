@@ -115,8 +115,11 @@ class Hermitian2:
     @classmethod
     def from_dict(cls, data: dict) -> "Hermitian2":
         try:
-            return cls(s=float(data["s"]), t=float(data["t"]),
-                       z=Octonion(np.asarray(data["z"], dtype=float)))
+            P = cls(s=float(data["s"]), t=float(data["t"]),
+                    z=Octonion(np.asarray(data["z"], dtype=float)))
+            if not np.isfinite([P.s, P.t, *P.z.coeffs]).all():
+                raise ValueError("entries must be finite")
+            return P
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid 2x2 Hermitian payload: {exc}") from exc
 

@@ -46,9 +46,5 @@ class ZeroVectorError(AlbertError):
     """Vector is (near-)zero where a nonzero vector is required."""
 
 
-class NoConvergenceError(AlbertError):
-    """Iterative eigensolver failed to converge within its sweep budget."""
-
-
 class NonNullMomentumError(AlbertError):
     """Two-by-two momentum matrix has nonzero determinant."""

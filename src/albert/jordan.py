@@ -56,7 +56,6 @@ __all__ = [
     "sandwich",
     "rank1_from_vector",
     "extract_vector",
-    "cayley_plane_check",
     "offdiag_associator",
     "phase_align",
 ]
@@ -332,12 +331,15 @@ class JordanMatrix:
     @classmethod
     def from_dict(cls, data: dict) -> "JordanMatrix":
         try:
-            return cls(
+            A = cls(
                 p=float(data["p"]), m=float(data["m"]), n=float(data["n"]),
                 a=Octonion(np.asarray(data["a"], dtype=float)),
                 b=Octonion(np.asarray(data["b"], dtype=float)),
                 c=Octonion(np.asarray(data["c"], dtype=float)),
             )
+            if not np.isfinite(A.to_array()).all():
+                raise ValueError("entries must be finite")
+            return A
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid Jordan matrix payload: {exc}") from exc
 
@@ -444,15 +446,6 @@ def extract_vector(V: JordanMatrix, rank_rtol: float | None = None) -> OctVector
         raise ZeroMatrixError("no positive diagonal entry to pivot on")
     arr = V.to_array()
     return OctVector3.from_array(arr[:, k] / np.sqrt(pivot))
-
-
-def cayley_plane_check(V: JordanMatrix, tol: float | None = None) -> bool:
-    """True when V is a primitive idempotent: V o V = V and tr V = 1."""
-    rtol = tolerances.rtol if tol is None else tol
-    scale = 1.0 + V.norm() ** 2
-    idem = (jordan_product(V, V) - V).norm() <= tolerances.atol + rtol * scale
-    unit = abs(V.trace() - 1.0) <= tolerances.atol + rtol * scale
-    return bool(idem and unit)
 
 
 def offdiag_associator(A: JordanMatrix) -> Octonion:

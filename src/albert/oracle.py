@@ -17,8 +17,8 @@ lie in an associative subalgebra), while the true Jordan eigenvalues -- which
 need not appear in the 24x24 spectrum at all -- satisfy the unmodified
 equation det(A - lambda I) = 0.
 
-The eigenvalues are computed by a self-contained cyclic Jacobi iteration so
-the oracle shares no code path with the Jordan-side solvers.
+The eigenvalues come from LAPACK (``numpy.linalg.eigvalsh``), so the oracle
+shares no code path with the Jordan-side solvers.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NoConvergenceError
 from .jordan import JordanMatrix, OctVector3
 from .octonion import MUL_TENSOR
 
@@ -35,26 +34,16 @@ __all__ = [
     "embed",
     "vector_coords",
     "coords_vector",
-    "jacobi_eigenvalues",
     "cluster_values",
     "OracleReport",
     "modified_char_check",
 ]
-
-#: Off-diagonal convergence threshold for Jacobi, relative to the input norm.
-JACOBI_RTOL = 1e-11
-JACOBI_MAX_SWEEPS = 100
 
 #: Relative gap (fraction of the spectral range) separating eigenvalue clusters.
 CLUSTER_GAP_RTOL = 1e-6
 
 #: Gate on the r-cluster spread and sign test, relative to the cubic scale of A.
 R_COLLAPSE_RTOL = 1e-6
-
-
-def _left_mult_matrix(x: np.ndarray) -> np.ndarray:
-    """8x8 real matrix of y -> x y on octonion coefficients."""
-    return np.einsum("b,bac->ca", x, MUL_TENSOR)
 
 
 def embed(A: JordanMatrix) -> np.ndarray:
@@ -65,12 +54,7 @@ def embed(A: JordanMatrix) -> np.ndarray:
     left multiplication by x is left multiplication by conj(x), matching the
     Hermitian layout of A.
     """
-    arr = A.to_array()
-    out = np.zeros((24, 24))
-    for i in range(3):
-        for j in range(3):
-            out[8 * i : 8 * i + 8, 8 * j : 8 * j + 8] = _left_mult_matrix(arr[i, j])
-    return out
+    return np.einsum("ija,abc->icjb", A.to_array(), MUL_TENSOR).reshape(24, 24)
 
 
 def vector_coords(v: OctVector3) -> np.ndarray:
@@ -83,51 +67,6 @@ def coords_vector(coords: np.ndarray) -> OctVector3:
     if coords.shape != (24,):
         raise ValueError(f"expected 24 coordinates, got shape {coords.shape}")
     return OctVector3.from_array(coords.reshape(3, 8))
-
-
-def jacobi_eigenvalues(
-    M: np.ndarray,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-    rtol: float = JACOBI_RTOL,
-) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Iterates full sweeps over the strict upper triangle until the
-    off-diagonal Frobenius mass drops below ``rtol * |M|``; raises
-    :class:`~albert.exceptions.NoConvergenceError` after ``max_sweeps``.
-    Returns the eigenvalues in descending order.
-    """
-    a = np.array(M, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n)
-    skip_floor = np.finfo(float).eps * norm
-
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0))
-        if off <= rtol * norm:
-            return np.sort(np.diag(a))[::-1]
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip_floor:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0 else 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-    raise NoConvergenceError(
-        f"Jacobi did not converge within {max_sweeps} sweeps"
-    )
 
 
 def cluster_values(values: np.ndarray, gap: float) -> list[tuple[float, int]]:
@@ -170,7 +109,7 @@ def modified_char_check(A: JordanMatrix) -> OracleReport:
     The report passes when the per-cluster residuals r_i fall into at most
     two groups (to tolerance) with r_plus >= 0 >= r_minus.
     """
-    eigs = jacobi_eigenvalues(embed(A))
+    eigs = np.linalg.eigvalsh(embed(A))[::-1]
     spread = float(eigs[0] - eigs[-1])
     gap = CLUSTER_GAP_RTOL * spread
     lam_clusters = cluster_values(eigs, gap) if spread > 0 else [(float(eigs[0]), len(eigs))]

@@ -16,19 +16,11 @@ from .jordan import JordanMatrix, OctVector3, rank1_from_vector
 from .octonion import Octonion
 
 
-def make_rng(seed: int | None = None) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def random_octonion(rng: np.random.Generator, span: int = 8) -> Octonion:
     """Octonion with the first `span` coefficients uniform on [-1, 1]."""
     coeffs = np.zeros(8)
     coeffs[:span] = rng.uniform(-1.0, 1.0, span)
     return Octonion(coeffs)
-
-
-def random_quaternion(rng: np.random.Generator) -> Octonion:
-    return random_octonion(rng, span=4)
 
 
 def random_unit_imaginary(rng: np.random.Generator) -> Octonion:

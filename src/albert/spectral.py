@@ -115,14 +115,11 @@ def _cycle(v: OctVector3, shift: int) -> OctVector3:
     return OctVector3(tuple(c[(i + shift) % 3] for i in range(3)))
 
 
-def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, JordanMatrix]:
-    """Two orthogonal primitive idempotents for a double eigenvalue lambda.
+def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float]:
+    """B = A - lambda I and its trace mu - lambda, for a double root lambda.
 
-    Requires A - lambda I = +/- w w-dagger of rank one (double root, not
-    triple).  The first candidate is built from a vector orthogonal to w:
-    writing w = (x, y, r) with r real, v = (|y|^2, -y conj(x), 0) satisfies
-    v-dagger w = 0.  When the middle component is (near-)zero the
-    coordinates are cyclically permuted until the construction applies.
+    Raises :class:`NotDoubleRootError` when B vanishes or is traceless (a
+    triple root) or is not rank one (a simple root).
     """
     B = A - JordanMatrix.identity() * lam
     scale = 1.0 + A.norm() + abs(lam)
@@ -133,9 +130,22 @@ def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, Jordan
         raise NotDoubleRootError(
             f"(A - lambda I) is not rank one (|Q| = {q_norm:.3e}); lambda is not a double root"
         )
-    tb = B.trace()  # mu - lambda, nonzero for a genuine double root
+    tb = B.trace()
     if abs(tb) <= tolerances.atol + tolerances.rtol * scale:
         raise NotDoubleRootError("tr(A - lambda I) vanishes; the root is triple, not double")
+    return B, tb
+
+
+def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, JordanMatrix]:
+    """Two orthogonal primitive idempotents for a double eigenvalue lambda.
+
+    Requires A - lambda I = +/- w w-dagger of rank one (double root, not
+    triple).  The first candidate is built from a vector orthogonal to w:
+    writing w = (x, y, r) with r real, v = (|y|^2, -y conj(x), 0) satisfies
+    v-dagger w = 0.  When the middle component is (near-)zero the
+    coordinates are cyclically permuted until the construction applies.
+    """
+    B, tb = _double_root_shift(A, lam)
     sign = 1.0 if tb > 0 else -1.0
 
     w = extract_vector(B * sign, rank_rtol=tolerances.mtol)
@@ -173,16 +183,7 @@ def invariant_double_decomposition(
     primitive, K = -(A - lambda I)~/tr(A - lambda I) = I - P of rank two,
     and A = mu P + lambda K.
     """
-    B = A - JordanMatrix.identity() * lam
-    scale = 1.0 + A.norm() + abs(lam)
-    q_norm = freudenthal_product(B, B).norm()
-    if q_norm > tolerances.atol + tolerances.mtol * scale**2:
-        raise NotDoubleRootError(
-            f"(A - lambda I) is not rank one (|Q| = {q_norm:.3e}); lambda is not a double root"
-        )
-    tb = B.trace()
-    if abs(tb) <= tolerances.atol + tolerances.rtol * scale:
-        raise NotDoubleRootError("tr(A - lambda I) vanishes; the root is triple, not double")
+    B, tb = _double_root_shift(A, lam)
     mu = A.trace() - 2.0 * lam
     P = B / tb
     K = -(B.trace_reversal()) / tb
@@ -294,7 +295,7 @@ def decompose(A: JordanMatrix, mtol: float | None = None) -> SpectralDecompositi
         "reconstruction": float(recon),
     }
     gate = tolerances.residual_rtol * scale
-    if recon > gate or completeness > gate:
+    if not (recon <= gate and completeness <= gate):
         raise InconsistentError(
             f"assembled decomposition fails to reproduce A "
             f"(reconstruction {recon:.3e}, completeness {completeness:.3e})"

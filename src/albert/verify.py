@@ -5,9 +5,6 @@ report seed), measures the worst scaled residual of one identity or
 contract, and reports a row {name, samples, max_residual, threshold,
 pass}.  The report passes iff every row does.  Residuals are normalized
 by (1 + scale)^degree so thresholds are plain relative tolerances.
-
-The two oracle suites run the 24x24 embedding eigensolver per sample and
-are capped at 200 samples to keep a full run at desk scale.
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ from .jordan import (
 from .octonion import Octonion
 from .oracle import modified_char_check
 from .spectral import decompose
-
-ORACLE_SAMPLE_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -222,7 +217,7 @@ def _suite_f4_offdiagonal(rng, count):
 
 def _suite_oracle_octonionic(rng, count):
     worst = 0.0
-    for _ in range(min(count, ORACLE_SAMPLE_CAP)):
+    for _ in range(count):
         A = sampling.random_jordan(rng)
         report = modified_char_check(A)
         scale = (1.0 + A.norm()) ** 3
@@ -239,7 +234,7 @@ def _suite_oracle_quaternionic(rng, count):
     # of the matrix's own eigenvalues); the other carries the constant
     # offset det(conj(A)) - det(A) of the entrywise-conjugate family.
     worst = 0.0
-    for _ in range(min(count, ORACLE_SAMPLE_CAP)):
+    for _ in range(count):
         A = sampling.random_jordan(rng, span=4)
         report = modified_char_check(A)
         scale = (1.0 + A.norm()) ** 3
@@ -316,12 +311,11 @@ def run_verification(count: int = 1000, seed: int = 42) -> VerifyReport:
     rows = []
     for index, (name, fn) in enumerate(_SUITES):
         rng = np.random.default_rng([seed, index])
-        samples = min(count, ORACLE_SAMPLE_CAP) if name.startswith("oracle") else count
         worst, thresh = fn(rng, count)
         rows.append(
             CheckRow(
                 name=name,
-                samples=samples,
+                samples=count,
                 max_residual=worst,
                 threshold=thresh,
                 passed=worst <= thresh,

@@ -178,6 +178,20 @@ class TestInputValidation:
         code, out, err = run_cli(capsys, "charpoly", "--inline", "[1, 2, 3]")
         assert code == 2
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", [*cli._MATRIX_COMMANDS, "dirac"])
+    def test_non_finite_entry(self, capsys, command, token):
+        if command == "dirac":
+            payload = {"s": float(token), "t": 0.0, "z": [0.0] * 8}
+        else:
+            payload = matrix_payload(p=float(token))
+        text = inline(payload)
+        assert token in text
+        code, out, err = run_cli(capsys, command, "--inline", text)
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
     def test_file_input(self, capsys, tmp_path):
         f = tmp_path / "m.json"
         f.write_text(inline(DIAG123))

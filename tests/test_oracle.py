@@ -8,7 +8,6 @@ from albert.oracle import (
     cluster_values,
     coords_vector,
     embed,
-    jacobi_eigenvalues,
     modified_char_check,
     vector_coords,
 )
@@ -65,29 +64,6 @@ class TestEmbedding:
         assert coords_vector(vector_coords(v)).isclose(v)
         with pytest.raises(ValueError):
             coords_vector(np.zeros(23))
-
-
-class TestJacobi:
-    def test_matches_library_eigenvalues(self):
-        rng = np.random.default_rng(63)
-        for n in (4, 9, 24):
-            for _ in range(20):
-                B = rng.uniform(-1, 1, (n, n))
-                M = (B + B.T) / 2.0
-                mine = jacobi_eigenvalues(M)
-                ref = np.sort(np.linalg.eigvalsh(M))[::-1]
-                assert np.allclose(mine, ref, atol=1e-9 * (1 + np.linalg.norm(M)))
-
-    def test_zero_matrix(self):
-        assert np.array_equal(jacobi_eigenvalues(np.zeros((5, 5))), np.zeros(5))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.zeros((3, 4)))
-
-    def test_descending(self):
-        vals = jacobi_eigenvalues(np.diag([1.0, 3.0, 2.0]))
-        assert np.array_equal(vals, [3.0, 2.0, 1.0])
 
 
 class TestClustering:
@@ -169,6 +145,17 @@ class TestModifiedCharCheck:
             va, vb, vc = (x.coeffs[1:4] for x in (A.a, A.b, A.c))
             formula = -4.0 * float(np.dot(va, np.cross(vb, vc)))
             assert abs(delta - formula) <= 1e-10 * (1.0 + A.norm()) ** 3
+
+    def test_clusters_descending(self):
+        rng = np.random.default_rng(68)
+        for _ in range(30):
+            lams = [lam for lam, _, _ in modified_char_check(sampling.random_jordan(rng)).clusters]
+            assert all(x > y for x, y in zip(lams, lams[1:]))
+
+    def test_zero_matrix(self):
+        report = modified_char_check(JordanMatrix.zero())
+        assert [(mult, r) for _, mult, r in report.clusters] == [(24, 0.0)]
+        assert report.passed
 
     def test_report_dict(self):
         d = modified_char_check(JordanMatrix.diag(1, 2, 3)).to_dict()
