@@ -30,6 +30,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .config import tolerances
 from .cubic import solve_characteristic
 from .dirac import Hermitian2, classify_psquare, dirac_solve
@@ -74,16 +76,10 @@ def _load_payload(args) -> dict:
     return payload
 
 
-def _load_jordan(args) -> JordanMatrix:
+def _load(args, cls):
+    """A JordanMatrix or Hermitian2 from the payload; malformed input is exit 2."""
     try:
-        return JordanMatrix.from_dict(_load_payload(args))
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-
-
-def _load_hermitian2(args) -> Hermitian2:
-    try:
-        return Hermitian2.from_dict(_load_payload(args))
+        return cls.from_dict(_load_payload(args))
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
 
@@ -113,7 +109,7 @@ def _matrix_lines(A: JordanMatrix) -> list[str]:
 
 
 def _cmd_charpoly(args) -> int:
-    A = _load_jordan(args)
+    A = _load(args, JordanMatrix)
     tr, sigma, det = char_poly(A)
     roots = solve_characteristic(tr, sigma, det)
     payload = {"trace": tr, "sigma": sigma, "det": det, **roots.to_dict()}
@@ -129,7 +125,7 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    A = _load_jordan(args)
+    A = _load(args, JordanMatrix)
     dec = decompose(A)
     if args.format == "json":
         _emit_json(dec.to_dict())
@@ -147,7 +143,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_diagonalize(args) -> int:
-    A = _load_jordan(args)
+    A = _load(args, JordanMatrix)
     result = diagonalize(A)
     if args.format == "json":
         _emit_json(result.to_dict())
@@ -163,7 +159,7 @@ def _cmd_diagonalize(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    A = _load_jordan(args)
+    A = _load(args, JordanMatrix)
     cls = classify_psquare(A)
     if args.format == "json":
         _emit_json(cls.to_dict())
@@ -175,7 +171,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    A = _load_jordan(args)
+    A = _load(args, JordanMatrix)
     report = modified_char_check(A)
     if args.format == "json":
         _emit_json(report.to_dict())
@@ -188,7 +184,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_dirac(args) -> int:
-    P = _load_hermitian2(args)
+    P = _load(args, Hermitian2)
     theta, sign = dirac_solve(P)
     recon = Hermitian2.from_outer(theta) * float(sign)
     residual = (P - recon).norm()
@@ -266,7 +262,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _apply_tolerance_overrides(args)
     try:
-        return _HANDLERS[args.command](args)
+        # overflow surfaces as a typed error below, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _HANDLERS[args.command](args)
     except (_InputError, NonNullMomentumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -33,12 +33,3 @@ class Tolerances:
 
 tolerances = Tolerances()
 
-
-def threshold(scale: float = 1.0) -> float:
-    """Comparison threshold for quantities of the given natural scale."""
-    return tolerances.atol + tolerances.rtol * abs(scale)
-
-
-def close(x: float, y: float) -> bool:
-    """Tolerance-based scalar equality."""
-    return abs(x - y) <= tolerances.atol + tolerances.rtol * max(abs(x), abs(y))

@@ -5,7 +5,8 @@ applying the trigonometric (Viete) formula, which is numerically stable when
 all three roots are real -- the only case that can arise for a Hermitian
 matrix.  A significantly negative discriminant raises
 :class:`~albert.exceptions.ComplexRootsError`; tiny excursions from
-round-off are clamped.
+round-off are clamped.  Coefficients or intermediates that are not finite
+raise :class:`~albert.exceptions.InconsistentError`.
 
 Roots closer than ``mtol * (1 + max |root|)`` are merged and reported at
 their mean, with the multiplicity recorded on the result.
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .config import tolerances
-from .exceptions import ComplexRootsError
+from .exceptions import ComplexRootsError, InconsistentError
 
 __all__ = ["CubicRoots", "solve_characteristic"]
 
@@ -75,21 +76,25 @@ def solve_characteristic(
 ) -> CubicRoots:
     """All real roots of t^3 - tr t^2 + sigma t - det, with multiplicities."""
     mtol = tolerances.mtol if mtol is None else mtol
-    # Depress: t = u + tr/3 gives u^3 + p u + q.
-    p = sigma - tr * tr / 3.0
-    q = -2.0 * tr**3 / 27.0 + tr * sigma / 3.0 - det
-
-    disc = -4.0 * p**3 - 27.0 * q * q
-    terms = 4.0 * abs(p) ** 3 + 27.0 * q * q
+    try:
+        # Depress: t = u + tr/3 gives u^3 + p u + q.
+        p = sigma - tr * tr / 3.0
+        q = -2.0 * tr**3 / 27.0 + tr * sigma / 3.0 - det
+        disc = -4.0 * p**3 - 27.0 * q * q
+        terms = 4.0 * abs(p) ** 3 + 27.0 * q * q
+        # With the discriminant this close to non-negative, p > 0 forces both
+        # p and q to be tiny: the depressed cubic is u^3 = 0 to tolerance.
+        p_floor = 1e-13 * (1.0 + abs(tr) ** 2 + abs(sigma) + abs(det) ** (2.0 / 3.0))
+    except OverflowError as exc:
+        raise InconsistentError(f"cubic ({tr}, {sigma}, {det}) overflows") from exc
+    if not all(map(math.isfinite, (tr, sigma, det, terms, p_floor))):
+        raise InconsistentError(f"cubic ({tr}, {sigma}, {det}) is not finite")
     if disc < -max(tolerances.atol, DISCRIMINANT_RTOL * terms):
         raise ComplexRootsError(
             f"discriminant {disc:.3e} is negative beyond tolerance; "
             "the polynomial has complex roots"
         )
 
-    # With the discriminant this close to non-negative, p > 0 forces both
-    # p and q to be tiny: the depressed cubic is u^3 = 0 to tolerance.
-    p_floor = 1e-13 * (1.0 + abs(tr) ** 2 + abs(sigma) + abs(det) ** (2.0 / 3.0))
     if p > -p_floor:
         u = (0.0, 0.0, 0.0)
     else:

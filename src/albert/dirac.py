@@ -28,25 +28,34 @@ import numpy as np
 from .config import tolerances
 from .exceptions import InconsistentError, NonNullMomentumError
 from .jordan import JordanMatrix, OctVector3, _as_octonion, char_poly
-from .octonion import Octonion
+from .octonion import CONJ_SIGNS, Octonion, _ArrayValue
 
 # Relative threshold shared by the null-momentum gate and the p-square
 # class boundaries; scaled by the matching power of the input norm.
 CLASS_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Hermitian2:
-    """2x2 octonionic Hermitian matrix [[s, z], [conj(z), t]]."""
+class Hermitian2(_ArrayValue):
+    """2x2 octonionic Hermitian matrix [[s, z], [conj(z), t]].
 
-    s: float
-    t: float
-    z: Octonion
+    Immutable; stored as one read-only Hermitian (2, 2, 8) array.
+    """
+
+    __slots__ = ()
 
     def __init__(self, s=0.0, t=0.0, z=None):
-        object.__setattr__(self, "s", float(s))
-        object.__setattr__(self, "t", float(t))
-        object.__setattr__(self, "z", _as_octonion(z) if z is not None else Octonion.zero())
+        arr = np.zeros((2, 2, 8))
+        arr[0, 0, 0], arr[1, 1, 0] = float(s), float(t)
+        if z is not None:
+            arr[0, 1] = _as_octonion(z).coeffs
+            arr[1, 0] = arr[0, 1] * CONJ_SIGNS
+        if not np.isfinite(arr).all():
+            raise ValueError("entries must be finite")
+        super().__init__(arr)
+
+    s = property(lambda self: float(self._arr[0, 0, 0]))
+    t = property(lambda self: float(self._arr[1, 1, 0]))
+    z = property(lambda self: Octonion(self._arr[0, 1]))
 
     @classmethod
     def diag(cls, s: float, t: float) -> "Hermitian2":
@@ -72,54 +81,33 @@ class Hermitian2:
         """P - tr(P) I; swaps and negates the diagonal."""
         return Hermitian2(s=-self.t, t=-self.s, z=self.z)
 
-    def norm(self) -> float:
-        # Frobenius norm; both off-diagonal slots counted.
-        return math.sqrt(self.s**2 + self.t**2 + 2.0 * self.z.norm2())
-
     def apply(self, psi) -> tuple[Octonion, Octonion]:
         """Matrix-vector action on a 2-component octonionic column."""
         p1, p2 = (_as_octonion(x) for x in psi)
         return (self.s * p1 + self.z * p2, self.z.conjugate() * p1 + self.t * p2)
 
     def __add__(self, other: "Hermitian2") -> "Hermitian2":
-        return Hermitian2(self.s + other.s, self.t + other.t, self.z + other.z)
+        return Hermitian2._wrap(self._arr + other._arr)
 
     def __sub__(self, other: "Hermitian2") -> "Hermitian2":
-        return Hermitian2(self.s - other.s, self.t - other.t, self.z - other.z)
+        return Hermitian2._wrap(self._arr - other._arr)
 
     def __neg__(self) -> "Hermitian2":
-        return Hermitian2(-self.s, -self.t, -self.z)
+        return Hermitian2._wrap(-self._arr)
 
     def __mul__(self, scalar) -> "Hermitian2":
-        f = float(scalar)
-        return Hermitian2(self.s * f, self.t * f, self.z * f)
+        return Hermitian2._wrap(self._arr * float(scalar))
 
     __rmul__ = __mul__
 
-    def isclose(self, other: "Hermitian2", atol=None, rtol=None) -> bool:
-        atol = tolerances.atol if atol is None else atol
-        rtol = tolerances.rtol if rtol is None else rtol
-        diff = (self - other).norm()
-        return diff <= atol + rtol * max(self.norm(), other.norm())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Hermitian2):
-            return NotImplemented
-        return self.isclose(other)
-
-    __hash__ = None
-
     def to_dict(self) -> dict:
-        return {"s": self.s, "t": self.t, "z": self.z.coeffs.tolist()}
+        return {"s": self.s, "t": self.t, "z": self._arr[0, 1].tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Hermitian2":
         try:
-            P = cls(s=float(data["s"]), t=float(data["t"]),
-                    z=Octonion(np.asarray(data["z"], dtype=float)))
-            if not np.isfinite([P.s, P.t, *P.z.coeffs]).all():
-                raise ValueError("entries must be finite")
-            return P
+            return cls(s=float(data["s"]), t=float(data["t"]),
+                       z=Octonion(np.asarray(data["z"], dtype=float)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid 2x2 Hermitian payload: {exc}") from exc
 
@@ -134,9 +122,11 @@ def dirac_solve(P: Hermitian2) -> tuple[tuple[Octonion, Octonion], int]:
     and theta's pivot component is the positive real square root of it, so
     the factor is deterministic.  Raises NonNullMomentumError when det P is
     not zero to tolerance, InconsistentError if the factor fails to
-    reconstruct P.
+    reconstruct P or |P|^2 overflows.
     """
-    scale = (1.0 + P.norm()) ** 2
+    scale = (1.0 + P.norm()) * (1.0 + P.norm())
+    if not math.isfinite(scale):
+        raise InconsistentError(f"|P|^2 overflows at |P| = {P.norm():.3e}")
     if abs(P.det()) > CLASS_RTOL * scale:
         raise NonNullMomentumError(
             f"det = {P.det():.3e} exceeds {CLASS_RTOL * scale:.3e}; momentum is not null"
@@ -205,6 +195,8 @@ def classify_psquare(A: JordanMatrix) -> PSquareClass:
     """
     nrm = A.norm()
     tr, sigma, det = char_poly(A)
+    if not all(map(math.isfinite, (tr, sigma, det, nrm * nrm * nrm))):
+        raise InconsistentError(f"invariants or |A|^3 overflow at |A| = {nrm:.3e}")
     if abs(det) > CLASS_RTOL * nrm**3:
         p = 3
     elif abs(sigma) > CLASS_RTOL * nrm**2:

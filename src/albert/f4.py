@@ -49,6 +49,7 @@ from .jordan import (
     phase_align,
     sandwich,
 )
+from .octonion import CONJ_SIGNS
 from .spectral import _purify, idempotent_from_q, q_matrix
 
 __all__ = ["DiagonalizationResult", "build_m1_m2", "diagonalize"]
@@ -81,23 +82,22 @@ def build_m1_m2(v: OctVector3) -> tuple[JordanMatrix, JordanMatrix]:
     vn = v.norm()
     if vn <= tolerances.atol:
         raise ZeroVectorError("cannot build reflections from the zero vector")
-    x, y, r = (c * (1.0 / vn) for c in v.components)
+    x, y, r = v._arr * (1.0 / vn)
     # computed from the coefficients directly: norm2() - real**2 cancels badly
-    imag = float(np.linalg.norm(r.coeffs[1:]))
+    imag = float(np.linalg.norm(r[1:]))
     if imag > tolerances.atol + tolerances.rtol:
         raise ValueError("third component is not real; phase_align the vector first")
 
-    n1 = math.sqrt(x.norm2() + r.real**2)
+    r0, x2, y2 = float(r[0]), float(x @ x), float(y @ y)
+    n1 = math.sqrt(x2 + r0**2)
     if n1 <= tolerances.atol + tolerances.rtol:
         m1 = JordanMatrix.identity()
     else:
-        m1 = JordanMatrix(
-            p=-r.real / n1, m=1.0, n=r.real / n1, b=x.conjugate() * (1.0 / n1)
-        )
-    if y.norm() <= tolerances.atol + tolerances.rtol:
+        m1 = JordanMatrix(p=-r0 / n1, m=1.0, n=r0 / n1, b=x * CONJ_SIGNS * (1.0 / n1))
+    if math.sqrt(y2) <= tolerances.atol + tolerances.rtol:
         m2 = JordanMatrix.identity()
     else:
-        n2 = math.sqrt(n1 * n1 + y.norm2())  # = 1 for unit v
+        n2 = math.sqrt(n1 * n1 + y2)  # = 1 for unit v
         m2 = JordanMatrix(p=1.0, m=-n1 / n2, n=n1 / n2, c=y * (1.0 / n2))
     return m1, m2
 
@@ -122,9 +122,10 @@ def diagonalize(A: JordanMatrix, mtol: float | None = None) -> DiagonalizationRe
     b2 = sandwich(m2, sandwich(m1, A))
 
     # b2 is [[X, 0], [0, lam]] with X = [[s, z], [conj(z), t]] in the upper block.
-    s, t, z = b2.p, b2.m, b2.a
-    mu = 0.5 * ((s + t) + math.sqrt((s - t) ** 2 + 4.0 * z.norm2()))
-    n3 = (mu - t) ** 2 + z.norm2()
+    s, t, _ = b2.diagonal()
+    z, z2 = b2._arr[0, 1], b2._norms2()[0]
+    mu = 0.5 * ((s + t) + math.sqrt((s - t) ** 2 + 4.0 * z2))
+    n3 = (mu - t) ** 2 + z2
     if n3 <= (tolerances.atol + tolerances.rtol * (1.0 + A.norm())) ** 2:
         m3 = JordanMatrix.identity()
     else:
@@ -135,5 +136,5 @@ def diagonalize(A: JordanMatrix, mtol: float | None = None) -> DiagonalizationRe
     return DiagonalizationResult(
         steps=(m1, m2, m3),
         diagonal=b3.diagonal(),
-        residual=max(b3.a.norm(), b3.b.norm(), b3.c.norm()),
+        residual=math.sqrt(max(b3._norms2())),
     )

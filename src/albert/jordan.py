@@ -27,11 +27,17 @@ of projectors: V = v v-dagger satisfies V * V = 0, and when tr V = 1 it is a
 primitive idempotent (a point of the Cayley plane).  The construction is only
 consistent when the components of v associate, which is why
 :func:`rank1_from_vector` checks their associator.
+
+Storage: a :class:`JordanMatrix` is one read-only Hermitian (3, 3, 8) array
+(``to_array`` copies it; ``p, m, n, a, b, c`` are computed on read), an
+:class:`OctVector3` one (3, 8) array.  A matrix product is the 24x24 real
+matrix of the left factor (:func:`albert.octonion.left_mult`) times the
+columns of the right one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from numbers import Real
 
 import numpy as np
@@ -41,9 +47,8 @@ from .exceptions import (
     NonAssociativeComponentsError,
     NotRankOneError,
     ZeroMatrixError,
-    ZeroVectorError,
 )
-from .octonion import CONJ_SIGNS, MUL_TENSOR, Octonion, associator
+from .octonion import CONJ_SIGNS, Octonion, _ArrayValue, associator, left_mult
 
 __all__ = [
     "JordanMatrix",
@@ -60,13 +65,35 @@ __all__ = [
     "phase_align",
 ]
 
+# Rows of a (3, 3, 8) array seen as (9, 8): a = (0, 1), b = (2, 0), c = (1, 2)
+# and their conjugate mirrors.  The diagonal is rows 0, 4, 8: the slice [::4].
+_UPPER_ROWS = np.array([1, 6, 5])
+_LOWER_ROWS = np.array([3, 2, 7])
+
+
+def _coeffs(x) -> np.ndarray:
+    """Eight coefficients of an octonion, a real scalar or an 8-sequence."""
+    if isinstance(x, Octonion):
+        return x.coeffs
+    if isinstance(x, Real):
+        return np.array([float(x), 0, 0, 0, 0, 0, 0, 0])
+    arr = np.asarray(x, dtype=float)
+    if arr.shape != (8,):
+        raise ValueError(f"octonion needs 8 coefficients, got shape {arr.shape}")
+    return arr
+
 
 def _as_octonion(x) -> Octonion:
-    if isinstance(x, Octonion):
-        return x
-    if isinstance(x, Real):
-        return Octonion.from_real(float(x))
-    return Octonion(x)
+    return x if isinstance(x, Octonion) else Octonion(_coeffs(x))
+
+
+def _hermitian(diag, upper: np.ndarray) -> np.ndarray:
+    """(3, 3, 8) Hermitian array from three reals and the rows a, b, c."""
+    rows = np.zeros((9, 8))
+    rows[::4, 0] = diag
+    rows[_UPPER_ROWS] = upper
+    rows[_LOWER_ROWS] = upper * CONJ_SIGNS
+    return rows.reshape(3, 3, 8)
 
 
 def _conj_transpose(arr: np.ndarray) -> np.ndarray:
@@ -74,56 +101,64 @@ def _conj_transpose(arr: np.ndarray) -> np.ndarray:
     return arr.transpose(1, 0, 2) * CONJ_SIGNS
 
 
+def _hermitian_part(arr: np.ndarray) -> np.ndarray:
+    return (arr + _conj_transpose(arr)) / 2.0
+
+
+def _embed(arr: np.ndarray) -> np.ndarray:
+    """24x24 real matrix of v -> X v for a (3, 3, 8) array X, slot-major."""
+    return left_mult(arr).transpose(0, 2, 1, 3).reshape(24, 24)
+
+
 def _raw_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ordinary (non-Hermitian) product of two (3, 3, 8) octonion matrices."""
-    return np.einsum("ika,kjb,abc->ijc", x, y, MUL_TENSOR)
+    cols = y.transpose(0, 2, 1).reshape(24, 3)
+    return (_embed(x) @ cols).reshape(3, 8, 3).transpose(0, 2, 1)
 
 
-@dataclass(frozen=True)
-class OctVector3:
-    """A column vector of three octonions."""
+class OctVector3(_ArrayValue):
+    """A column vector of three octonions, stored as one (3, 8) array."""
 
-    components: tuple[Octonion, Octonion, Octonion]
+    __slots__ = ()
 
     def __init__(self, components):
-        comps = tuple(_as_octonion(c) for c in components)
-        if len(comps) != 3:
+        arr = np.array([_coeffs(c) for c in components])
+        if arr.shape != (3, 8):
             raise ValueError("vector needs exactly 3 components")
-        object.__setattr__(self, "components", comps)
+        super().__init__(arr)
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "OctVector3":
-        arr = np.asarray(arr, dtype=float)
+        arr = np.array(arr, dtype=float)
         if arr.shape != (3, 8):
             raise ValueError(f"expected shape (3, 8), got {arr.shape}")
-        return cls(tuple(Octonion(row) for row in arr))
+        return cls._wrap(arr)
 
-    def to_array(self) -> np.ndarray:
-        return np.array([c.coeffs for c in self.components])
+    @property
+    def components(self) -> tuple[Octonion, Octonion, Octonion]:
+        return tuple(Octonion(row) for row in self._arr)
 
     def __getitem__(self, i: int) -> Octonion:
-        return self.components[i]
+        return Octonion(self._arr[i])
 
     def __iter__(self):
         return iter(self.components)
 
     def dagger_dot(self, other: "OctVector3") -> Octonion:
         """v-dagger w = sum_i conj(v_i) w_i."""
-        out = Octonion.zero()
-        for vi, wi in zip(self.components, other.components):
-            out = out + vi.conjugate() * wi
-        return out
+        terms = left_mult(self._arr * CONJ_SIGNS) @ other._arr[:, :, None]
+        return Octonion(terms.sum(axis=0)[:, 0])
 
     def norm2(self) -> float:
         """v-dagger v, always real and non-negative."""
-        return float(sum(c.norm2() for c in self.components))
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm2()))
+        return float(np.vdot(self._arr, self._arr))
 
     def __mul__(self, scalar) -> "OctVector3":
-        if isinstance(scalar, (Real, Octonion)):
-            return OctVector3(tuple(c * scalar for c in self.components))
+        if isinstance(scalar, Real):
+            return OctVector3._wrap(self._arr * float(scalar))
+        if isinstance(scalar, Octonion):
+            # right multiplication of each component: (v_i q)_k = L(v_i)[k, j] q_j
+            return OctVector3._wrap(left_mult(self._arr) @ scalar.coeffs)
         return NotImplemented
 
     def __rmul__(self, scalar) -> "OctVector3":
@@ -131,45 +166,39 @@ class OctVector3:
             return self * scalar
         return NotImplemented
 
-    def isclose(self, other: "OctVector3", atol=None, rtol=None) -> bool:
-        atol = tolerances.atol if atol is None else atol
-        rtol = tolerances.rtol if rtol is None else rtol
-        diff = float(np.linalg.norm(self.to_array() - other.to_array()))
-        return diff <= atol + rtol * max(self.norm(), other.norm())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OctVector3):
-            return NotImplemented
-        return self.isclose(other)
-
-    __hash__ = None
-
     def to_list(self) -> list[list[float]]:
-        return [list(map(float, c.coeffs)) for c in self.components]
+        return self._arr.tolist()
 
-    @classmethod
-    def from_list(cls, data) -> "OctVector3":
-        return cls.from_array(np.asarray(data, dtype=float))
+    def __repr__(self) -> str:
+        return f"OctVector3(({', '.join(map(str, self.components))}))"
 
 
-@dataclass(frozen=True)
-class JordanMatrix:
-    """Element of the Albert algebra in the (p, m, n; a, b, c) layout."""
+class JordanMatrix(_ArrayValue):
+    """Element of the Albert algebra in the (p, m, n; a, b, c) layout.
 
-    p: float
-    m: float
-    n: float
-    a: Octonion
-    b: Octonion
-    c: Octonion
+    Immutable; stored as one read-only Hermitian (3, 3, 8) array.
+    """
+
+    __slots__ = ()
 
     def __init__(self, p=0.0, m=0.0, n=0.0, a=None, b=None, c=None):
-        object.__setattr__(self, "p", float(p))
-        object.__setattr__(self, "m", float(m))
-        object.__setattr__(self, "n", float(n))
-        object.__setattr__(self, "a", _as_octonion(a) if a is not None else Octonion.zero())
-        object.__setattr__(self, "b", _as_octonion(b) if b is not None else Octonion.zero())
-        object.__setattr__(self, "c", _as_octonion(c) if c is not None else Octonion.zero())
+        upper = np.zeros((3, 8))
+        for row, x in zip(upper, (a, b, c)):
+            if x is not None:
+                row[:] = _coeffs(x)
+        arr = _hermitian((float(p), float(m), float(n)), upper)
+        if not np.isfinite(arr).all():
+            raise ValueError("entries must be finite")
+        super().__init__(arr)
+
+    # -- entries -------------------------------------------------------------
+
+    p = property(lambda self: float(self._arr[0, 0, 0]))
+    m = property(lambda self: float(self._arr[1, 1, 0]))
+    n = property(lambda self: float(self._arr[2, 2, 0]))
+    a = property(lambda self: Octonion(self._arr[0, 1]))
+    b = property(lambda self: Octonion(self._arr[2, 0]))
+    c = property(lambda self: Octonion(self._arr[1, 2]))
 
     # -- constructors --------------------------------------------------------
 
@@ -179,7 +208,7 @@ class JordanMatrix:
 
     @classmethod
     def identity(cls) -> "JordanMatrix":
-        return cls.diag(1.0, 1.0, 1.0)
+        return _IDENTITY
 
     @classmethod
     def zero(cls) -> "JordanMatrix":
@@ -189,112 +218,81 @@ class JordanMatrix:
     def from_array(cls, arr: np.ndarray, check: bool = True) -> "JordanMatrix":
         """Build from a (3, 3, 8) coefficient array, symmetrising rounding noise.
 
-        With ``check`` the array must be Hermitian to tolerance.
+        With ``check`` the array must be Hermitian to tolerance.  Entries
+        must be finite.
         """
         arr = np.asarray(arr, dtype=float)
         if arr.shape != (3, 3, 8):
             raise ValueError(f"expected shape (3, 3, 8), got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("entries must be finite")
         if check:
             dev = float(np.linalg.norm(arr - _conj_transpose(arr)))
             scale = float(np.linalg.norm(arr))
             if dev > tolerances.atol + tolerances.rtol * scale:
                 raise ValueError("array is not Hermitian")
-        herm = (arr + _conj_transpose(arr)) / 2.0
-        return cls(
-            p=herm[0, 0, 0],
-            m=herm[1, 1, 0],
-            n=herm[2, 2, 0],
-            a=Octonion(herm[0, 1]),
-            b=Octonion(herm[2, 0]),
-            c=Octonion(herm[1, 2]),
-        )
-
-    def to_array(self) -> np.ndarray:
-        arr = np.zeros((3, 3, 8))
-        arr[0, 0, 0] = self.p
-        arr[1, 1, 0] = self.m
-        arr[2, 2, 0] = self.n
-        arr[0, 1] = self.a.coeffs
-        arr[1, 0] = self.a.conjugate().coeffs
-        arr[2, 0] = self.b.coeffs
-        arr[0, 2] = self.b.conjugate().coeffs
-        arr[1, 2] = self.c.coeffs
-        arr[2, 1] = self.c.conjugate().coeffs
-        return arr
+        return cls._wrap(_hermitian_part(arr))
 
     # -- invariants ----------------------------------------------------------
 
+    def _upper(self) -> np.ndarray:
+        """The rows a, b, c."""
+        return self._arr.reshape(9, 8).take(_UPPER_ROWS, axis=0)
+
+    def _norms2(self) -> list[float]:
+        """|a|^2, |b|^2, |c|^2."""
+        upper = self._upper()
+        return (upper * upper).sum(axis=1).tolist()
+
     def trace(self) -> float:
-        return self.p + self.m + self.n
+        p, m, n = self.diagonal()
+        return p + m + n
 
     def sigma(self) -> float:
         """Sum of the pairwise eigenvalue products, tr(A * A)."""
-        return (
-            self.p * self.m
-            + self.m * self.n
-            + self.p * self.n
-            - self.a.norm2()
-            - self.b.norm2()
-            - self.c.norm2()
-        )
+        p, m, n = self.diagonal()
+        na, nb, nc = self._norms2()
+        return p * m + m * n + p * n - na - nb - nc
 
     def det(self) -> float:
         """Cubic norm: p m n + 2 Re(b (a c)) - n |a|^2 - m |b|^2 - p |c|^2."""
-        bac = self.b * (self.a * self.c)
-        return (
-            self.p * self.m * self.n
-            + 2.0 * bac.real
-            - self.n * self.a.norm2()
-            - self.m * self.b.norm2()
-            - self.p * self.c.norm2()
-        )
+        p, m, n = self.diagonal()
+        a, b, c = self._upper()
+        na, nb, nc = self._norms2()
+        re_bac = float((b * CONJ_SIGNS) @ (left_mult(a) @ c))
+        return p * m * n + 2.0 * re_bac - n * na - m * nb - p * nc
 
     def trace_reversal(self) -> "JordanMatrix":
         """A - (tr A) I, the involution entering the determinant identities."""
-        t = self.trace()
-        return JordanMatrix(self.p - t, self.m - t, self.n - t, self.a, self.b, self.c)
-
-    def norm(self) -> float:
-        """Frobenius norm, counting each off-diagonal octonion twice."""
-        return float(
-            np.sqrt(
-                self.p**2
-                + self.m**2
-                + self.n**2
-                + 2.0 * (self.a.norm2() + self.b.norm2() + self.c.norm2())
-            )
-        )
+        arr = self._arr.copy()
+        arr.reshape(9, 8)[::4, 0] -= self.trace()
+        return JordanMatrix._wrap(arr)
 
     def offdiag_norm(self) -> float:
-        return float(np.sqrt(2.0 * (self.a.norm2() + self.b.norm2() + self.c.norm2())))
+        return math.sqrt(2.0 * sum(self._norms2()))
 
     def diagonal(self) -> tuple[float, float, float]:
-        return (self.p, self.m, self.n)
+        return tuple(self._arr.reshape(9, 8)[::4, 0].tolist())
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "JordanMatrix":
         if not isinstance(other, JordanMatrix):
             return NotImplemented
-        return JordanMatrix(
-            self.p + other.p, self.m + other.m, self.n + other.n,
-            self.a + other.a, self.b + other.b, self.c + other.c,
-        )
+        return JordanMatrix._wrap(self._arr + other._arr)
 
     def __sub__(self, other) -> "JordanMatrix":
         if not isinstance(other, JordanMatrix):
             return NotImplemented
-        return self + (-other)
+        return JordanMatrix._wrap(self._arr - other._arr)
 
     def __neg__(self) -> "JordanMatrix":
-        return self * -1.0
+        return JordanMatrix._wrap(-self._arr)
 
     def __mul__(self, scalar) -> "JordanMatrix":
         if not isinstance(scalar, Real):
             return NotImplemented
-        s = float(scalar)
-        return JordanMatrix(self.p * s, self.m * s, self.n * s,
-                            self.a * s, self.b * s, self.c * s)
+        return JordanMatrix._wrap(self._arr * float(scalar))
 
     __rmul__ = __mul__
 
@@ -303,43 +301,18 @@ class JordanMatrix:
             return NotImplemented
         return self * (1.0 / float(scalar))
 
-    def isclose(self, other: "JordanMatrix", atol=None, rtol=None) -> bool:
-        atol = tolerances.atol if atol is None else atol
-        rtol = tolerances.rtol if rtol is None else rtol
-        diff = (self - other).norm()
-        return diff <= atol + rtol * max(self.norm(), other.norm())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, JordanMatrix):
-            return NotImplemented
-        return self.isclose(other)
-
-    __hash__ = None
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "p": float(self.p),
-            "m": float(self.m),
-            "n": float(self.n),
-            "a": list(map(float, self.a.coeffs)),
-            "b": list(map(float, self.b.coeffs)),
-            "c": list(map(float, self.c.coeffs)),
-        }
+        p, m, n = self.diagonal()
+        a, b, c = self._upper().tolist()
+        return {"p": p, "m": m, "n": n, "a": a, "b": b, "c": c}
 
     @classmethod
     def from_dict(cls, data: dict) -> "JordanMatrix":
         try:
-            A = cls(
-                p=float(data["p"]), m=float(data["m"]), n=float(data["n"]),
-                a=Octonion(np.asarray(data["a"], dtype=float)),
-                b=Octonion(np.asarray(data["b"], dtype=float)),
-                c=Octonion(np.asarray(data["c"], dtype=float)),
-            )
-            if not np.isfinite(A.to_array()).all():
-                raise ValueError("entries must be finite")
-            return A
+            return cls(float(data["p"]), float(data["m"]), float(data["n"]),
+                       *(np.asarray(data[k], dtype=float) for k in "abc"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid Jordan matrix payload: {exc}") from exc
 
@@ -350,15 +323,16 @@ class JordanMatrix:
         )
 
 
+_IDENTITY = JordanMatrix(1.0, 1.0, 1.0)
+
+
 # -- products ----------------------------------------------------------------
 
 
 def jordan_product(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
     """(A B + B A) / 2.  Commutative, non-associative."""
-    raw = _raw_mul(A.to_array(), B.to_array())
     # B A is the conjugate transpose of A B for Hermitian factors.
-    herm = (raw + _conj_transpose(raw)) / 2.0
-    return JordanMatrix.from_array(herm, check=False)
+    return JordanMatrix._wrap(_hermitian_part(_raw_mul(A._arr, B._arr)))
 
 
 def freudenthal_product(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
@@ -366,14 +340,17 @@ def freudenthal_product(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
     circ = jordan_product(A, B)
     ta, tb = A.trace(), B.trace()
     scalar = (ta * tb - circ.trace()) / 2.0
-    out = circ - (B * ta + A * tb) * 0.5
-    return JordanMatrix(
-        out.p + scalar, out.m + scalar, out.n + scalar, out.a, out.b, out.c
-    )
+    out = circ._arr - (B._arr * ta + A._arr * tb) * 0.5
+    out.reshape(9, 8)[::4, 0] += scalar
+    return JordanMatrix._wrap(out)
 
 
 def char_poly(A: JordanMatrix) -> tuple[float, float, float]:
-    """Coefficients (tr A, sigma(A), det A) of t^3 - tr t^2 + sigma t - det."""
+    """Coefficients (tr A, sigma(A), det A) of t^3 - tr t^2 + sigma t - det.
+
+    They overflow to inf or NaN for huge entries; their consumers
+    (:func:`albert.cubic.solve_characteristic`, ``classify_psquare``) raise.
+    """
     return (A.trace(), A.sigma(), A.det())
 
 
@@ -384,8 +361,7 @@ def det_via_trace(A: JordanMatrix) -> float:
 
 def matvec(A: JordanMatrix, v: OctVector3) -> OctVector3:
     """Ordinary matrix-vector product with octonion entries."""
-    out = np.einsum("ija,jb,abc->ic", A.to_array(), v.to_array(), MUL_TENSOR)
-    return OctVector3.from_array(out)
+    return OctVector3._wrap((_embed(A._arr) @ v._arr.reshape(24)).reshape(3, 8))
 
 
 def sandwich(M: JordanMatrix, A: JordanMatrix) -> JordanMatrix:
@@ -395,9 +371,8 @@ def sandwich(M: JordanMatrix, A: JordanMatrix) -> JordanMatrix:
     complex subalgebra, which makes the product flexible; the result is
     Hermitian again when M is.
     """
-    ma = _raw_mul(M.to_array(), A.to_array())
-    mam = _raw_mul(ma, M.to_array())
-    return JordanMatrix.from_array(mam, check=False)
+    mam = _raw_mul(_raw_mul(M._arr, A._arr), M._arr)
+    return JordanMatrix._wrap(_hermitian_part(mam))
 
 
 # -- rank-one projectors -------------------------------------------------------
@@ -409,17 +384,17 @@ def rank1_from_vector(v: OctVector3) -> JordanMatrix:
     The components of v must associate (their associator must vanish to
     tolerance), otherwise the result would not satisfy V * V = 0.
     """
-    v1, v2, v3 = v.components
-    assoc = associator(v1, v2, v3)
-    scale = v1.norm() * v2.norm() * v3.norm()
-    if assoc.norm() > tolerances.atol + tolerances.rtol * scale:
+    v1, v2, v3 = v._arr
+    l1 = left_mult(v1)
+    assoc = float(np.linalg.norm(left_mult(l1 @ v2) @ v3 - l1 @ (left_mult(v2) @ v3)))
+    if assoc > tolerances.atol + tolerances.rtol * np.prod(np.linalg.norm(v._arr, axis=1)):
         raise NonAssociativeComponentsError(
-            f"components do not associate (|[v1,v2,v3]| = {assoc.norm():.3e})"
+            f"components do not associate (|[v1,v2,v3]| = {assoc:.3e})"
         )
-    return JordanMatrix(
-        p=v1.norm2(), m=v2.norm2(), n=v3.norm2(),
-        a=v1 * v2.conjugate(), b=v3 * v1.conjugate(), c=v2 * v3.conjugate(),
-    )
+    # a = v1 conj(v2), b = v3 conj(v1), c = v2 conj(v3)
+    left, right = v._arr[[0, 2, 1]], v._arr[[1, 0, 2]] * CONJ_SIGNS
+    upper = (left_mult(left) @ right[:, :, None])[:, :, 0]
+    return JordanMatrix._wrap(_hermitian(np.einsum("ij,ij->i", v._arr, v._arr), upper))
 
 
 def extract_vector(V: JordanMatrix, rank_rtol: float | None = None) -> OctVector3:
@@ -439,13 +414,12 @@ def extract_vector(V: JordanMatrix, rank_rtol: float | None = None) -> OctVector
         )
     if V.trace() <= tolerances.atol + tolerances.rtol * nrm:
         raise ZeroMatrixError(f"trace {V.trace():.3e} is not positive")
-    diag = np.array(V.diagonal())
+    diag = V.diagonal()
     k = int(np.argmax(diag))
     pivot = diag[k]
     if pivot <= 0.0:
         raise ZeroMatrixError("no positive diagonal entry to pivot on")
-    arr = V.to_array()
-    return OctVector3.from_array(arr[:, k] / np.sqrt(pivot))
+    return OctVector3._wrap(V._arr[:, k] / math.sqrt(pivot))
 
 
 def offdiag_associator(A: JordanMatrix) -> Octonion:
@@ -464,9 +438,8 @@ def phase_align(v: OctVector3) -> OctVector3:
     v v-dagger is unchanged.  A vector with (near-)zero third component is
     returned as-is.
     """
-    x, y, r = v.components
-    rn = r.norm()
+    r = v._arr[2]
+    rn = math.sqrt(r @ r)
     if rn <= tolerances.atol + tolerances.rtol * v.norm():
         return v
-    q = r.conjugate() * (1.0 / rn)
-    return OctVector3((x * q, y * q, r * q))
+    return OctVector3._wrap(left_mult(v._arr) @ (r * CONJ_SIGNS * (1.0 / rn)))

@@ -25,6 +25,7 @@ multiplicative, |x y| = |x| |y|.
 
 from __future__ import annotations
 
+import math
 from numbers import Real
 from typing import Iterable
 
@@ -38,6 +39,7 @@ __all__ = [
     "MUL_INDEX",
     "MUL_TENSOR",
     "CONJ_SIGNS",
+    "left_mult",
     "e",
     "associator",
     "format_octonion",
@@ -100,8 +102,59 @@ MUL_TENSOR[np.arange(8)[:, None], np.arange(8)[None, :], MUL_INDEX] = MUL_SIGN
 #: Componentwise signs of conjugation: conj(x) flips e1..e7.
 CONJ_SIGNS = np.array([1.0, -1, -1, -1, -1, -1, -1, -1])
 
+_MUL_FLAT = MUL_TENSOR.reshape(8, 64)
 
-class Octonion:
+
+def left_mult(x: np.ndarray) -> np.ndarray:
+    """Left-multiplication matrices L, (..., 8, 8), of x, (..., 8): L @ y = x y.
+
+    The one product kernel: octonion, matrix-vector and Jordan products.
+    """
+    return (x @ _MUL_FLAT).reshape(x.shape[:-1] + (8, 8)).swapaxes(-1, -2)
+
+
+class _ArrayValue:
+    """Immutable value stored as one read-only float array; equal when the
+    difference has Frobenius norm ``<= atol + rtol * max(|x|, |y|)``."""
+
+    __slots__ = ("_arr",)
+
+    def __init__(self, arr: np.ndarray):
+        arr.flags.writeable = False
+        object.__setattr__(self, "_arr", arr)
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray):
+        """Adopt an array the package computed: no copy, no check."""
+        obj = object.__new__(cls)
+        _ArrayValue.__init__(obj, arr)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def to_array(self) -> np.ndarray:
+        return self._arr.copy()
+
+    def norm(self) -> float:
+        """Frobenius norm; a Jordan matrix counts each off-diagonal octonion twice."""
+        return math.sqrt(float(np.vdot(self._arr, self._arr)))
+
+    def isclose(self, other, atol=None, rtol=None) -> bool:
+        atol = tolerances.atol if atol is None else atol
+        rtol = tolerances.rtol if rtol is None else rtol
+        diff = float(np.linalg.norm(self._arr - other._arr))
+        return diff <= atol + rtol * max(self.norm(), other.norm())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.isclose(other)
+
+    __hash__ = None
+
+
+class Octonion(_ArrayValue):
     """An octonion stored as eight real coefficients on e0..e7.
 
     The coefficient array is frozen after construction.  Arithmetic accepts
@@ -109,14 +162,15 @@ class Octonion:
     multiples of e0.  Equality is tolerance-based via the global config.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[float]):
         arr = np.array(coeffs, dtype=float)
         if arr.shape != (8,):
             raise ValueError(f"octonion needs 8 coefficients, got shape {arr.shape}")
-        arr.flags.writeable = False
-        self.coeffs = arr
+        super().__init__(arr)
+
+    coeffs = property(lambda self: self._arr, doc="The read-only coefficients on e0..e7.")
 
     @classmethod
     def from_real(cls, x: float) -> "Octonion":
@@ -148,9 +202,6 @@ class Octonion:
     def norm2(self) -> float:
         """Squared norm, x conj(x) = sum of squared coefficients."""
         return float(self.coeffs @ self.coeffs)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm2()))
 
     def inverse(self) -> "Octonion":
         n2 = self.norm2()
@@ -193,7 +244,7 @@ class Octonion:
 
     def __mul__(self, other) -> "Octonion":
         if isinstance(other, Octonion):
-            return Octonion(np.einsum("i,j,ijk->k", self.coeffs, other.coeffs, MUL_TENSOR))
+            return Octonion(left_mult(self.coeffs) @ other.coeffs)
         if isinstance(other, Real):
             return Octonion(self.coeffs * float(other))
         return NotImplemented
@@ -201,8 +252,6 @@ class Octonion:
     def __rmul__(self, other) -> "Octonion":
         if isinstance(other, Real):
             return Octonion(self.coeffs * float(other))
-        if isinstance(other, Octonion):
-            return other.__mul__(self)
         return NotImplemented
 
     def __truediv__(self, other) -> "Octonion":
@@ -213,12 +262,6 @@ class Octonion:
         return NotImplemented
 
     # -- comparison and display --------------------------------------------
-
-    def isclose(self, other: "Octonion", atol=None, rtol=None) -> bool:
-        atol = tolerances.atol if atol is None else atol
-        rtol = tolerances.rtol if rtol is None else rtol
-        diff = float(np.linalg.norm(self.coeffs - other.coeffs))
-        return diff <= atol + rtol * max(self.norm(), other.norm())
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)

@@ -23,12 +23,13 @@ shares no code path with the Jordan-side solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .jordan import JordanMatrix, OctVector3
-from .octonion import MUL_TENSOR
+from .exceptions import InconsistentError
+from .jordan import JordanMatrix, OctVector3, _embed
 
 __all__ = [
     "embed",
@@ -54,7 +55,7 @@ def embed(A: JordanMatrix) -> np.ndarray:
     left multiplication by x is left multiplication by conj(x), matching the
     Hermitian layout of A.
     """
-    return np.einsum("ija,abc->icjb", A.to_array(), MUL_TENSOR).reshape(24, 24)
+    return _embed(A._arr)
 
 
 def vector_coords(v: OctVector3) -> np.ndarray:
@@ -119,8 +120,11 @@ def modified_char_check(A: JordanMatrix) -> OracleReport:
         (lam, mult, -(A - ident * lam).det()) for lam, mult in lam_clusters
     )
 
-    r_tol = R_COLLAPSE_RTOL * (1.0 + A.norm()) ** 3
     r_values = np.sort(np.array([r for _, _, r in rows]))
+    scale = 1.0 + A.norm()
+    r_tol = R_COLLAPSE_RTOL * scale * scale * scale
+    if not (np.isfinite(r_values).all() and math.isfinite(r_tol)):
+        raise InconsistentError(f"residuals {r_values} or their gate {r_tol} overflow")
     r_groups = cluster_values(r_values, r_tol)
     passed = (
         len(r_groups) <= 2

@@ -26,6 +26,7 @@ tr(A - lambda I) primitive and K = I - P its rank-two complement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ from .jordan import (
     phase_align,
     rank1_from_vector,
 )
-from .octonion import Octonion
+from .octonion import CONJ_SIGNS, left_mult
 
 __all__ = [
     "SpectralDecomposition",
@@ -110,11 +111,6 @@ def idempotent_from_q(Q: JordanMatrix) -> JordanMatrix:
     return Q / t
 
 
-def _cycle(v: OctVector3, shift: int) -> OctVector3:
-    c = v.components
-    return OctVector3(tuple(c[(i + shift) % 3] for i in range(3)))
-
-
 def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float]:
     """B = A - lambda I and its trace mu - lambda, for a double root lambda.
 
@@ -152,11 +148,15 @@ def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, Jordan
     wn = w.norm()
     v = None
     for shift in range(3):
-        wp = phase_align(_cycle(w, shift))
-        x, y, _ = wp.components
-        if y.norm() > tolerances.atol + tolerances.rtol * wn:
-            vp = OctVector3((Octonion.from_real(y.norm2()), -(y * x.conjugate()), Octonion.zero()))
-            v = _cycle(vp, -shift % 3)
+        # entry i of the shifted vector is entry (i + shift) % 3 of w
+        wp = phase_align(OctVector3._wrap(np.roll(w._arr, -shift, axis=0)))
+        x, y, _ = wp._arr
+        y2 = float(y @ y)
+        if math.sqrt(y2) > tolerances.atol + tolerances.rtol * wn:
+            vp = np.zeros((3, 8))
+            vp[0, 0] = y2
+            vp[1] = -(left_mult(y) @ (x * CONJ_SIGNS))
+            v = OctVector3._wrap(np.roll(vp, shift, axis=0))
             break
     if v is None:  # unreachable for w != 0: some cyclic shift has a nonzero middle entry
         raise NotDoubleRootError("could not orient w for the orthogonal construction")
@@ -191,28 +191,19 @@ def invariant_double_decomposition(
 
 
 def _purify(P: JordanMatrix) -> JordanMatrix:
-    """One idempotent-polishing step, P -> 3 P^2 - 2 P^3.
+    """Two idempotent-polishing steps, P -> 3 P^2 - 2 P^3.
 
     Exact idempotents are fixed points; a near-idempotent loses its
-    deviation quadratically.  Q-route idempotents need this because their
-    noise grows like eps / gap^2 as two eigenvalues approach.  Powers of a
-    single element associate, so the expression is unambiguous.
+    deviation quadratically in each step.  Q-route idempotents need this
+    because their noise grows like eps / gap^2 as two eigenvalues approach:
+    near 1e-4 at a gap of 1e-6, which one step leaves at the 1e-8 rank-one
+    gate and two bring to rounding.  Powers of a single element associate,
+    so the expression is unambiguous.
     """
-    P2 = jordan_product(P, P)
-    P3 = jordan_product(P2, P)
-    return P2 * 3.0 - P3 * 2.0
-
-
-def _diag_unit(k: int) -> JordanMatrix:
-    vals = [0.0, 0.0, 0.0]
-    vals[k] = 1.0
-    return JordanMatrix.diag(*vals)
-
-
-def _basis_vector(k: int) -> OctVector3:
-    comps = [Octonion.zero(), Octonion.zero(), Octonion.zero()]
-    comps[k] = Octonion.from_real(1.0)
-    return OctVector3(tuple(comps))
+    for _ in range(2):
+        P2 = jordan_product(P, P)
+        P = P2 * 3.0 - jordan_product(P2, P) * 2.0
+    return P
 
 
 def decompose(A: JordanMatrix, mtol: float | None = None) -> SpectralDecomposition:
@@ -228,8 +219,8 @@ def decompose(A: JordanMatrix, mtol: float | None = None) -> SpectralDecompositi
     if roots.multiplicity == "triple":
         lam = roots.repeated
         eigenvalues = (lam, lam, lam)
-        idempotents = tuple(_diag_unit(k) for k in range(3))
-        eigenvectors = tuple(_basis_vector(k) for k in range(3))
+        idempotents = tuple(JordanMatrix.diag(*unit) for unit in np.eye(3))
+        eigenvectors = tuple(OctVector3(unit) for unit in np.eye(3))
     elif roots.multiplicity == "double":
         lam = roots.repeated
         mu = roots.simple[0]

@@ -192,6 +192,26 @@ class TestInputValidation:
         assert "error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("payload", [
+        matrix_payload(p=2.0**600, m=1.0, n=-2.0**599, a=[2.0**599] * 8),
+        matrix_payload(p=2.0**400),
+    ], ids=["invariants-overflow", "cubic-overflows"])
+    @pytest.mark.parametrize("command", cli._MATRIX_COMMANDS)
+    def test_overflow_is_inconsistency(self, capsys, command, payload):
+        code, out, err = run_cli(capsys, command, "--inline", inline(payload))
+        assert code == 1
+        assert "inconsistency:" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_dirac_overflow_is_inconsistency(self, capsys):
+        # |P|^2 overflows: no null test can be made, so no factor is returned
+        payload = {"s": 2.0**600, "t": 2.0**600, "z": [0.0] * 8}
+        code, out, err = run_cli(capsys, "dirac", "--inline", inline(payload))
+        assert code == 1
+        assert "inconsistency:" in err
+        assert out == ""
+
     def test_file_input(self, capsys, tmp_path):
         f = tmp_path / "m.json"
         f.write_text(inline(DIAG123))

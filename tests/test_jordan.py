@@ -23,7 +23,7 @@ from albert.jordan import (
     rank1_from_vector,
     sandwich,
 )
-from albert.octonion import Octonion, e
+from albert.octonion import MUL_INDEX, MUL_SIGN, Octonion, e
 
 
 def all_ones():
@@ -66,6 +66,35 @@ class TestConstruction:
             JordanMatrix.from_dict({"p": 1.0})
         with pytest.raises(ValueError):
             JordanMatrix.from_dict({"p": 1, "m": 1, "n": 1, "a": [1, 2], "b": [0] * 8, "c": [0] * 8})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            JordanMatrix(p=bad)
+        with pytest.raises(ValueError):
+            JordanMatrix(b=Octonion([0, 0, bad, 0, 0, 0, 0, 0]))
+        arr = JordanMatrix.identity().to_array()
+        arr[2, 2, 0] = bad
+        with pytest.raises(ValueError):
+            JordanMatrix.from_array(arr, check=False)
+        with pytest.raises(ValueError):
+            JordanMatrix.from_dict({**JordanMatrix.identity().to_dict(), "m": bad})
+
+    def test_immutable(self):
+        A = sampling.random_jordan(np.random.default_rng(24))
+        before = A.to_dict()
+        arr = A.to_array()
+        arr[0, 1, 3] = 99.0
+        arr[0, 0, 0] = 99.0
+        assert A.to_dict() == before
+        for name in ("p", "a", "_arr", "other"):
+            with pytest.raises(AttributeError):
+                setattr(A, name, 1.0)
+        v = sampling.random_vector(np.random.default_rng(25))
+        v.to_array()[1, 1] = 99.0
+        assert v.components[1].coeffs[1] != 99.0
+        with pytest.raises(AttributeError):
+            v.components = ()
 
     def test_arithmetic(self):
         A = JordanMatrix.diag(1, 2, 3)
@@ -340,3 +369,97 @@ class TestVectorsAndAction:
         assert offdiag_associator(A).norm() <= 1e-13
         B = JordanMatrix(a=e(1), b=e(2), c=e(4))
         assert offdiag_associator(B).norm() > 0
+
+
+# -- entrywise reference ----------------------------------------------------------
+#
+# The products above run on one left-multiplication kernel.  These loops
+# restate them term by term from the basis table, e_i e_j = s e_k, as the
+# reference the kernel must match to rounding.
+
+KERNEL_RTOL = 1e-13
+
+
+def ref_omul(x, y):
+    out = np.zeros(8)
+    for i in range(8):
+        for j in range(8):
+            out[MUL_INDEX[i, j]] += MUL_SIGN[i, j] * x[i] * y[j]
+    return out
+
+
+def ref_matmul(X, Y):
+    return np.array([[sum(ref_omul(X[i, k], Y[k, j]) for k in range(3))
+                      for j in range(3)] for i in range(3)])
+
+
+def ref_hermitian_part(X):
+    conj = np.array([1.0] + [-1.0] * 7)
+    return (X + X.transpose(1, 0, 2) * conj) / 2.0
+
+
+def ref_jordan(X, Y):
+    return ref_hermitian_part(ref_matmul(X, Y))
+
+
+def ref_trace(X):
+    return X[0, 0, 0] + X[1, 1, 0] + X[2, 2, 0]
+
+
+def ref_freudenthal(X, Y):
+    circ = ref_jordan(X, Y)
+    tx, ty = ref_trace(X), ref_trace(Y)
+    out = circ - (Y * tx + X * ty) / 2.0
+    for i in range(3):
+        out[i, i, 0] += (tx * ty - ref_trace(circ)) / 2.0
+    return out
+
+
+def ref_det(X):
+    p, m, n = X[0, 0, 0], X[1, 1, 0], X[2, 2, 0]
+    a, b, c = X[0, 1], X[2, 0], X[1, 2]
+    return (p * m * n + 2.0 * ref_omul(b, ref_omul(a, c))[0]
+            - n * (a @ a) - m * (b @ b) - p * (c @ c))
+
+
+def assert_matches(got, want, scale):
+    err = float(np.max(np.abs(np.asarray(got) - np.asarray(want))))
+    assert err <= KERNEL_RTOL * scale, f"deviation {err:.3e} at scale {scale:.3e}"
+
+
+class TestKernelAgainstReference:
+    @pytest.fixture(scope="class")
+    def samples(self):
+        rng = np.random.default_rng(26)
+        return [(sampling.random_jordan(rng), sampling.random_jordan(rng),
+                 sampling.random_vector(rng, span=8)) for _ in range(50)]
+
+    def test_octonion_product(self, samples):
+        for A, B, _ in samples:
+            for x, y in ((A.a, B.c), (A.b, A.c), (B.a, A.b)):
+                assert_matches((x * y).coeffs, ref_omul(x.coeffs, y.coeffs),
+                               x.norm() * y.norm())
+
+    def test_jordan_and_freudenthal_products(self, samples):
+        for A, B, _ in samples:
+            X, Y = A.to_array(), B.to_array()
+            scale = A.norm() * B.norm()
+            assert_matches(jordan_product(A, B).to_array(), ref_jordan(X, Y), scale)
+            assert_matches(freudenthal_product(A, B).to_array(),
+                           ref_freudenthal(X, Y), scale)
+
+    def test_sandwich(self, samples):
+        for A, B, _ in samples:
+            X, Y = A.to_array(), B.to_array()
+            want = ref_hermitian_part(ref_matmul(ref_matmul(X, Y), X))
+            assert_matches(sandwich(A, B).to_array(), want, A.norm() ** 2 * B.norm())
+
+    def test_matvec(self, samples):
+        for A, _, v in samples:
+            X, w = A.to_array(), v.to_array()
+            want = [sum(ref_omul(X[i, j], w[j]) for j in range(3)) for i in range(3)]
+            assert_matches(matvec(A, v).to_array(), want, A.norm() * v.norm())
+
+    def test_det(self, samples):
+        for A, _, _ in samples:
+            assert_matches(A.det(), ref_det(A.to_array()), A.norm() ** 3)

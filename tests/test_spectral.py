@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 
 from albert import sampling
+from albert.cubic import solve_characteristic
+from albert.dirac import classify_psquare
 from albert.exceptions import (
+    AlbertError,
     NotAnEigenvalueError,
     NotDoubleRootError,
     ZeroQMatrixError,
 )
+from albert.f4 import diagonalize
 from albert.jordan import (
     JordanMatrix,
     OctVector3,
+    char_poly,
     freudenthal_product,
     jordan_product,
     rank1_from_vector,
 )
 from albert.octonion import Octonion, e
+from albert.oracle import modified_char_check
 from albert.spectral import (
     decompose,
     double_root_split,
@@ -235,3 +241,24 @@ class TestDecomposeRandom:
             dec = decompose(A)
             scale = 1.0 + A.norm()
             assert dec.residuals["reconstruction"] <= 1e-8 * scale
+
+
+class TestOverflowingInput:
+    """Finite input whose invariants or cubic overflow gets a typed error,
+    never NaN output or a bare OverflowError."""
+
+    @pytest.mark.parametrize("entry", [
+        lambda A: solve_characteristic(*char_poly(A)),
+        decompose,
+        diagonalize,
+        classify_psquare,
+        modified_char_check,
+    ], ids=["charpoly", "decompose", "diagonalize", "classify", "oracle"])
+    @pytest.mark.parametrize("A", [
+        JordanMatrix(p=2**600, m=1, n=-2**599, a=Octonion([2**599] * 8)),
+        JordanMatrix.diag(2**400, 0, 0),
+    ], ids=["invariants-overflow", "cubic-overflows"])
+    def test_raises_albert_error(self, entry, A):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(AlbertError):
+                entry(A)
