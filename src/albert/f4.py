@@ -44,13 +44,13 @@ from .exceptions import ZeroVectorError
 from .jordan import (
     JordanMatrix,
     OctVector3,
+    _extract,
     char_poly,
-    extract_vector,
     phase_align,
     sandwich,
 )
 from .octonion import CONJ_SIGNS
-from .spectral import _purify, idempotent_from_q, q_matrix
+from .spectral import _idempotents
 
 __all__ = ["DiagonalizationResult", "build_m1_m2", "diagonalize"]
 
@@ -109,15 +109,16 @@ def diagonalize(A: JordanMatrix, mtol: float | None = None) -> DiagonalizationRe
     when all are distinct); a scalar matrix returns immediately with no
     steps.
     """
-    roots = solve_characteristic(*char_poly(A), mtol=mtol)
+    poly = char_poly(A)
+    roots = solve_characteristic(*poly, mtol=mtol)
     if roots.multiplicity == "triple":
         return DiagonalizationResult(
             steps=(), diagonal=A.diagonal(), residual=A.offdiag_norm()
         )
     lam = min(roots.simple)
 
-    P = _purify(idempotent_from_q(q_matrix(A, lam)))
-    v = phase_align(extract_vector(P, rank_rtol=tolerances.residual_rtol))
+    P = _idempotents(A._arr, poly, [lam])
+    v = phase_align(OctVector3._wrap(_extract(P, tolerances.residual_rtol)[0]))
     m1, m2 = build_m1_m2(v)
     b2 = sandwich(m2, sandwich(m1, A))
 

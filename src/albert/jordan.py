@@ -32,13 +32,15 @@ Storage: a :class:`JordanMatrix` is one read-only Hermitian (3, 3, 8) array
 (``to_array`` copies it; ``p, m, n, a, b, c`` are computed on read), an
 :class:`OctVector3` one (3, 8) array.  A matrix product is the 24x24 real
 matrix of the left factor (:func:`albert.octonion.left_mult`) times the
-columns of the right one.
+columns of the right one.  The private array kernels (``_jordan``,
+``_freudenthal``, ``_trace``, ...) take one (3, 3, 8) array or a stack
+(..., 3, 3, 8), a single factor broadcasting against a stack; they read and
+write the real diagonal as flat positions ::32 of the 72 coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from numbers import Real
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .exceptions import (
     NotRankOneError,
     ZeroMatrixError,
 )
-from .octonion import CONJ_SIGNS, Octonion, _ArrayValue, associator, left_mult
+from .octonion import CONJ_SIGNS, Octonion, _ArrayValue, _is_real, associator, left_mult
 
 __all__ = [
     "JordanMatrix",
@@ -75,7 +77,7 @@ def _coeffs(x) -> np.ndarray:
     """Eight coefficients of an octonion, a real scalar or an 8-sequence."""
     if isinstance(x, Octonion):
         return x.coeffs
-    if isinstance(x, Real):
+    if type(x) is not np.ndarray and _is_real(x):
         return np.array([float(x), 0, 0, 0, 0, 0, 0, 0])
     arr = np.asarray(x, dtype=float)
     if arr.shape != (8,):
@@ -96,9 +98,24 @@ def _hermitian(diag, upper: np.ndarray) -> np.ndarray:
     return rows.reshape(3, 3, 8)
 
 
+def _diag(arr: np.ndarray) -> np.ndarray:
+    """The real diagonal, (..., 3); a view when ``arr`` is contiguous."""
+    return arr.reshape(arr.shape[:-3] + (72,))[..., ::32]
+
+
+def _trace(arr: np.ndarray):
+    d = _diag(arr).T
+    return d[0] + d[1] + d[2]
+
+
+def _norms(stack) -> list[float]:
+    """Frobenius norm of each matrix of a (k, 3, 3, 8) stack or a sequence."""
+    return [math.sqrt(float(np.vdot(x, x))) for x in stack]
+
+
 def _conj_transpose(arr: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a (3, 3, 8) array of octonion coefficients."""
-    return arr.transpose(1, 0, 2) * CONJ_SIGNS
+    """Conjugate transpose of (..., 3, 3, 8) octonion coefficients."""
+    return arr.swapaxes(-3, -2) * CONJ_SIGNS
 
 
 def _hermitian_part(arr: np.ndarray) -> np.ndarray:
@@ -106,14 +123,33 @@ def _hermitian_part(arr: np.ndarray) -> np.ndarray:
 
 
 def _embed(arr: np.ndarray) -> np.ndarray:
-    """24x24 real matrix of v -> X v for a (3, 3, 8) array X, slot-major."""
-    return left_mult(arr).transpose(0, 2, 1, 3).reshape(24, 24)
+    """(..., 24, 24) real matrices of v -> X v for X in arr, slot-major."""
+    return left_mult(arr).swapaxes(-3, -2).reshape(arr.shape[:-3] + (24, 24))
 
 
 def _raw_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Ordinary (non-Hermitian) product of two (3, 3, 8) octonion matrices."""
-    cols = y.transpose(0, 2, 1).reshape(24, 3)
-    return (_embed(x) @ cols).reshape(3, 8, 3).transpose(0, 2, 1)
+    """Ordinary (non-Hermitian) products of (..., 3, 3, 8) octonion matrices."""
+    cols = y.swapaxes(-2, -1).reshape(y.shape[:-3] + (24, 3))
+    prod = _embed(x) @ cols
+    return prod.reshape(prod.shape[:-2] + (3, 8, 3)).swapaxes(-2, -1)
+
+
+def _jordan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Y X is the conjugate transpose of X Y for Hermitian factors.
+    return _hermitian_part(_raw_mul(x, y))
+
+
+def _freudenthal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    circ = _jordan(x, y)
+    tx = _trace(x)
+    if y is x:  # the square: (x tr x + x tr x) / 2 is x tr x exactly
+        ty, out = tx, circ - x * tx[..., None, None, None]
+    else:
+        ty = _trace(y)
+        out = circ - (y * tx[..., None, None, None] + x * ty[..., None, None, None]) * 0.5
+    d = _diag(out)
+    d += ((tx * ty - _trace(circ)) / 2.0)[..., None]
+    return out
 
 
 class OctVector3(_ArrayValue):
@@ -154,7 +190,7 @@ class OctVector3(_ArrayValue):
         return float(np.vdot(self._arr, self._arr))
 
     def __mul__(self, scalar) -> "OctVector3":
-        if isinstance(scalar, Real):
+        if _is_real(scalar):
             return OctVector3._wrap(self._arr * float(scalar))
         if isinstance(scalar, Octonion):
             # right multiplication of each component: (v_i q)_k = L(v_i)[k, j] q_j
@@ -162,7 +198,7 @@ class OctVector3(_ArrayValue):
         return NotImplemented
 
     def __rmul__(self, scalar) -> "OctVector3":
-        if isinstance(scalar, Real):
+        if _is_real(scalar):
             return self * scalar
         return NotImplemented
 
@@ -265,14 +301,14 @@ class JordanMatrix(_ArrayValue):
     def trace_reversal(self) -> "JordanMatrix":
         """A - (tr A) I, the involution entering the determinant identities."""
         arr = self._arr.copy()
-        arr.reshape(9, 8)[::4, 0] -= self.trace()
+        _diag(arr)[:] -= self.trace()
         return JordanMatrix._wrap(arr)
 
     def offdiag_norm(self) -> float:
         return math.sqrt(2.0 * sum(self._norms2()))
 
     def diagonal(self) -> tuple[float, float, float]:
-        return tuple(self._arr.reshape(9, 8)[::4, 0].tolist())
+        return tuple(self._arr.reshape(72)[::32].tolist())
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -290,14 +326,14 @@ class JordanMatrix(_ArrayValue):
         return JordanMatrix._wrap(-self._arr)
 
     def __mul__(self, scalar) -> "JordanMatrix":
-        if not isinstance(scalar, Real):
+        if not _is_real(scalar):
             return NotImplemented
         return JordanMatrix._wrap(self._arr * float(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "JordanMatrix":
-        if not isinstance(scalar, Real):
+        if not _is_real(scalar):
             return NotImplemented
         return self * (1.0 / float(scalar))
 
@@ -331,18 +367,12 @@ _IDENTITY = JordanMatrix(1.0, 1.0, 1.0)
 
 def jordan_product(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
     """(A B + B A) / 2.  Commutative, non-associative."""
-    # B A is the conjugate transpose of A B for Hermitian factors.
-    return JordanMatrix._wrap(_hermitian_part(_raw_mul(A._arr, B._arr)))
+    return JordanMatrix._wrap(_jordan(A._arr, B._arr))
 
 
 def freudenthal_product(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
     """The symmetric cross product whose trace recovers sigma and det."""
-    circ = jordan_product(A, B)
-    ta, tb = A.trace(), B.trace()
-    scalar = (ta * tb - circ.trace()) / 2.0
-    out = circ._arr - (B._arr * ta + A._arr * tb) * 0.5
-    out.reshape(9, 8)[::4, 0] += scalar
-    return JordanMatrix._wrap(out)
+    return JordanMatrix._wrap(_freudenthal(A._arr, B._arr))
 
 
 def char_poly(A: JordanMatrix) -> tuple[float, float, float]:
@@ -371,8 +401,7 @@ def sandwich(M: JordanMatrix, A: JordanMatrix) -> JordanMatrix:
     complex subalgebra, which makes the product flexible; the result is
     Hermitian again when M is.
     """
-    mam = _raw_mul(_raw_mul(M._arr, A._arr), M._arr)
-    return JordanMatrix._wrap(_hermitian_part(mam))
+    return JordanMatrix._wrap(_jordan(_raw_mul(M._arr, A._arr), M._arr))
 
 
 # -- rank-one projectors -------------------------------------------------------
@@ -405,21 +434,28 @@ def extract_vector(V: JordanMatrix, rank_rtol: float | None = None) -> OctVector
     component is the positive real sqrt(V_kk).  v is unique up to a
     quaternionic phase.
     """
+    return OctVector3._wrap(_extract(V._arr, rank_rtol)[0])
+
+
+def _extract(V: np.ndarray, rank_rtol: float | None) -> np.ndarray:
+    """:func:`extract_vector` on (3, 3, 8) or (k, 3, 3, 8), giving (k, 3, 8)."""
     rtol = tolerances.rtol if rank_rtol is None else rank_rtol
-    nrm = V.norm()
-    vxv = freudenthal_product(V, V)
-    if vxv.norm() > tolerances.atol + rtol * nrm * nrm:
-        raise NotRankOneError(
-            f"V * V does not vanish (|V*V| = {vxv.norm():.3e} at |V| = {nrm:.3e})"
-        )
-    if V.trace() <= tolerances.atol + tolerances.rtol * nrm:
-        raise ZeroMatrixError(f"trace {V.trace():.3e} is not positive")
-    diag = V.diagonal()
-    k = int(np.argmax(diag))
-    pivot = diag[k]
-    if pivot <= 0.0:
-        raise ZeroMatrixError("no positive diagonal entry to pivot on")
-    return OctVector3._wrap(V._arr[:, k] / math.sqrt(pivot))
+    VxV = _freudenthal(V, V).reshape(-1, 3, 3, 8)
+    V = V.reshape(-1, 3, 3, 8)
+    out = np.empty((len(V), 3, 8))
+    for i, (nrm, vxv, diag) in enumerate(zip(_norms(V), _norms(VxV), _diag(V).tolist())):
+        if vxv > tolerances.atol + rtol * nrm * nrm:
+            raise NotRankOneError(
+                f"V * V does not vanish (|V*V| = {vxv:.3e} at |V| = {nrm:.3e})"
+            )
+        tr = diag[0] + diag[1] + diag[2]
+        if tr <= tolerances.atol + tolerances.rtol * nrm:
+            raise ZeroMatrixError(f"trace {tr:.3e} is not positive")
+        pivot = max(diag)
+        if pivot <= 0.0:
+            raise ZeroMatrixError("no positive diagonal entry to pivot on")
+        out[i] = V[i, :, diag.index(pivot)] / math.sqrt(pivot)
+    return out
 
 
 def offdiag_associator(A: JordanMatrix) -> Octonion:

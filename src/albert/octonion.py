@@ -105,6 +105,10 @@ CONJ_SIGNS = np.array([1.0, -1, -1, -1, -1, -1, -1, -1])
 _MUL_FLAT = MUL_TENSOR.reshape(8, 64)
 
 
+def _is_real(x) -> bool:
+    return type(x) is float or isinstance(x, Real)  # the ABC check is slow
+
+
 def left_mult(x: np.ndarray) -> np.ndarray:
     """Left-multiplication matrices L, (..., 8, 8), of x, (..., 8): L @ y = x y.
 
@@ -215,7 +219,7 @@ class Octonion(_ArrayValue):
     def _coerce(other) -> "Octonion | None":
         if isinstance(other, Octonion):
             return other
-        if isinstance(other, Real):
+        if _is_real(other):
             return Octonion.from_real(float(other))
         return None
 
@@ -245,17 +249,17 @@ class Octonion(_ArrayValue):
     def __mul__(self, other) -> "Octonion":
         if isinstance(other, Octonion):
             return Octonion(left_mult(self.coeffs) @ other.coeffs)
-        if isinstance(other, Real):
+        if _is_real(other):
             return Octonion(self.coeffs * float(other))
         return NotImplemented
 
     def __rmul__(self, other) -> "Octonion":
-        if isinstance(other, Real):
+        if _is_real(other):
             return Octonion(self.coeffs * float(other))
         return NotImplemented
 
     def __truediv__(self, other) -> "Octonion":
-        if isinstance(other, Real):
+        if _is_real(other):
             return Octonion(self.coeffs / float(other))
         if isinstance(other, Octonion):
             return self * other.inverse()

@@ -22,6 +22,10 @@ the root is repeated.  Repeated roots need their own constructions:
 The alternative invariant form for a double root keeps the rank-two piece
 whole instead of splitting it: A = mu P + lambda K with P = (A - lambda I)/
 tr(A - lambda I) primitive and K = I - P its rank-two complement.
+
+The array kernels of :mod:`albert.jordan` take stacks (k, 3, 3, 8), and
+:func:`decompose` builds, purifies, extracts and checks the eigenmatrices of
+all its roots as one stack; the public one-root functions are k = 1 calls.
 """
 
 from __future__ import annotations
@@ -42,10 +46,14 @@ from .exceptions import (
 from .jordan import (
     JordanMatrix,
     OctVector3,
+    _extract,
+    _freudenthal,
+    _jordan,
+    _norms,
+    _trace,
     char_poly,
     extract_vector,
     freudenthal_product,
-    jordan_product,
     phase_align,
     rank1_from_vector,
 )
@@ -84,17 +92,37 @@ class SpectralDecomposition:
         }
 
 
-def q_matrix(A: JordanMatrix, lam: float) -> JordanMatrix:
-    """(A - lambda I) * (A - lambda I) for an eigenvalue lambda of A."""
-    t, s, d = char_poly(A)
-    scale = (1.0 + A.norm() + abs(lam)) ** 3
+def _check_root(poly: tuple[float, float, float], nrm: float, lam: float) -> None:
+    """Raise unless lambda is a root of char_poly(A) = poly, where |A| = nrm."""
+    t, s, d = poly
+    x = 1.0 + nrm + abs(lam)
+    scale = x * x * x
+    if not math.isfinite(scale):
+        raise InconsistentError(f"scale (1 + |A| + |lambda|)^3 overflows at {x:.3e}")
     value = ((lam - t) * lam + s) * lam - d
     if abs(value) > tolerances.atol + tolerances.rtol * scale:
         raise NotAnEigenvalueError(
             f"characteristic value {value:.3e} at lambda={lam!r} exceeds tolerance"
         )
-    B = A - JordanMatrix.identity() * lam
-    return freudenthal_product(B, B)
+
+
+def _check_q_trace(t: float, q_norm: float) -> None:
+    if abs(t) <= tolerances.atol + tolerances.rtol * (1.0 + q_norm):
+        raise ZeroQMatrixError(
+            f"tr Q = {t:.3e} vanishes to tolerance; the eigenvalue is repeated"
+        )
+
+
+def _q_stack(A: np.ndarray, lams) -> np.ndarray:
+    """(A - lambda I) * (A - lambda I): (3, 3, 8) for one lambda, (k, 3, 3, 8) for k."""
+    B = A - JordanMatrix.identity()._arr * np.asarray(lams)[..., None, None, None]
+    return _freudenthal(B, B)
+
+
+def q_matrix(A: JordanMatrix, lam: float) -> JordanMatrix:
+    """(A - lambda I) * (A - lambda I) for an eigenvalue lambda of A."""
+    _check_root(char_poly(A), A.norm(), lam)
+    return JordanMatrix._wrap(_q_stack(A._arr, lam))
 
 
 def idempotent_from_q(Q: JordanMatrix) -> JordanMatrix:
@@ -104,10 +132,7 @@ def idempotent_from_q(Q: JordanMatrix) -> JordanMatrix:
     only the magnitude is gated.
     """
     t = Q.trace()
-    if abs(t) <= tolerances.atol + tolerances.rtol * (1.0 + Q.norm()):
-        raise ZeroQMatrixError(
-            f"tr Q = {t:.3e} vanishes to tolerance; the eigenvalue is repeated"
-        )
+    _check_q_trace(t, Q.norm())
     return Q / t
 
 
@@ -119,10 +144,12 @@ def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float
     """
     B = A - JordanMatrix.identity() * lam
     scale = 1.0 + A.norm() + abs(lam)
+    if not math.isfinite(scale * scale):
+        raise InconsistentError(f"scale (1 + |A| + |lambda|)^2 overflows at {scale:.3e}")
     if B.norm() <= tolerances.atol + tolerances.rtol * scale:
         raise NotDoubleRootError("A equals lambda I; the root is triple, not double")
     q_norm = freudenthal_product(B, B).norm()
-    if q_norm > tolerances.atol + tolerances.mtol * scale**2:
+    if q_norm > tolerances.atol + tolerances.mtol * scale * scale:
         raise NotDoubleRootError(
             f"(A - lambda I) is not rank one (|Q| = {q_norm:.3e}); lambda is not a double root"
         )
@@ -190,8 +217,8 @@ def invariant_double_decomposition(
     return ((mu, P), (float(lam), K))
 
 
-def _purify(P: JordanMatrix) -> JordanMatrix:
-    """Two idempotent-polishing steps, P -> 3 P^2 - 2 P^3.
+def _purify(P: np.ndarray) -> np.ndarray:
+    """Two idempotent-polishing steps, P -> 3 P^2 - 2 P^3, on a stack.
 
     Exact idempotents are fixed points; a near-idempotent loses its
     deviation quadratically in each step.  Q-route idempotents need this
@@ -201,99 +228,79 @@ def _purify(P: JordanMatrix) -> JordanMatrix:
     so the expression is unambiguous.
     """
     for _ in range(2):
-        P2 = jordan_product(P, P)
-        P = P2 * 3.0 - jordan_product(P2, P) * 2.0
+        P2 = _jordan(P, P)
+        P = P2 * 3.0 - _jordan(P2, P) * 2.0
     return P
+
+
+def _idempotents(A: np.ndarray, poly: tuple[float, float, float], lams) -> np.ndarray:
+    """Purified Q-route idempotents of A, poly = char_poly(A), for the roots
+    lams, (k, 3, 3, 8).  After the arithmetic the gates of :func:`q_matrix`
+    and :func:`idempotent_from_q` run root by root, as a loop over roots would."""
+    Q = _q_stack(A, lams)
+    tq = _trace(Q)
+    nrm = math.sqrt(float(np.vdot(A, A)))
+    for lam, t, q_norm in zip(lams, tq.tolist(), _norms(Q)):
+        _check_root(poly, nrm, lam)
+        _check_q_trace(t, q_norm)
+    return _purify(Q * (1.0 / tq)[:, None, None, None])
 
 
 def decompose(A: JordanMatrix, mtol: float | None = None) -> SpectralDecomposition:
     """Full eigenmatrix decomposition of A with verification residuals.
 
-    Raises :class:`~albert.exceptions.InconsistentError` when the assembled
+    The idempotents of the simple roots, the eigenvectors and the residuals
+    are each computed on one (k, 3, 3, 8) stack.  Raises
+    :class:`~albert.exceptions.InconsistentError` when the assembled
     pieces fail to reproduce A, and propagates root-multiplicity conflicts
     between the cubic solver and the Q-matrix criterion the same way.
     """
-    roots: CubicRoots = solve_characteristic(*char_poly(A), mtol=mtol)
-    scale = 1.0 + A.norm()
-
-    if roots.multiplicity == "triple":
-        lam = roots.repeated
-        eigenvalues = (lam, lam, lam)
-        idempotents = tuple(JordanMatrix.diag(*unit) for unit in np.eye(3))
-        eigenvectors = tuple(OctVector3(unit) for unit in np.eye(3))
-    elif roots.multiplicity == "double":
-        lam = roots.repeated
-        mu = roots.simple[0]
+    poly = char_poly(A)
+    roots: CubicRoots = solve_characteristic(*poly, mtol=mtol)
+    lams, lam = roots.roots, roots.repeated
+    if roots.multiplicity == "double":
         # Cross-check the solver's multiplicity call against tr Q = sigma(A - lam I).
         trq = (A - JordanMatrix.identity() * lam).sigma()
-        if abs(trq) > tolerances.mtol * (1.0 + max(abs(r) for r in roots.roots)) ** 2:
+        top = 1.0 + max(abs(r) for r in lams)
+        if abs(trq) > tolerances.mtol * top * top:
             raise InconsistentError(
                 f"cubic solver reports a double root but tr Q = {trq:.3e} does not vanish"
             )
+    if roots.multiplicity == "triple":
+        P = np.stack([JordanMatrix.diag(*unit)._arr for unit in np.eye(3)])
+    else:
         try:
-            P_mu = _purify(idempotent_from_q(q_matrix(A, mu)))
+            P = _idempotents(A._arr, poly, roots.simple)
         except ZeroQMatrixError as exc:
             raise InconsistentError(
                 "cubic solver reports a simple root with a vanishing Q matrix"
             ) from exc
+    if roots.multiplicity == "double":
         V1, V2 = double_root_split(A, lam)
-        if mu > lam:
-            eigenvalues = (mu, lam, lam)
-            idempotents = (P_mu, V1, V2)
-        else:
-            eigenvalues = (lam, lam, mu)
-            idempotents = (V1, V2, P_mu)
-    else:
-        eigenvalues = roots.roots
-        try:
-            idempotents = tuple(
-                _purify(idempotent_from_q(q_matrix(A, lam))) for lam in eigenvalues
-            )
-        except ZeroQMatrixError as exc:
-            raise InconsistentError(
-                "cubic solver reports distinct roots with a vanishing Q matrix"
-            ) from exc
+        pair = (V1._arr, V2._arr)
+        P = np.stack((P[0], *pair) if lams[0] > lam else (*pair, P[0]))
 
-    if roots.multiplicity != "triple":
-        # The idempotents were validated above; extraction uses the looser
-        # residual gate because Q-route idempotents inherit noise of order
-        # eps / gap^2 near close eigenvalues.
-        eigenvectors = tuple(
-            extract_vector(P, rank_rtol=tolerances.residual_rtol) for P in idempotents
-        )
-
-    eigen_res = [
-        (jordan_product(A, P) - P * lam).norm()
-        for lam, P in zip(eigenvalues, idempotents)
-    ]
-    orth = max(
-        jordan_product(idempotents[i], idempotents[j]).norm()
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
-    total = idempotents[0] + idempotents[1] + idempotents[2]
-    completeness = (total - JordanMatrix.identity()).norm()
-    recon = (
-        idempotents[0] * eigenvalues[0]
-        + idempotents[1] * eigenvalues[1]
-        + idempotents[2] * eigenvalues[2]
-        - A
-    ).norm()
-    residuals = {
-        "eigen": [float(r) for r in eigen_res],
-        "orthogonality": float(orth),
-        "completeness": float(completeness),
-        "reconstruction": float(recon),
-    }
-    gate = tolerances.residual_rtol * scale
+    # The idempotents were validated above; extraction uses the looser
+    # residual gate because Q-route idempotents inherit noise of order
+    # eps / gap^2 near close eigenvalues.
+    vectors = _extract(P, tolerances.residual_rtol)
+    scaled = P * np.array(lams)[:, None, None, None]
+    completeness, recon = _norms((P[0] + P[1] + P[2] - JordanMatrix.identity()._arr,
+                                  scaled[0] + scaled[1] + scaled[2] - A._arr))
+    gate = tolerances.residual_rtol * (1.0 + A.norm())
     if not (recon <= gate and completeness <= gate):
         raise InconsistentError(
             f"assembled decomposition fails to reproduce A "
             f"(reconstruction {recon:.3e}, completeness {completeness:.3e})"
         )
     return SpectralDecomposition(
-        eigenvalues=tuple(float(v) for v in eigenvalues),
-        idempotents=idempotents,
-        eigenvectors=eigenvectors,
-        residuals=residuals,
+        eigenvalues=tuple(float(v) for v in lams),
+        idempotents=tuple(JordanMatrix._wrap(p) for p in P),
+        eigenvectors=tuple(OctVector3._wrap(v) for v in vectors),
+        residuals={
+            "eigen": _norms(_jordan(A._arr, P) - scaled),
+            "orthogonality": max(_norms(_jordan(P[[0, 0, 1]], P[[1, 2, 2]]))),
+            "completeness": completeness,
+            "reconstruction": recon,
+        },
     )

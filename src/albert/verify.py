@@ -9,6 +9,7 @@ by (1 + scale)^degree so thresholds are plain relative tolerances.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,221 +69,196 @@ class VerifyReport:
         }
 
 
-def _suite_moufang(rng, count):
-    worst = 0.0
-    for _ in range(count):
-        x = sampling.random_octonion(rng)
-        y = sampling.random_octonion(rng)
-        z = sampling.random_octonion(rng)
-        lhs = ((x * y) * x) * z
-        rhs = x * (y * (x * z))
-        scale = 1.0 + x.norm() ** 2 * y.norm() * z.norm()
-        worst = max(worst, (lhs - rhs).norm() / scale)
-    return worst, 1e-10
+def _suite(threshold, combine=max):
+    """Mark a one-sample residual as a suite: ``combine`` folds the samples'
+    residuals, starting from 0, into the value gated at ``threshold``."""
+    def mark(residual):
+        residual.threshold, residual.combine = threshold, combine
+        return residual
+    return mark
 
 
-def _suite_char_equation(rng, count):
-    worst = 0.0
-    for _ in range(count):
-        A = sampling.random_jordan(rng)
-        tr, sigma, det = char_poly(A)
-        A2 = jordan_product(A, A)
-        A3 = jordan_product(A2, A)
-        resid = A3 - A2 * tr + A * sigma - JordanMatrix.identity() * det
-        worst = max(worst, resid.norm() / (1.0 + A.norm() ** 3))
-    return worst, 1e-9
+@_suite(1e-10)
+def _suite_moufang(rng):
+    x, y, z = (sampling.random_octonion(rng) for _ in range(3))
+    lhs = ((x * y) * x) * z
+    rhs = x * (y * (x * z))
+    scale = 1.0 + x.norm() ** 2 * y.norm() * z.norm()
+    return (lhs - rhs).norm() / scale
 
 
-def _suite_springer(rng, count):
-    worst = 0.0
-    for _ in range(count):
-        A = sampling.random_jordan(rng)
-        AxA = freudenthal_product(A, A)
-        resid = freudenthal_product(AxA, AxA) - A * A.det()
-        worst = max(worst, resid.norm() / (1.0 + A.norm()) ** 4)
-    return worst, 1e-9
+@_suite(1e-9)
+def _suite_char_equation(rng):
+    A = sampling.random_jordan(rng)
+    tr, sigma, det = char_poly(A)
+    A2 = jordan_product(A, A)
+    A3 = jordan_product(A2, A)
+    resid = A3 - A2 * tr + A * sigma - JordanMatrix.identity() * det
+    return resid.norm() / (1.0 + A.norm() ** 3)
 
 
-def _suite_trace_reversal_identity(rng, count):
+@_suite(1e-9)
+def _suite_springer(rng):
+    A = sampling.random_jordan(rng)
+    AxA = freudenthal_product(A, A)
+    resid = freudenthal_product(AxA, AxA) - A * A.det()
+    return resid.norm() / (1.0 + A.norm()) ** 4
+
+
+@_suite(1e-9)
+def _suite_trace_reversal_identity(rng):
     # (A~ o A) o (A*A) = det(A) A~
-    worst = 0.0
-    for _ in range(count):
-        A = sampling.random_jordan(rng)
-        At = A.trace_reversal()
-        lhs = jordan_product(jordan_product(At, A), freudenthal_product(A, A))
-        resid = lhs - At * A.det()
-        worst = max(worst, resid.norm() / (1.0 + A.norm()) ** 4)
-    return worst, 1e-9
+    A = sampling.random_jordan(rng)
+    At = A.trace_reversal()
+    lhs = jordan_product(jordan_product(At, A), freudenthal_product(A, A))
+    resid = lhs - At * A.det()
+    return resid.norm() / (1.0 + A.norm()) ** 4
 
 
-def _suite_polarized_closure(rng, count):
-    worst = 0.0
-    for _ in range(count):
-        u = sampling.random_vector(rng, span=4)
-        w = sampling.random_vector(rng, span=4)
-        A = rank1_from_vector(u)
-        B = rank1_from_vector(w)
-        AxB = freudenthal_product(A, B)
-        resid = freudenthal_product(AxB, AxB)
-        worst = max(worst, resid.norm() / (1.0 + A.norm() + B.norm()) ** 4)
-    return worst, 1e-9
+@_suite(1e-9)
+def _suite_polarized_closure(rng):
+    A, B = (rank1_from_vector(sampling.random_vector(rng, span=4)) for _ in range(2))
+    AxB = freudenthal_product(A, B)
+    resid = freudenthal_product(AxB, AxB)
+    return resid.norm() / (1.0 + A.norm() + B.norm()) ** 4
 
 
-def _suite_trace_inner_product(rng, count):
+@_suite(1e-10)
+def _suite_trace_inner_product(rng):
     # (v^dag w)(w^dag v) = tr(v v^dag o w w^dag) for associating components
-    worst = 0.0
-    for _ in range(count):
-        v = sampling.random_vector(rng, span=4)
-        w = sampling.random_vector(rng, span=4)
-        vw = v.dagger_dot(w)
-        lhs = (vw * vw.conjugate()).real
-        rhs = jordan_product(rank1_from_vector(v), rank1_from_vector(w)).trace()
-        scale = 1.0 + v.norm2() * w.norm2()
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst, 1e-10
+    v, w = (sampling.random_vector(rng, span=4) for _ in range(2))
+    vw = v.dagger_dot(w)
+    lhs = (vw * vw.conjugate()).real
+    rhs = jordan_product(rank1_from_vector(v), rank1_from_vector(w)).trace()
+    scale = 1.0 + v.norm2() * w.norm2()
+    return abs(lhs - rhs) / scale
 
 
-def _suite_det_consistency(rng, count):
-    worst = 0.0
-    for _ in range(count):
-        A = sampling.random_jordan(rng)
-        worst = max(worst, abs(A.det() - det_via_trace(A)) / (1.0 + A.norm()) ** 3)
-    return worst, 1e-10
+@_suite(1e-10)
+def _suite_det_consistency(rng):
+    A = sampling.random_jordan(rng)
+    return abs(A.det() - det_via_trace(A)) / (1.0 + A.norm()) ** 3
 
 
-def _suite_decomposition(rng, count):
-    worst = 0.0
-    for _ in range(count):
-        A = sampling.random_jordan(rng)
-        dec = decompose(A)
-        resid = max(
-            max(dec.residuals["eigen"]),
-            dec.residuals["orthogonality"],
-            dec.residuals["completeness"],
-            dec.residuals["reconstruction"],
-        )
-        worst = max(worst, resid / (1.0 + A.norm()))
-    return worst, 1e-8
+@_suite(1e-8)
+def _suite_decomposition(rng):
+    A = sampling.random_jordan(rng)
+    dec = decompose(A)
+    resid = max(
+        max(dec.residuals["eigen"]),
+        dec.residuals["orthogonality"],
+        dec.residuals["completeness"],
+        dec.residuals["reconstruction"],
+    )
+    return resid / (1.0 + A.norm())
 
 
-def _suite_cayley_plane(rng, count):
+@_suite(1e-8)
+def _suite_cayley_plane(rng):
     # Decomposition idempotents: P*P = 0, tr P = 1, associating components.
     worst = 0.0
-    for _ in range(count):
-        A = sampling.random_jordan(rng)
-        for P in decompose(A).idempotents:
-            r = freudenthal_product(P, P).norm() + abs(P.trace() - 1.0)
-            r = max(r, offdiag_associator(P).norm())
-            worst = max(worst, r)
-    return worst, 1e-8
+    A = sampling.random_jordan(rng)
+    for P in decompose(A).idempotents:
+        r = freudenthal_product(P, P).norm() + abs(P.trace() - 1.0)
+        r = max(r, offdiag_associator(P).norm())
+        worst = max(worst, r)
+    return worst
 
 
-def _suite_double_root(rng, count):
+@_suite(1e-8)
+def _suite_double_root(rng):
     worst = 0.0
-    for _ in range(count):
-        A, lam, sign, w = sampling.random_double_root_matrix(rng)
-        dec = decompose(A)
-        for lam_i, P in zip(dec.eigenvalues, dec.idempotents):
-            resid = (jordan_product(A, P) - P * lam_i).norm()
-            worst = max(worst, resid / (1.0 + A.norm()))
-    return worst, 1e-8
+    A, lam, sign, w = sampling.random_double_root_matrix(rng)
+    dec = decompose(A)
+    for lam_i, P in zip(dec.eigenvalues, dec.idempotents):
+        resid = (jordan_product(A, P) - P * lam_i).norm()
+        worst = max(worst, resid / (1.0 + A.norm()))
+    return worst
 
 
-def _suite_f4_invariants(rng, count):
+@_suite(1e-9)
+def _suite_f4_invariants(rng):
     worst = 0.0
-    for _ in range(count):
-        A = sampling.random_jordan(rng)
-        tr, sigma, det = char_poly(A)
-        scale = 1.0 + A.norm() ** 3
-        B = A
-        for M in diagonalize(A).steps:
-            B = sandwich(M, B)
-            t2, s2, d2 = char_poly(B)
-            drift = max(abs(t2 - tr), abs(s2 - sigma), abs(d2 - det))
-            worst = max(worst, drift / scale)
-    return worst, 1e-9
+    A = sampling.random_jordan(rng)
+    tr, sigma, det = char_poly(A)
+    scale = 1.0 + A.norm() ** 3
+    B = A
+    for M in diagonalize(A).steps:
+        B = sandwich(M, B)
+        t2, s2, d2 = char_poly(B)
+        drift = max(abs(t2 - tr), abs(s2 - sigma), abs(d2 - det))
+        worst = max(worst, drift / scale)
+    return worst
 
 
-def _suite_f4_offdiagonal(rng, count):
-    worst = 0.0
-    for _ in range(count):
-        A = sampling.random_jordan(rng)
-        res = diagonalize(A)
-        roots = sorted(solve_characteristic(*char_poly(A)).roots)
-        diag = sorted(res.diagonal)
-        err = max(abs(x - y) for x, y in zip(diag, roots))
-        worst = max(worst, max(res.residual, err) / (1.0 + A.norm()))
-    return worst, 1e-8
+@_suite(1e-8)
+def _suite_f4_offdiagonal(rng):
+    A = sampling.random_jordan(rng)
+    res = diagonalize(A)
+    roots = sorted(solve_characteristic(*char_poly(A)).roots)
+    diag = sorted(res.diagonal)
+    err = max(abs(x - y) for x, y in zip(diag, roots))
+    return max(res.residual, err) / (1.0 + A.norm())
 
 
-def _suite_oracle_octonionic(rng, count):
-    worst = 0.0
-    for _ in range(count):
-        A = sampling.random_jordan(rng)
-        report = modified_char_check(A)
-        scale = (1.0 + A.norm()) ** 3
-        resid = 0.0 if report.passed and len(report.clusters) <= 6 else 1.0
-        # the matrix's own eigenvalues satisfy the unmodified equation
-        for lam in solve_characteristic(*char_poly(A)).roots:
-            resid = max(resid, abs((A - JordanMatrix.identity() * lam).det()) / scale)
-        worst = max(worst, resid)
-    return worst, 1e-8
+@_suite(1e-8)
+def _suite_oracle_octonionic(rng):
+    A = sampling.random_jordan(rng)
+    report = modified_char_check(A)
+    scale = (1.0 + A.norm()) ** 3
+    resid = 0.0 if report.passed and len(report.clusters) <= 6 else 1.0
+    # the matrix's own eigenvalues satisfy the unmodified equation
+    for lam in solve_characteristic(*char_poly(A)).roots:
+        resid = max(resid, abs((A - JordanMatrix.identity() * lam).det()) / scale)
+    return resid
 
 
-def _suite_oracle_quaternionic(rng, count):
+@_suite(1e-8)
+def _suite_oracle_quaternionic(rng):
     # Associative degeneration: one r-group collapses onto zero (the family
     # of the matrix's own eigenvalues); the other carries the constant
     # offset det(conj(A)) - det(A) of the entrywise-conjugate family.
-    worst = 0.0
-    for _ in range(count):
-        A = sampling.random_jordan(rng, span=4)
-        report = modified_char_check(A)
-        scale = (1.0 + A.norm()) ** 3
-        rs = [abs(r) for _, _, r in report.clusters]
-        resid = min(rs) / scale if rs else 1.0
-        if not report.passed:
-            resid = max(resid, 1.0)
-        worst = max(worst, resid)
-    return worst, 1e-8
+    A = sampling.random_jordan(rng, span=4)
+    report = modified_char_check(A)
+    scale = (1.0 + A.norm()) ** 3
+    rs = [abs(r) for _, _, r in report.clusters]
+    resid = min(rs) / scale if rs else 1.0
+    if not report.passed:
+        resid = max(resid, 1.0)
+    return resid
 
 
-def _suite_dirac_roundtrip(rng, count):
-    worst = 0.0
-    for _ in range(count):
-        P, _, _ = sampling.random_null_hermitian2(rng)
-        theta, sign = dirac_solve(P)
-        recon = Hermitian2.from_outer(theta) * float(sign)
-        worst = max(worst, (P - recon).norm() / (1.0 + P.norm()))
-    return worst, 1e-10
+@_suite(1e-10)
+def _suite_dirac_roundtrip(rng):
+    P, _, _ = sampling.random_null_hermitian2(rng)
+    theta, sign = dirac_solve(P)
+    recon = Hermitian2.from_outer(theta) * float(sign)
+    return (P - recon).norm() / (1.0 + P.norm())
 
 
-def _suite_rank_one_packing(rng, count):
-    worst = 0.0
-    for _ in range(count):
-        theta = sampling.random_complex_theta(rng)
-        xi = sampling.random_octonion(rng)
-        _, PP = psi_pack(theta, xi)
-        resid = freudenthal_product(PP, PP).norm()
-        worst = max(worst, resid / (1.0 + PP.norm()) ** 2)
-    return worst, 1e-9
+@_suite(1e-9)
+def _suite_rank_one_packing(rng):
+    theta = sampling.random_complex_theta(rng)
+    xi = sampling.random_octonion(rng)
+    _, PP = psi_pack(theta, xi)
+    resid = freudenthal_product(PP, PP).norm()
+    return resid / (1.0 + PP.norm()) ** 2
 
 
-def _suite_psquare_class(rng, count):
-    mismatches = 0
-    for _ in range(count):
-        A = sampling.random_jordan(rng)
-        cls = classify_psquare(A).p
-        dec = decompose(A)
-        top = max(abs(x) for x in dec.eigenvalues)
-        nonzero = sum(1 for lam in dec.eigenvalues if abs(lam) > 1e-8 * max(1.0, top))
-        if cls != nonzero:
-            mismatches += 1
-        B = A
-        for M in diagonalize(A).steps:
-            B = sandwich(M, B)
-            if classify_psquare(B).p != cls:
-                mismatches += 1
-    return float(mismatches), 0.0
+@_suite(0.0, combine=operator.add)
+def _suite_psquare_class(rng):
+    # mismatched classes, summed over the samples
+    A = sampling.random_jordan(rng)
+    cls = classify_psquare(A).p
+    dec = decompose(A)
+    top = max(abs(x) for x in dec.eigenvalues)
+    nonzero = sum(1 for lam in dec.eigenvalues if abs(lam) > 1e-8 * max(1.0, top))
+    mismatches = float(cls != nonzero)
+    B = A
+    for M in diagonalize(A).steps:
+        B = sandwich(M, B)
+        mismatches += classify_psquare(B).p != cls
+    return mismatches
 
 
 _SUITES = (
@@ -309,18 +285,13 @@ _SUITES = (
 def run_verification(count: int = 1000, seed: int = 42) -> VerifyReport:
     """Run every suite with per-suite deterministic sample streams."""
     rows = []
-    for index, (name, fn) in enumerate(_SUITES):
+    for index, (name, residual) in enumerate(_SUITES):
         rng = np.random.default_rng([seed, index])
-        worst, thresh = fn(rng, count)
-        rows.append(
-            CheckRow(
-                name=name,
-                samples=count,
-                max_residual=worst,
-                threshold=thresh,
-                passed=worst <= thresh,
-            )
-        )
+        worst, thresh = 0.0, residual.threshold
+        for _ in range(count):
+            worst = residual.combine(worst, residual(rng))
+        rows.append(CheckRow(name=name, samples=count, max_residual=worst,
+                             threshold=thresh, passed=worst <= thresh))
     rows = tuple(rows)
     return VerifyReport(
         seed=seed, count=count, rows=rows, passed=all(r.passed for r in rows)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,11 @@ from albert.exceptions import (
 from albert.jordan import (
     JordanMatrix,
     OctVector3,
+    _freudenthal,
+    _hermitian_part,
+    _jordan,
+    _raw_mul,
+    _trace,
     char_poly,
     det_via_trace,
     extract_vector,
@@ -463,3 +469,75 @@ class TestKernelAgainstReference:
     def test_det(self, samples):
         for A, _, _ in samples:
             assert_matches(A.det(), ref_det(A.to_array()), A.norm() ** 3)
+
+
+class TestStackKernels:
+    """The array kernels on a (5, 3, 3, 8) stack equal their per-slice single
+    calls exactly, and a single factor broadcasts against a stack."""
+
+    @pytest.fixture(scope="class")
+    def stacks(self):
+        rng = np.random.default_rng(27)
+        X, Y = (np.stack([sampling.random_jordan(rng).to_array() for _ in range(5)])
+                for _ in range(2))
+        return X, Y
+
+    def test_products(self, stacks):
+        X, Y = stacks
+        for kernel in (_raw_mul, _jordan, _freudenthal):
+            got = kernel(X, Y)
+            assert got.shape == X.shape
+            for i in range(len(X)):
+                assert np.array_equal(got[i], kernel(X[i], Y[i])), kernel.__name__
+
+    def test_square(self, stacks):
+        X, _ = stacks
+        got = _freudenthal(X, X)
+        for i in range(len(X)):
+            assert np.array_equal(got[i], _freudenthal(X[i], X[i]))
+            assert np.array_equal(got[i], _freudenthal(X[i], X[i].copy()))
+
+    def test_hermitian_part_and_trace(self, stacks):
+        X, Y = stacks
+        R = _raw_mul(X, Y)
+        H, T = _hermitian_part(R), _trace(X)
+        assert T.shape == (len(X),)
+        for i in range(len(X)):
+            assert np.array_equal(H[i], _hermitian_part(R[i]))
+            assert T[i] == _trace(X[i]) == JordanMatrix.from_array(X[i]).trace()
+
+    def test_single_factor_broadcasts(self, stacks):
+        X, Y = stacks
+        A = X[0]
+        for kernel in (_raw_mul, _jordan, _freudenthal):
+            left, right = kernel(A, Y), kernel(Y, A)
+            for i in range(len(Y)):
+                assert np.array_equal(left[i], kernel(A, Y[i])), kernel.__name__
+                assert np.array_equal(right[i], kernel(Y[i], A)), kernel.__name__
+
+    def test_public_products_are_single_calls(self, stacks):
+        X, Y = stacks
+        A, B = JordanMatrix.from_array(X[1]), JordanMatrix.from_array(Y[1])
+        assert np.array_equal(jordan_product(A, B).to_array(), _jordan(A._arr, B._arr))
+        assert np.array_equal(freudenthal_product(A, B).to_array(),
+                              _freudenthal(A._arr, B._arr))
+
+
+class TestScalarOperands:
+    @pytest.mark.parametrize("k", [2, 2.0, np.float64(2.0), Fraction(2, 1)],
+                             ids=["int", "float", "float64", "Fraction"])
+    def test_real_scalars_accepted(self, k):
+        A, x = JordanMatrix.diag(1.0, 2.0, 3.0), Octonion.from_real(1.5)
+        v = real_vec(1, 2, 3)
+        assert (A * k).diagonal() == (k * A).diagonal() == (2.0, 4.0, 6.0)
+        assert (A / k).diagonal() == (0.5, 1.0, 1.5)
+        assert (x * k).real == (k * x).real == 3.0 and (x + k).real == 3.5
+        assert (x / k).real == 0.75 and (k - x).real == 0.5
+        assert (v * k).to_list() == (k * v).to_list()
+        assert JordanMatrix(a=k).a.real == 2.0
+
+    def test_non_scalars_rejected(self):
+        with pytest.raises(TypeError):
+            JordanMatrix.identity() * "2"
+        with pytest.raises(ValueError):
+            JordanMatrix(a=np.array(2.0))

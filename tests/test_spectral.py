@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from albert import sampling
+from albert.config import tolerances
 from albert.cubic import solve_characteristic
 from albert.dirac import classify_psquare
 from albert.exceptions import (
@@ -17,6 +18,7 @@ from albert.jordan import (
     JordanMatrix,
     OctVector3,
     char_poly,
+    extract_vector,
     freudenthal_product,
     jordan_product,
     rank1_from_vector,
@@ -24,6 +26,8 @@ from albert.jordan import (
 from albert.octonion import Octonion, e
 from albert.oracle import modified_char_check
 from albert.spectral import (
+    _idempotents,
+    _purify,
     decompose,
     double_root_split,
     idempotent_from_q,
@@ -262,3 +266,47 @@ class TestOverflowingInput:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(AlbertError):
                 entry(A)
+
+    @pytest.mark.parametrize("call", [
+        lambda: q_matrix(JordanMatrix.diag(1e120, 0, 0), 0.0),
+        lambda: double_root_split(JordanMatrix.diag(9e153, 9e153, 0), 9e153),
+        lambda: invariant_double_decomposition(JordanMatrix.diag(9e153, 9e153, 0), 9e153),
+    ], ids=["q_matrix", "double_root_split", "invariant_double_decomposition"])
+    def test_scale_power_overflow(self, call):
+        # each raised a bare OverflowError from a Python ``** n`` before
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(AlbertError):
+                call()
+
+
+class TestStackedPipeline:
+    """decompose runs its roots as one stack; it must agree with the public
+    one-root route and keep the root-by-root order of the gates."""
+
+    def test_matches_one_root_route(self):
+        rng = np.random.default_rng(46)
+        for _ in range(50):
+            A = sampling.random_jordan(rng)
+            dec = decompose(A)
+            for lam, P, v in zip(dec.eigenvalues, dec.idempotents, dec.eigenvectors):
+                P1 = JordanMatrix._wrap(_purify(idempotent_from_q(q_matrix(A, lam))._arr))
+                v1 = extract_vector(P1, rank_rtol=tolerances.residual_rtol)
+                assert (P - P1).norm() <= 1e-14 * P1.norm()
+                assert np.linalg.norm(v.to_array() - v1.to_array()) <= 1e-14 * v1.norm()
+
+    def test_non_root_in_stack(self):
+        A = JordanMatrix.diag(1.0, 2.0, 3.0)
+        with pytest.raises(NotAnEigenvalueError):
+            _idempotents(A._arr, char_poly(A), (3.0, 2.5))
+
+    def test_repeated_root_precedes_later_non_root(self):
+        # 1 is a double root of A: its Q vanishes.  The non-root 5 comes
+        # later in the stack, so the vanishing Q is reported first, as a
+        # root-by-root loop would report it.
+        A = JordanMatrix.diag(1.0, 1.0, 3.0)
+        lams = (3.0, 1.0, 5.0)
+        with pytest.raises(ZeroQMatrixError):
+            for lam in lams:
+                idempotent_from_q(q_matrix(A, lam))
+        with pytest.raises(ZeroQMatrixError):
+            _idempotents(A._arr, char_poly(A), lams)
