@@ -30,9 +30,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .config import tolerances
+from .config import _rescale, _unit_scale, tolerances
 from .cubic import solve_characteristic
 from .dirac import Hermitian2, classify_psquare, dirac_solve
 from .exceptions import AlbertError, NonNullMomentumError
@@ -91,10 +89,6 @@ def _apply_tolerance_overrides(args) -> None:
             setattr(tolerances, name, value)
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
 def _matrix_lines(A: JordanMatrix) -> list[str]:
     entries = [
         [format_octonion(Octonion.from_real(A.p)), str(A.a), str(A.b.conjugate())],
@@ -108,113 +102,80 @@ def _matrix_lines(A: JordanMatrix) -> list[str]:
     ]
 
 
-def _cmd_charpoly(args) -> int:
+def _cmd_charpoly(args):
     A = _load(args, JordanMatrix)
-    tr, sigma, det = char_poly(A)
+    (a,), e = _unit_scale((A._arr, 1))
+    tr, sigma, det = _rescale(e, *zip(char_poly(JordanMatrix._wrap(a)), (1, 2, 3)))
     roots = solve_characteristic(tr, sigma, det)
-    payload = {"trace": tr, "sigma": sigma, "det": det, **roots.to_dict()}
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"trace = {tr:.12g}")
-        print(f"sigma = {sigma:.12g}")
-        print(f"det   = {det:.12g}")
-        print(f"roots = {', '.join(f'{r:.12g}' for r in roots.roots)}"
-              f"  ({roots.multiplicity})")
-    return EXIT_OK
+    return {"trace": tr, "sigma": sigma, "det": det, **roots.to_dict()}, [
+        f"trace = {tr:.12g}",
+        f"sigma = {sigma:.12g}",
+        f"det   = {det:.12g}",
+        f"roots = {', '.join(f'{r:.12g}' for r in roots.roots)}  ({roots.multiplicity})",
+    ], EXIT_OK
 
 
-def _cmd_decompose(args) -> int:
-    A = _load(args, JordanMatrix)
-    dec = decompose(A)
-    if args.format == "json":
-        _emit_json(dec.to_dict())
-    else:
-        for lam, P in zip(dec.eigenvalues, dec.idempotents):
-            print(f"eigenvalue {lam:.12g}:")
-            for line in _matrix_lines(P):
-                print("  " + line)
-        res = dec.residuals
-        print(f"residuals: eigen {max(res['eigen']):.3e}, "
-              f"orthogonality {res['orthogonality']:.3e}, "
-              f"completeness {res['completeness']:.3e}, "
-              f"reconstruction {res['reconstruction']:.3e}")
-    return EXIT_OK
+def _cmd_decompose(args):
+    dec = decompose(_load(args, JordanMatrix))
+    res = dec.residuals
+    lines = []
+    for lam, P in zip(dec.eigenvalues, dec.idempotents):
+        lines += [f"eigenvalue {lam:.12g}:", *("  " + line for line in _matrix_lines(P))]
+    lines.append(f"residuals: eigen {max(res['eigen']):.3e}, "
+                 f"orthogonality {res['orthogonality']:.3e}, "
+                 f"completeness {res['completeness']:.3e}, "
+                 f"reconstruction {res['reconstruction']:.3e}")
+    return dec.to_dict(), lines, EXIT_OK
 
 
-def _cmd_diagonalize(args) -> int:
-    A = _load(args, JordanMatrix)
-    result = diagonalize(A)
-    if args.format == "json":
-        _emit_json(result.to_dict())
-    else:
-        print(f"steps: {len(result.steps)}")
-        for k, M in enumerate(result.steps, start=1):
-            print(f"M{k}:")
-            for line in _matrix_lines(M):
-                print("  " + line)
-        print(f"diagonal: {', '.join(f'{d:.12g}' for d in result.diagonal)}")
-        print(f"off-diagonal residual: {result.residual:.3e}")
-    return EXIT_OK
+def _cmd_diagonalize(args):
+    result = diagonalize(_load(args, JordanMatrix))
+    lines = [f"steps: {len(result.steps)}"]
+    for k, M in enumerate(result.steps, start=1):
+        lines += [f"M{k}:", *("  " + line for line in _matrix_lines(M))]
+    lines += [f"diagonal: {', '.join(f'{d:.12g}' for d in result.diagonal)}",
+              f"off-diagonal residual: {result.residual:.3e}"]
+    return result.to_dict(), lines, EXIT_OK
 
 
-def _cmd_classify(args) -> int:
-    A = _load(args, JordanMatrix)
-    cls = classify_psquare(A)
-    if args.format == "json":
-        _emit_json(cls.to_dict())
-    else:
-        print(f"p-square class: {cls.p}")
-        print(f"det = {cls.det:.12g}, sigma = {cls.sigma:.12g}, "
-              f"trace = {cls.trace:.12g}")
-    return EXIT_OK
+def _cmd_classify(args):
+    cls = classify_psquare(_load(args, JordanMatrix))
+    return cls.to_dict(), [
+        f"p-square class: {cls.p}",
+        f"det = {cls.det:.12g}, sigma = {cls.sigma:.12g}, trace = {cls.trace:.12g}",
+    ], EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    A = _load(args, JordanMatrix)
-    report = modified_char_check(A)
-    if args.format == "json":
-        _emit_json(report.to_dict())
-    else:
-        print("lambda        mult  r")
-        for lam, mult, r in report.clusters:
-            print(f"{lam:+.9f}  {mult:4d}  {r:+.9f}")
-        print("PASS" if report.passed else "FAIL")
-    return EXIT_OK if report.passed else EXIT_INCONSISTENT
+def _cmd_oracle(args):
+    report = modified_char_check(_load(args, JordanMatrix))
+    lines = ["lambda        mult  r"]
+    lines += [f"{lam:+.9f}  {mult:4d}  {r:+.9f}" for lam, mult, r in report.clusters]
+    lines.append("PASS" if report.passed else "FAIL")
+    return report.to_dict(), lines, EXIT_OK if report.passed else EXIT_INCONSISTENT
 
 
-def _cmd_dirac(args) -> int:
+def _cmd_dirac(args):
     P = _load(args, Hermitian2)
     theta, sign = dirac_solve(P)
-    recon = Hermitian2.from_outer(theta) * float(sign)
-    residual = (P - recon).norm()
-    if args.format == "json":
-        _emit_json({
-            "theta": [t.coeffs.tolist() for t in theta],
-            "sign": sign,
-            "residual": residual,
-        })
-    else:
-        print(f"theta = ({theta[0]}, {theta[1]})")
-        print(f"sign  = {sign:+d}")
-        print(f"reconstruction residual = {residual:.3e}")
-    return EXIT_OK
+    residual = (P - Hermitian2.from_outer(theta) * float(sign)).norm()
+    return {"theta": [t.coeffs.tolist() for t in theta], "sign": sign, "residual": residual}, [
+        f"theta = ({theta[0]}, {theta[1]})",
+        f"sign  = {sign:+d}",
+        f"reconstruction residual = {residual:.3e}",
+    ], EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     report = run_verification(count=args.count, seed=args.seed)
-    if args.format == "json":
-        _emit_json(report.to_dict())
-    else:
-        print(f"seed {report.seed}, {report.count} samples per suite")
-        for row in report.rows:
-            status = "PASS" if row.passed else "FAIL"
-            print(f"{row.name:26s} n={row.samples:5d}  "
-                  f"max {row.max_residual:.3e}  thr {row.threshold:.1e}  {status}")
-        print("PASS" if report.passed else "FAIL")
-    return EXIT_OK if report.passed else EXIT_INCONSISTENT
+    lines = [f"seed {report.seed}, {report.count} samples per suite"]
+    lines += [f"{row.name:26s} n={row.samples:5d}  max {row.max_residual:.3e}  "
+              f"thr {row.threshold:.1e}  {'PASS' if row.passed else 'FAIL'}"
+              for row in report.rows]
+    lines.append("PASS" if report.passed else "FAIL")
+    return report.to_dict(), lines, EXIT_OK if report.passed else EXIT_INCONSISTENT
 
 
+# Each command returns its JSON payload, its text lines and its exit status.
 _HANDLERS = {
     "charpoly": _cmd_charpoly,
     "decompose": _cmd_decompose,
@@ -262,15 +223,18 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _apply_tolerance_overrides(args)
     try:
-        # overflow surfaces as a typed error below, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _HANDLERS[args.command](args)
+        payload, lines, code = _HANDLERS[args.command](args)
     except (_InputError, NonNullMomentumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except AlbertError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -5,11 +5,13 @@ applying the trigonometric (Viete) formula, which is numerically stable when
 all three roots are real -- the only case that can arise for a Hermitian
 matrix.  A significantly negative discriminant raises
 :class:`~albert.exceptions.ComplexRootsError`; tiny excursions from
-round-off are clamped.  Coefficients or intermediates that are not finite
-raise :class:`~albert.exceptions.InconsistentError`.
+round-off are clamped.  Coefficients that are not finite raise
+:class:`~albert.exceptions.InconsistentError`.
 
-Roots closer than ``mtol * (1 + max |root|)`` are merged and reported at
-their mean, with the multiplicity recorded on the result.
+The coefficients (degrees 1, 2, 3) are brought to unit scale by 2^e, 2^2e,
+2^3e and the roots multiplied back by 2^e; there, roots closer than
+``mtol * (1 + max |root|)`` are merged and reported at their mean, with the
+multiplicity recorded on the result.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import tolerances
+from .config import _rescale, _unit_scale, tolerances
 from .exceptions import ComplexRootsError, InconsistentError
 
 __all__ = ["CubicRoots", "solve_characteristic"]
@@ -75,20 +77,26 @@ def solve_characteristic(
     tr: float, sigma: float, det: float, mtol: float | None = None
 ) -> CubicRoots:
     """All real roots of t^3 - tr t^2 + sigma t - det, with multiplicities."""
-    mtol = tolerances.mtol if mtol is None else mtol
-    try:
-        # Depress: t = u + tr/3 gives u^3 + p u + q.
-        p = sigma - tr * tr / 3.0
-        q = -2.0 * tr**3 / 27.0 + tr * sigma / 3.0 - det
-        disc = -4.0 * p**3 - 27.0 * q * q
-        terms = 4.0 * abs(p) ** 3 + 27.0 * q * q
-        # With the discriminant this close to non-negative, p > 0 forces both
-        # p and q to be tiny: the depressed cubic is u^3 = 0 to tolerance.
-        p_floor = 1e-13 * (1.0 + abs(tr) ** 2 + abs(sigma) + abs(det) ** (2.0 / 3.0))
-    except OverflowError as exc:
-        raise InconsistentError(f"cubic ({tr}, {sigma}, {det}) overflows") from exc
-    if not all(map(math.isfinite, (tr, sigma, det, terms, p_floor))):
+    if not all(map(math.isfinite, (tr, sigma, det))):
         raise InconsistentError(f"cubic ({tr}, {sigma}, {det}) is not finite")
+    coeffs, e = _unit_scale((tr, 1), (sigma, 2), (det, 3))
+    r = _solve(*coeffs, mtol)
+    roots = tuple(_rescale(e, (r.roots, 1))[0])
+    # a repeated root is always the middle one
+    return CubicRoots(roots, r.multiplicity, None if r.repeated is None else roots[1])
+
+
+def _solve(tr: float, sigma: float, det: float, mtol: float | None = None) -> CubicRoots:
+    """:func:`solve_characteristic` on coefficients taken as they are."""
+    mtol = tolerances.mtol if mtol is None else mtol
+    # Depress: t = u + tr/3 gives u^3 + p u + q.
+    p = sigma - tr * tr / 3.0
+    q = -2.0 * tr**3 / 27.0 + tr * sigma / 3.0 - det
+    disc = -4.0 * p**3 - 27.0 * q * q
+    terms = 4.0 * abs(p) ** 3 + 27.0 * q * q
+    # With the discriminant this close to non-negative, p > 0 forces both
+    # p and q to be tiny: the depressed cubic is u^3 = 0 to tolerance.
+    p_floor = 1e-13 * (1.0 + abs(tr) ** 2 + abs(sigma) + abs(det) ** (2.0 / 3.0))
     if disc < -max(tolerances.atol, DISCRIMINANT_RTOL * terms):
         raise ComplexRootsError(
             f"discriminant {disc:.3e} is negative beyond tolerance; "

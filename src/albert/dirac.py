@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import tolerances
+from .config import _rescale, _unit_scale, tolerances
 from .exceptions import InconsistentError, NonNullMomentumError
 from .jordan import JordanMatrix, OctVector3, _as_octonion, char_poly
 from .octonion import CONJ_SIGNS, Octonion, _ArrayValue
@@ -122,14 +122,15 @@ def dirac_solve(P: Hermitian2) -> tuple[tuple[Octonion, Octonion], int]:
     and theta's pivot component is the positive real square root of it, so
     the factor is deterministic.  Raises NonNullMomentumError when det P is
     not zero to tolerance, InconsistentError if the factor fails to
-    reconstruct P or |P|^2 overflows.
+    reconstruct P.  P has degree two in theta: it is divided by an even
+    power of two 2^2e, and theta is multiplied back by 2^e.
     """
-    scale = (1.0 + P.norm()) * (1.0 + P.norm())
-    if not math.isfinite(scale):
-        raise InconsistentError(f"|P|^2 overflows at |P| = {P.norm():.3e}")
+    (p,), e = _unit_scale((P._arr, 2))
+    P = Hermitian2._wrap(p)
+    scale = (1.0 + P.norm()) ** 2
     if abs(P.det()) > CLASS_RTOL * scale:
         raise NonNullMomentumError(
-            f"det = {P.det():.3e} exceeds {CLASS_RTOL * scale:.3e}; momentum is not null"
+            f"det / |P|^2 = {P.det() / P.norm() ** 2:.3e} exceeds tolerance; momentum is not null"
         )
     tr = P.trace()
     if abs(tr) <= tolerances.atol + tolerances.rtol * (1.0 + P.norm()):
@@ -148,7 +149,7 @@ def dirac_solve(P: Hermitian2) -> tuple[tuple[Octonion, Octonion], int]:
         raise InconsistentError(
             f"rank-one factor residual {(P - recon).norm():.3e} out of tolerance"
         )
-    return theta, sign
+    return tuple(map(Octonion, _rescale(e, *((t.coeffs, 1) for t in theta)))), sign
 
 
 def psi_pack(theta, xi) -> tuple[OctVector3, JordanMatrix]:
@@ -191,12 +192,14 @@ def classify_psquare(A: JordanMatrix) -> PSquareClass:
 
     det != 0 means three, else sigma != 0 means two, else trace != 0 means
     one, else zero.  Boundaries use CLASS_RTOL scaled by the power of ||A||
-    matching each invariant's degree, so the class is scale-covariant.
+    matching each invariant's degree, so the class is scale-covariant; it is
+    decided on A / 2^e, and the invariants are multiplied back by 2^e,
+    2^2e and 2^3e.
     """
+    (a,), e = _unit_scale((A._arr, 1))
+    A = JordanMatrix._wrap(a)
     nrm = A.norm()
     tr, sigma, det = char_poly(A)
-    if not all(map(math.isfinite, (tr, sigma, det, nrm * nrm * nrm))):
-        raise InconsistentError(f"invariants or |A|^3 overflow at |A| = {nrm:.3e}")
     if abs(det) > CLASS_RTOL * nrm**3:
         p = 3
     elif abs(sigma) > CLASS_RTOL * nrm**2:
@@ -205,4 +208,5 @@ def classify_psquare(A: JordanMatrix) -> PSquareClass:
         p = 1
     else:
         p = 0
+    tr, sigma, det = _rescale(e, (tr, 1), (sigma, 2), (det, 3))
     return PSquareClass(p=p, det=det, sigma=sigma, trace=tr)

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import tolerances
-from .cubic import solve_characteristic
+from .config import _rescale, _unit_scale, tolerances
+from .cubic import _solve
 from .exceptions import ZeroVectorError
 from .jordan import (
     JordanMatrix,
@@ -102,19 +102,21 @@ def build_m1_m2(v: OctVector3) -> tuple[JordanMatrix, JordanMatrix]:
     return m1, m2
 
 
-def diagonalize(A: JordanMatrix, mtol: float | None = None) -> DiagonalizationResult:
+def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
     """Conjugate A to diagonal form, returning the steps for audit.
 
     The eigenvalue fed to the reflections is a simple root (the smallest
-    when all are distinct); a scalar matrix returns immediately with no
-    steps.
+    when all are distinct); a scalar matrix returns with no steps.  The
+    work runs on A / 2^e at unit scale; the reflections have degree zero,
+    and the diagonal and residual are multiplied back by 2^e.
     """
+    (a,), e = _unit_scale((A._arr, 1))
+    A = JordanMatrix._wrap(a)
     poly = char_poly(A)
-    roots = solve_characteristic(*poly, mtol=mtol)
+    roots = _solve(*poly)
     if roots.multiplicity == "triple":
-        return DiagonalizationResult(
-            steps=(), diagonal=A.diagonal(), residual=A.offdiag_norm()
-        )
+        diagonal, residual = _rescale(e, (A.diagonal(), 1), (A.offdiag_norm(), 1))
+        return DiagonalizationResult(steps=(), diagonal=tuple(diagonal), residual=residual)
     lam = min(roots.simple)
 
     P = _idempotents(A._arr, poly, [lam])
@@ -134,8 +136,9 @@ def diagonalize(A: JordanMatrix, mtol: float | None = None) -> DiagonalizationRe
         m3 = JordanMatrix(p=(mu - t) / s3, m=(t - mu) / s3, n=1.0, a=z * (1.0 / s3))
     b3 = sandwich(m3, b2)
 
+    diagonal, residual = _rescale(e, (b3.diagonal(), 1), (math.sqrt(max(b3._norms2())), 1))
     return DiagonalizationResult(
         steps=(m1, m2, m3),
-        diagonal=b3.diagonal(),
-        residual=math.sqrt(max(b3._norms2())),
+        diagonal=tuple(diagonal),
+        residual=residual,
     )

@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .config import tolerances
+from .config import _rescale, _unit_scale, tolerances
 from .exceptions import (
     NonAssociativeComponentsError,
     NotRankOneError,
@@ -378,8 +378,8 @@ def freudenthal_product(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
 def char_poly(A: JordanMatrix) -> tuple[float, float, float]:
     """Coefficients (tr A, sigma(A), det A) of t^3 - tr t^2 + sigma t - det.
 
-    They overflow to inf or NaN for huge entries; their consumers
-    (:func:`albert.cubic.solve_characteristic`, ``classify_psquare``) raise.
+    Computed at the scale of A, so they overflow to inf or NaN for huge
+    entries; :func:`albert.cubic.solve_characteristic` rejects those.
     """
     return (A.trace(), A.sigma(), A.det())
 
@@ -432,9 +432,11 @@ def extract_vector(V: JordanMatrix, rank_rtol: float | None = None) -> OctVector
     The pivot is the largest diagonal entry (smallest index on ties) and the
     returned vector is the pivot column scaled by 1/sqrt(V_kk), so its pivot
     component is the positive real sqrt(V_kk).  v is unique up to a
-    quaternionic phase.
+    quaternionic phase.  V has degree two in v, so it is brought to unit
+    scale by an even power of two and v takes half of it.
     """
-    return OctVector3._wrap(_extract(V._arr, rank_rtol)[0])
+    (v,), e = _unit_scale((V._arr, 2))
+    return OctVector3._wrap(*_rescale(e, (_extract(v, rank_rtol)[0], 1)))
 
 
 def _extract(V: np.ndarray, rank_rtol: float | None) -> np.ndarray:

@@ -12,8 +12,8 @@ with the basis
     e4 = (0, 1)   e5 = (0, i)   e6 = (0, j)   e7 = (0, k)
 
 Every product of two basis elements is a signed basis element, so the full
-table is integer-exact.  It is generated once at import time from the
-quaternion table and frozen in the module constants ``MUL_SIGN``,
+table is integer-exact.  It is generated once at import time by applying
+that formula to the basis and kept in the module constants ``MUL_SIGN``,
 ``MUL_INDEX`` and ``MUL_TENSOR``.  In this convention e1 e2 = e3 and
 {1, e1, e2, e3} span a quaternionic subalgebra; e1 e4 = e5, e2 e4 = e6,
 e3 e4 = e7.
@@ -46,58 +46,26 @@ __all__ = [
 ]
 
 
-def _build_table() -> tuple[np.ndarray, np.ndarray]:
-    """Generate the 8x8 basis product table by Cayley-Dickson doubling.
+def _cayley_dickson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(a, b) (c, d) = (a c - conj(d) b, d a + b conj(c)) on (..., 8) arrays."""
+    def qmul(p, q):  # Hamilton product (p0 q0 - p.q, p0 q + q0 p + p x q)
+        p0, q0, pv, qv = p[..., :1], q[..., :1], p[..., 1:], q[..., 1:]
+        return np.concatenate([p0 * q0 - (pv * qv).sum(-1, keepdims=True),
+                               p0 * qv + q0 * pv + np.cross(pv, qv)], axis=-1)
 
-    Returns (sign, index) arrays with e_i e_j = sign[i, j] * e_index[i, j].
-    All arithmetic is on small integers, so the result is exact.
-    """
-    # Quaternion table on (1, i, j, k): row = left factor, column = right.
-    q_index = np.array(
-        [[0, 1, 2, 3],
-         [1, 0, 3, 2],
-         [2, 3, 0, 1],
-         [3, 2, 1, 0]]
-    )
-    q_sign = np.array(
-        [[1, 1, 1, 1],
-         [1, -1, 1, -1],
-         [1, -1, -1, 1],
-         [1, 1, -1, -1]]
-    )
-
-    def q_conj(idx: int) -> int:
-        return 1 if idx == 0 else -1
-
-    sign = np.zeros((8, 8), dtype=np.int64)
-    index = np.zeros((8, 8), dtype=np.int64)
-    for i in range(8):
-        qi, hi = i % 4, i // 4
-        for j in range(8):
-            qj, hj = j % 4, j // 4
-            if hi == 0 and hj == 0:
-                # (a, 0)(c, 0) = (a c, 0)
-                s, k, h = q_sign[qi, qj], q_index[qi, qj], 0
-            elif hi == 0 and hj == 1:
-                # (a, 0)(0, d) = (0, d a)
-                s, k, h = q_sign[qj, qi], q_index[qj, qi], 1
-            elif hi == 1 and hj == 0:
-                # (0, b)(c, 0) = (0, b conj(c))
-                s, k, h = q_sign[qi, qj] * q_conj(qj), q_index[qi, qj], 1
-            else:
-                # (0, b)(0, d) = (-conj(d) b, 0)
-                s, k, h = -q_sign[qj, qi] * q_conj(qj), q_index[qj, qi], 0
-            sign[i, j] = s
-            index[i, j] = k + 4 * h
-    return sign, index
+    qconj = np.array([1.0, -1, -1, -1])
+    a, b, c, d = x[..., :4], x[..., 4:], y[..., :4], y[..., 4:]
+    return np.concatenate([qmul(a, c) - qmul(d * qconj, b),
+                           qmul(d, a) + qmul(b, c * qconj)], axis=-1)
 
 
-#: Signs and target indices of the frozen basis table: e_i e_j = MUL_SIGN[i, j] * e_{MUL_INDEX[i, j]}.
-MUL_SIGN, MUL_INDEX = _build_table()
+#: Dense structure constants, MUL_TENSOR[i, j, k] = coefficient of e_k in e_i e_j
+#: (exact: products and sums of 0 and +-1; adding 0.0 clears negative zeros).
+MUL_TENSOR = _cayley_dickson(np.eye(8)[:, None], np.eye(8)[None, :]) + 0.0
 
-#: Dense structure constants, MUL_TENSOR[i, j, k] = coefficient of e_k in e_i e_j.
-MUL_TENSOR = np.zeros((8, 8, 8))
-MUL_TENSOR[np.arange(8)[:, None], np.arange(8)[None, :], MUL_INDEX] = MUL_SIGN
+#: Signs and target indices of the basis table: e_i e_j = MUL_SIGN[i, j] * e_{MUL_INDEX[i, j]}.
+MUL_INDEX = np.abs(MUL_TENSOR).argmax(axis=-1)
+MUL_SIGN = MUL_TENSOR.sum(axis=-1).astype(np.int64)
 
 #: Componentwise signs of conjugation: conj(x) flips e1..e7.
 CONJ_SIGNS = np.array([1.0, -1, -1, -1, -1, -1, -1, -1])

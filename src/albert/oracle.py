@@ -18,17 +18,18 @@ need not appear in the 24x24 spectrum at all -- satisfy the unmodified
 equation det(A - lambda I) = 0.
 
 The eigenvalues come from LAPACK (``numpy.linalg.eigvalsh``), so the oracle
-shares no code path with the Jordan-side solvers.
+shares no code path with the Jordan-side solvers.  The check runs on A / 2^e
+at unit scale, and each cluster's lambda and r are multiplied back by 2^e
+and 2^3e.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InconsistentError
+from .config import _rescale, _unit_scale
 from .jordan import JordanMatrix, OctVector3, _embed
 
 __all__ = [
@@ -110,6 +111,8 @@ def modified_char_check(A: JordanMatrix) -> OracleReport:
     The report passes when the per-cluster residuals r_i fall into at most
     two groups (to tolerance) with r_plus >= 0 >= r_minus.
     """
+    (a,), e = _unit_scale((A._arr, 1))
+    A = JordanMatrix._wrap(a)
     eigs = np.linalg.eigvalsh(embed(A))[::-1]
     spread = float(eigs[0] - eigs[-1])
     gap = CLUSTER_GAP_RTOL * spread
@@ -121,14 +124,14 @@ def modified_char_check(A: JordanMatrix) -> OracleReport:
     )
 
     r_values = np.sort(np.array([r for _, _, r in rows]))
-    scale = 1.0 + A.norm()
-    r_tol = R_COLLAPSE_RTOL * scale * scale * scale
-    if not (np.isfinite(r_values).all() and math.isfinite(r_tol)):
-        raise InconsistentError(f"residuals {r_values} or their gate {r_tol} overflow")
+    r_tol = R_COLLAPSE_RTOL * (1.0 + A.norm()) ** 3
     r_groups = cluster_values(r_values, r_tol)
     passed = (
         len(r_groups) <= 2
         and r_groups[0][0] <= r_tol
         and r_groups[-1][0] >= -r_tol
     )
+    lams, mults, rs = zip(*rows)
+    lams, rs = _rescale(e, (lams, 1), (rs, 3))
+    rows = tuple(zip(lams, mults, rs))
     return OracleReport(clusters=rows, passed=bool(passed))

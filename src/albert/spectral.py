@@ -26,6 +26,9 @@ tr(A - lambda I) primitive and K = I - P its rank-two complement.
 The array kernels of :mod:`albert.jordan` take stacks (k, 3, 3, 8), and
 :func:`decompose` builds, purifies, extracts and checks the eigenmatrices of
 all its roots as one stack; the public one-root functions are k = 1 calls.
+
+The public functions run on A (and lambda) divided by 2^e and multiply each
+output back by 2^(degree * e), so results are exact under 2^k scaling.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import tolerances
-from .cubic import CubicRoots, solve_characteristic
+from .config import _rescale, _unit_scale, tolerances
+from .cubic import CubicRoots, _solve
 from .exceptions import (
     InconsistentError,
     NotAnEigenvalueError,
@@ -52,7 +55,6 @@ from .jordan import (
     _norms,
     _trace,
     char_poly,
-    extract_vector,
     freudenthal_product,
     phase_align,
     rank1_from_vector,
@@ -95,12 +97,8 @@ class SpectralDecomposition:
 def _check_root(poly: tuple[float, float, float], nrm: float, lam: float) -> None:
     """Raise unless lambda is a root of char_poly(A) = poly, where |A| = nrm."""
     t, s, d = poly
-    x = 1.0 + nrm + abs(lam)
-    scale = x * x * x
-    if not math.isfinite(scale):
-        raise InconsistentError(f"scale (1 + |A| + |lambda|)^3 overflows at {x:.3e}")
     value = ((lam - t) * lam + s) * lam - d
-    if abs(value) > tolerances.atol + tolerances.rtol * scale:
+    if abs(value) > tolerances.atol + tolerances.rtol * (1.0 + nrm + abs(lam)) ** 3:
         raise NotAnEigenvalueError(
             f"characteristic value {value:.3e} at lambda={lam!r} exceeds tolerance"
         )
@@ -121,8 +119,10 @@ def _q_stack(A: np.ndarray, lams) -> np.ndarray:
 
 def q_matrix(A: JordanMatrix, lam: float) -> JordanMatrix:
     """(A - lambda I) * (A - lambda I) for an eigenvalue lambda of A."""
+    (a, lam), e = _unit_scale((A._arr, 1), (lam, 1))
+    A = JordanMatrix._wrap(a)
     _check_root(char_poly(A), A.norm(), lam)
-    return JordanMatrix._wrap(_q_stack(A._arr, lam))
+    return JordanMatrix._wrap(*_rescale(e, (_q_stack(a, lam), 2)))
 
 
 def idempotent_from_q(Q: JordanMatrix) -> JordanMatrix:
@@ -131,6 +131,8 @@ def idempotent_from_q(Q: JordanMatrix) -> JordanMatrix:
     tr Q = (lambda - mu)(lambda - nu) may be negative (middle eigenvalue);
     only the magnitude is gated.
     """
+    (q,), _ = _unit_scale((Q._arr, 1))  # Q / tr Q has degree zero
+    Q = JordanMatrix._wrap(q)
     t = Q.trace()
     _check_q_trace(t, Q.norm())
     return Q / t
@@ -144,12 +146,10 @@ def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float
     """
     B = A - JordanMatrix.identity() * lam
     scale = 1.0 + A.norm() + abs(lam)
-    if not math.isfinite(scale * scale):
-        raise InconsistentError(f"scale (1 + |A| + |lambda|)^2 overflows at {scale:.3e}")
     if B.norm() <= tolerances.atol + tolerances.rtol * scale:
         raise NotDoubleRootError("A equals lambda I; the root is triple, not double")
     q_norm = freudenthal_product(B, B).norm()
-    if q_norm > tolerances.atol + tolerances.mtol * scale * scale:
+    if q_norm > tolerances.atol + tolerances.mtol * scale**2:
         raise NotDoubleRootError(
             f"(A - lambda I) is not rank one (|Q| = {q_norm:.3e}); lambda is not a double root"
         )
@@ -168,10 +168,16 @@ def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, Jordan
     v-dagger w = 0.  When the middle component is (near-)zero the
     coordinates are cyclically permuted until the construction applies.
     """
+    (a, lam), e = _unit_scale((A._arr, 1), (lam, 1))
+    return _split(JordanMatrix._wrap(a), lam, e)
+
+
+def _split(A: JordanMatrix, lam: float, e: int) -> tuple[JordanMatrix, JordanMatrix]:
+    """:func:`double_root_split` of a unit-scale A, ordered at the scale 2^e A."""
     B, tb = _double_root_shift(A, lam)
     sign = 1.0 if tb > 0 else -1.0
 
-    w = extract_vector(B * sign, rank_rtol=tolerances.mtol)
+    w = OctVector3._wrap(_extract((B * sign)._arr, tolerances.mtol)[0])
     wn = w.norm()
     v = None
     for shift in range(3):
@@ -195,7 +201,9 @@ def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, Jordan
     # Deterministic order: descending trace of the pre-normalisation
     # matrices (v v-dagger versus the complement, which is born with
     # trace one); ties keep the orthogonal-vector construction first.
-    t1, t2 = v.norm2(), 1.0
+    # |v|^2 has degree two, so it is compared at the caller's scale.
+    with np.errstate(over="ignore"):
+        t1, t2 = float(np.ldexp(v.norm2(), 2 * e)), 1.0
     if t2 > t1 and abs(t1 - t2) > tolerances.atol + tolerances.rtol * max(t1, t2):
         return (V2, V1)
     return (V1, V2)
@@ -210,8 +218,10 @@ def invariant_double_decomposition(
     primitive, K = -(A - lambda I)~/tr(A - lambda I) = I - P of rank two,
     and A = mu P + lambda K.
     """
-    B, tb = _double_root_shift(A, lam)
-    mu = A.trace() - 2.0 * lam
+    (a, unit_lam), e = _unit_scale((A._arr, 1), (lam, 1))
+    A = JordanMatrix._wrap(a)
+    B, tb = _double_root_shift(A, unit_lam)
+    (mu,) = _rescale(e, (A.trace() - 2.0 * unit_lam, 1))
     P = B / tb
     K = -(B.trace_reversal()) / tb
     return ((mu, P), (float(lam), K))
@@ -246,7 +256,7 @@ def _idempotents(A: np.ndarray, poly: tuple[float, float, float], lams) -> np.nd
     return _purify(Q * (1.0 / tq)[:, None, None, None])
 
 
-def decompose(A: JordanMatrix, mtol: float | None = None) -> SpectralDecomposition:
+def decompose(A: JordanMatrix) -> SpectralDecomposition:
     """Full eigenmatrix decomposition of A with verification residuals.
 
     The idempotents of the simple roots, the eigenvectors and the residuals
@@ -255,14 +265,15 @@ def decompose(A: JordanMatrix, mtol: float | None = None) -> SpectralDecompositi
     pieces fail to reproduce A, and propagates root-multiplicity conflicts
     between the cubic solver and the Q-matrix criterion the same way.
     """
+    (a,), e = _unit_scale((A._arr, 1))
+    A = JordanMatrix._wrap(a)
     poly = char_poly(A)
-    roots: CubicRoots = solve_characteristic(*poly, mtol=mtol)
+    roots: CubicRoots = _solve(*poly)
     lams, lam = roots.roots, roots.repeated
     if roots.multiplicity == "double":
         # Cross-check the solver's multiplicity call against tr Q = sigma(A - lam I).
         trq = (A - JordanMatrix.identity() * lam).sigma()
-        top = 1.0 + max(abs(r) for r in lams)
-        if abs(trq) > tolerances.mtol * top * top:
+        if abs(trq) > tolerances.mtol * (1.0 + max(abs(r) for r in lams)) ** 2:
             raise InconsistentError(
                 f"cubic solver reports a double root but tr Q = {trq:.3e} does not vanish"
             )
@@ -276,7 +287,7 @@ def decompose(A: JordanMatrix, mtol: float | None = None) -> SpectralDecompositi
                 "cubic solver reports a simple root with a vanishing Q matrix"
             ) from exc
     if roots.multiplicity == "double":
-        V1, V2 = double_root_split(A, lam)
+        V1, V2 = _split(A, lam, e)
         pair = (V1._arr, V2._arr)
         P = np.stack((P[0], *pair) if lams[0] > lam else (*pair, P[0]))
 
@@ -293,12 +304,14 @@ def decompose(A: JordanMatrix, mtol: float | None = None) -> SpectralDecompositi
             f"assembled decomposition fails to reproduce A "
             f"(reconstruction {recon:.3e}, completeness {completeness:.3e})"
         )
+    lams, eigen, recon = _rescale(
+        e, (lams, 1), (_norms(_jordan(A._arr, P) - scaled), 1), (recon, 1))
     return SpectralDecomposition(
         eigenvalues=tuple(float(v) for v in lams),
         idempotents=tuple(JordanMatrix._wrap(p) for p in P),
         eigenvectors=tuple(OctVector3._wrap(v) for v in vectors),
         residuals={
-            "eigen": _norms(_jordan(A._arr, P) - scaled),
+            "eigen": eigen,
             "orthogonality": max(_norms(_jordan(P[[0, 0, 1]], P[[1, 2, 2]]))),
             "completeness": completeness,
             "reconstruction": recon,

@@ -198,19 +198,53 @@ class TestInputValidation:
     ], ids=["invariants-overflow", "cubic-overflows"])
     @pytest.mark.parametrize("command", cli._MATRIX_COMMANDS)
     def test_overflow_is_inconsistency(self, capsys, command, payload):
+        # Exit 0 with the known spectrum when every output fits in a double;
+        # charpoly and classify print sigma ~ 2^1201 and det ~ 2^1800 for
+        # the first matrix, so they exit 1 there.
+        huge = payload["p"] == 2.0**600
+        spectrum = (2.0**601, -2.0**599, -2.0**600) if huge else (2.0**400, 0.0, 0.0)
         code, out, err = run_cli(capsys, command, "--inline", inline(payload))
-        assert code == 1
-        assert "inconsistency:" in err
         assert "Traceback" not in err
-        assert out == ""
+        if huge and command in ("charpoly", "classify"):
+            assert code == 1
+            assert "inconsistency:" in err
+            assert out == ""
+            return
+        assert code == 0
+        assert err == ""
+        data = json.loads(out)
+        scale = spectrum[0]
+        values = {
+            "charpoly": lambda: data["roots"],
+            "decompose": lambda: data["eigenvalues"],
+            "diagonalize": lambda: sorted(data["diagonal"], reverse=True),
+            "classify": lambda: [data["trace"], 0.0, 0.0],
+            "oracle": lambda: [c["lambda"] for c in data["clusters"]] + [0.0],
+        }[command]()
+        assert all(abs(x - y) <= 1e-8 * scale for x, y in zip(values, spectrum))
+        if command == "classify":
+            assert (data["p"], data["sigma"], data["det"]) == (1, 0.0, 0.0)
+        if command == "oracle":
+            assert data["pass"] is True
+            assert all(c["r"] == 0.0 for c in data["clusters"])
 
     def test_dirac_overflow_is_inconsistency(self, capsys):
-        # |P|^2 overflows: no null test can be made, so no factor is returned
+        # det P = 2^1200 does not fit in a double, but P is plainly not
+        # null, which is invalid input
         payload = {"s": 2.0**600, "t": 2.0**600, "z": [0.0] * 8}
         code, out, err = run_cli(capsys, "dirac", "--inline", inline(payload))
-        assert code == 1
-        assert "inconsistency:" in err
+        assert code == 2
+        assert "error:" in err and "not null" in err
         assert out == ""
+
+    def test_dirac_huge_null_momentum(self, capsys):
+        payload = {"s": 2.0**600, "t": 0.0, "z": [0.0] * 8}
+        code, out, err = run_cli(capsys, "dirac", "--inline", inline(payload))
+        assert code == 0
+        assert err == ""
+        data = json.loads(out)
+        assert data["theta"] == [[2.0**300] + [0.0] * 7, [0.0] * 8]
+        assert data["sign"] == 1 and data["residual"] == 0.0
 
     def test_file_input(self, capsys, tmp_path):
         f = tmp_path / "m.json"

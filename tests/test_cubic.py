@@ -58,8 +58,8 @@ class TestGates:
         assert r.multiplicity == "double"
 
     def test_merge_tolerance_is_relative(self):
-        # gap of 1e-5 at scale 1e3: merged under default mtol=1e-7 scaled by
-        # (1 + max|root|), since 1e-5 < 1e-7 * 1001
+        # gap of 1e-5 at scale 1e3: the cubic is solved at unit scale (roots
+        # 1000 / 2^11), where the gap 4.9e-9 is below 1e-7 * (1 + 0.49)
         big = 1000.0
         a, b, c = big, big + 1e-5, 1.0
         r = solve_characteristic(a + b + c, a * b + a * c + b * c, a * b * c)

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from albert import sampling
 from albert.config import tolerances
 from albert.cubic import solve_characteristic
 from albert.dirac import classify_psquare
 from albert.exceptions import (
-    AlbertError,
+    InconsistentError,
     NotAnEigenvalueError,
     NotDoubleRootError,
     ZeroQMatrixError,
@@ -247,36 +249,135 @@ class TestDecomposeRandom:
             assert dec.residuals["reconstruction"] <= 1e-8 * scale
 
 
+# 2^601 times [[1/2, a], [conj a, 2^-601]] (+) (-1/4) with |a|^2 = 1/2: its
+# spectrum is exact, but sigma ~ 2^1201 and det ~ 2^1800 leave the double range.
+HUGE = JordanMatrix(p=2**600, m=1, n=-2**599, a=Octonion([2**599] * 8))
+HUGE_SPECTRUM = (2.0**601, -2.0**599, -2.0**600)
+DIAG400_SPECTRUM = (2.0**400, 0.0, 0.0)
+
+
+def known_answer(entry, out, spectrum, gate=1e-8):
+    """Assert that ``out`` of ``entry`` is the answer for a matrix with this
+    spectrum (descending), within the verify gate relative to its scale."""
+    scale = max(map(abs, spectrum))
+    tr, sigma, det = (sum(spectrum), spectrum[0] * spectrum[1] + spectrum[0] * spectrum[2]
+                      + spectrum[1] * spectrum[2], spectrum[0] * spectrum[1] * spectrum[2])
+
+    def close(values, degree=1):
+        return all(abs(x - y) / scale**degree <= gate for x, y in zip(values, spectrum))
+
+    if entry == "charpoly":
+        assert close(out.roots)
+    elif entry == "decompose":
+        assert close(out.eigenvalues)
+        for P in out.idempotents:
+            check_primitive(P)
+        res = out.residuals
+        assert max(res["eigen"]) <= gate * scale and res["reconstruction"] <= gate * scale
+        assert res["orthogonality"] <= gate and res["completeness"] <= gate
+    elif entry == "diagonalize":
+        assert close(sorted(out.diagonal, reverse=True))
+        assert out.residual <= gate * scale
+    elif entry == "classify":
+        assert out.p == sum(1 for x in spectrum if x)
+        for value, exact, degree in ((out.trace, tr, 1), (out.sigma, sigma, 2), (out.det, det, 3)):
+            assert abs(value - exact) / scale / scale ** (degree - 1) <= gate
+    else:
+        assert out.passed
+        assert sum(mult for _, mult, _ in out.clusters) == 24
+        lams = [lam for lam, _, _ in out.clusters]
+        assert all(min(abs(lam - x) for lam in lams) <= gate * scale for x in spectrum)
+        assert all(abs(r) / scale / scale / scale <= gate for _, _, r in out.clusters)
+
+
 class TestOverflowingInput:
-    """Finite input whose invariants or cubic overflow gets a typed error,
-    never NaN output or a bare OverflowError."""
+    """Finite input far from unit scale: every entry point returns the known
+    answer within the verify gates when each number it outputs can be
+    represented, and raises InconsistentError otherwise (here charpoly and
+    classify on HUGE, whose sigma and det overflow)."""
 
-    @pytest.mark.parametrize("entry", [
-        lambda A: solve_characteristic(*char_poly(A)),
-        decompose,
-        diagonalize,
-        classify_psquare,
-        modified_char_check,
-    ], ids=["charpoly", "decompose", "diagonalize", "classify", "oracle"])
-    @pytest.mark.parametrize("A", [
-        JordanMatrix(p=2**600, m=1, n=-2**599, a=Octonion([2**599] * 8)),
-        JordanMatrix.diag(2**400, 0, 0),
+    @pytest.mark.parametrize("entry", ["charpoly", "decompose", "diagonalize", "classify",
+                                       "oracle"])
+    @pytest.mark.parametrize("A, spectrum", [
+        (HUGE, HUGE_SPECTRUM),
+        (JordanMatrix.diag(2**400, 0, 0), DIAG400_SPECTRUM),
     ], ids=["invariants-overflow", "cubic-overflows"])
-    def test_raises_albert_error(self, entry, A):
+    def test_raises_albert_error(self, entry, A, spectrum):
+        call = {
+            "charpoly": lambda A: solve_characteristic(*char_poly(A)),
+            "decompose": decompose,
+            "diagonalize": diagonalize,
+            "classify": classify_psquare,
+            "oracle": modified_char_check,
+        }[entry]
+        outputs_fit = A is not HUGE or entry not in ("charpoly", "classify")
+        # char_poly works at the caller's scale, so its overflow warns
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(AlbertError):
-                entry(A)
+            if not outputs_fit:
+                with pytest.raises(InconsistentError):
+                    call(A)
+                return
+            out = call(A)
+        known_answer(entry, out, spectrum)
 
-    @pytest.mark.parametrize("call", [
-        lambda: q_matrix(JordanMatrix.diag(1e120, 0, 0), 0.0),
-        lambda: double_root_split(JordanMatrix.diag(9e153, 9e153, 0), 9e153),
-        lambda: invariant_double_decomposition(JordanMatrix.diag(9e153, 9e153, 0), 9e153),
+    @pytest.mark.parametrize("call, check", [
+        # (1 + |A|)^3 does not fit in a double here, but both Q matrices do:
+        # 0 is a double root, and the simple root 1e120 gives diag(1e240, 0, 0)
+        (lambda: (q_matrix(JordanMatrix.diag(1e120, 0, 0), 0.0),
+                  q_matrix(JordanMatrix.diag(1e120, 0, 0), 1e120)),
+         lambda Qs: not Qs[0].to_array().any()
+         and Qs[1].isclose(JordanMatrix.diag(1e240, 0, 0), atol=0.0, rtol=1e-15)),
+        # the pair comes in the order of the same split at unit scale
+        (lambda: double_root_split(JordanMatrix.diag(9e153, 9e153, 0), 9e153),
+         lambda Vs: Vs == (JordanMatrix.diag(0, 1, 0), JordanMatrix.diag(1, 0, 0))
+         == double_root_split(JordanMatrix.diag(2, 2, 0), 2.0)),
+        (lambda: invariant_double_decomposition(JordanMatrix.diag(9e153, 9e153, 0), 9e153),
+         lambda out: out[0][0] == 0.0 and out[1][0] == 9e153
+         and out[0][1] == JordanMatrix.diag(0, 0, 1) and out[1][1] == JordanMatrix.diag(1, 1, 0)),
     ], ids=["q_matrix", "double_root_split", "invariant_double_decomposition"])
-    def test_scale_power_overflow(self, call):
-        # each raised a bare OverflowError from a Python ``** n`` before
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(AlbertError):
-                call()
+    def test_scale_power_overflow(self, call, check):
+        assert check(call())
+
+
+class TestScaleCovariance:
+    """Every entry point runs on A / 2^e, so scaling A by 2^k scales each
+    output exactly by 2^(k * degree)."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(-600, 600))
+    @settings(max_examples=40, deadline=None)
+    def test_decompose_and_diagonalize(self, seed, k):
+        A = sampling.random_jordan(np.random.default_rng(seed))
+        Ak = A * math.ldexp(1.0, k)
+        dec, dec_k = decompose(A), decompose(Ak)
+        assert dec_k.eigenvalues == tuple(math.ldexp(x, k) for x in dec.eigenvalues)
+        for P, Pk in zip(dec.idempotents + dec.eigenvectors, dec_k.idempotents + dec_k.eigenvectors):
+            assert np.array_equal(P.to_array(), Pk.to_array())
+        res, res_k = diagonalize(A), diagonalize(Ak)
+        assert res_k.diagonal == tuple(math.ldexp(x, k) for x in res.diagonal)
+        assert res_k.residual == math.ldexp(res.residual, k)
+        for M, Mk in zip(res.steps, res_k.steps, strict=True):
+            assert np.array_equal(M.to_array(), Mk.to_array())
+
+    @given(st.integers(0, 2**32 - 1), st.integers(-300, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_solve_characteristic(self, seed, k):
+        tr, sigma, det = char_poly(sampling.random_jordan(np.random.default_rng(seed)))
+        r = solve_characteristic(tr, sigma, det)
+        r_k = solve_characteristic(math.ldexp(tr, k), math.ldexp(sigma, 2 * k),
+                                   math.ldexp(det, 3 * k))
+        assert r_k.multiplicity == r.multiplicity
+        assert r_k.roots == tuple(math.ldexp(x, k) for x in r.roots)
+
+    def test_huge_q_normalises(self):
+        # |Q|^2 = 1e400 does not fit in a double, so the trace gate must not
+        # compare tr Q with a norm taken at the caller's scale
+        P = idempotent_from_q(JordanMatrix.diag(1e200, 0, 0))
+        assert np.array_equal(P.to_array(), JordanMatrix.diag(1, 0, 0).to_array())
+
+    def test_huge_rank_one_extracts(self):
+        v = extract_vector(JordanMatrix.diag(1e200, 0, 0))
+        assert v.norm2() == pytest.approx(1e200, rel=1e-15)
+        assert not v.to_array()[1:].any() and not v.to_array()[0, 1:].any()
 
 
 class TestStackedPipeline:
