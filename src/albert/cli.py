@@ -30,12 +30,12 @@ import argparse
 import json
 import sys
 
-from .config import _rescale, _unit_scale, tolerances
+from .config import tolerances
 from .cubic import solve_characteristic
 from .dirac import Hermitian2, classify_psquare, dirac_solve
 from .exceptions import AlbertError, NonNullMomentumError
 from .f4 import diagonalize
-from .jordan import JordanMatrix, char_poly
+from .jordan import JordanMatrix
 from .octonion import Octonion, format_octonion
 from .oracle import modified_char_check
 from .spectral import decompose
@@ -82,13 +82,6 @@ def _load(args, cls):
         raise _InputError(str(exc)) from exc
 
 
-def _apply_tolerance_overrides(args) -> None:
-    for name in ("atol", "rtol", "mtol"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(tolerances, name, value)
-
-
 def _matrix_lines(A: JordanMatrix) -> list[str]:
     entries = [
         [format_octonion(Octonion.from_real(A.p)), str(A.a), str(A.b.conjugate())],
@@ -103,9 +96,8 @@ def _matrix_lines(A: JordanMatrix) -> list[str]:
 
 
 def _cmd_charpoly(args):
-    A = _load(args, JordanMatrix)
-    (a,), e = _unit_scale((A._arr, 1))
-    tr, sigma, det = _rescale(e, *zip(char_poly(JordanMatrix._wrap(a)), (1, 2, 3)))
+    cls = classify_psquare(_load(args, JordanMatrix))
+    tr, sigma, det = cls.trace, cls.sigma, cls.det
     roots = solve_characteristic(tr, sigma, det)
     return {"trace": tr, "sigma": sigma, "det": det, **roots.to_dict()}, [
         f"trace = {tr:.12g}",
@@ -199,10 +191,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if matrix_input:
             p.add_argument("--input", help="path to a JSON matrix file")
             p.add_argument("--inline", help="inline JSON matrix")
-        p.add_argument("--atol", type=float, help="absolute tolerance override")
+        p.add_argument("--atol", type=float, help="floor near zero, relative to max |entry|")
         p.add_argument("--rtol", type=float, help="relative tolerance override")
-        p.add_argument("--mtol", type=float,
-                       help="eigenvalue merge tolerance override")
+        p.add_argument("--mtol", type=float, help="eigenvalue merge tolerance override")
         p.add_argument("--format", choices=("json", "text"), default="json",
                        help="output format (default json)")
 
@@ -221,8 +212,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _apply_tolerance_overrides(args)
+    saved = vars(tolerances).copy()
     try:
+        for name in saved:  # --atol, --rtol and --mtol last this one command
+            if getattr(args, name) is not None:
+                setattr(tolerances, name, getattr(args, name))
         payload, lines, code = _HANDLERS[args.command](args)
     except (_InputError, NonNullMomentumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -230,6 +224,8 @@ def main(argv=None) -> int:
     except AlbertError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    finally:
+        vars(tolerances).update(saved)
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

@@ -1,11 +1,12 @@
 """Global numerical tolerances, and the one place that decides scale.
 
-All approximate comparisons in the package go through a single mutable
-configuration, so one place governs what "equal" means.  Two values compare
-close when ``|x - y| <= atol + rtol * max(|x|, |y|)``; matrix and vector
-comparisons use the same rule with norms.  The gates are meant at unit scale:
-every entry point works on its input divided by 2^e (:func:`_unit_scale`) and
-multiplies each output back by 2^(degree * e) (:func:`_rescale`).
+Every approximate comparison reads the one ``tolerances`` object below.
+Library callers set its fields themselves; the CLI sets them for one command.
+Two values compare close when ``|x - y| <= atol + rtol * max(|x|, |y|)``;
+matrices and vectors use the same rule with norms.  The gates are meant at
+unit scale: every entry point works on its input divided by 2^e
+(:func:`_unit_scale`) and multiplies each output back by 2^(degree * e)
+(:func:`_rescale`), so atol and rtol are relative to the largest |entry|.
 """
 
 import math
@@ -21,24 +22,23 @@ class Tolerances:
     """Package-wide tolerance settings.
 
     atol
-        Absolute floor, used near zero.
+        Floor near zero (at unit scale, so relative to the largest |entry|).
     rtol
         Relative tolerance for approximate equality.
     mtol
         Root-merging tolerance: characteristic roots closer than
         ``mtol * (1 + max |root|)`` are treated as repeated.
-    residual_rtol
-        Gate for internal consistency checks on assembled decompositions
-        (relative to the scale of the input).
     """
 
     atol: float = 1e-12
     rtol: float = 1e-10
     mtol: float = 1e-7
-    residual_rtol: float = 1e-8
 
 
 tolerances = Tolerances()
+
+#: Gate on the residuals of assembled decompositions and factors, at unit scale.
+RESIDUAL_RTOL = 1e-8
 
 
 def _unit_scale(*pairs):

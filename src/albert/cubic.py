@@ -56,9 +56,9 @@ class CubicRoots:
         return out
 
 
-def _merge(roots: list[float], mtol: float) -> CubicRoots:
+def _merge(roots: list[float]) -> CubicRoots:
     roots = sorted(roots, reverse=True)
-    thr = mtol * (1.0 + max(abs(r) for r in roots))
+    thr = tolerances.mtol * (1.0 + max(abs(r) for r in roots))
     g01 = roots[0] - roots[1]
     g12 = roots[1] - roots[2]
     if g01 <= thr and g12 <= thr:
@@ -73,22 +73,19 @@ def _merge(roots: list[float], mtol: float) -> CubicRoots:
     return CubicRoots(tuple(roots), "distinct", None)
 
 
-def solve_characteristic(
-    tr: float, sigma: float, det: float, mtol: float | None = None
-) -> CubicRoots:
+def solve_characteristic(tr: float, sigma: float, det: float) -> CubicRoots:
     """All real roots of t^3 - tr t^2 + sigma t - det, with multiplicities."""
     if not all(map(math.isfinite, (tr, sigma, det))):
         raise InconsistentError(f"cubic ({tr}, {sigma}, {det}) is not finite")
     coeffs, e = _unit_scale((tr, 1), (sigma, 2), (det, 3))
-    r = _solve(*coeffs, mtol)
+    r = _solve(*coeffs)
     roots = tuple(_rescale(e, (r.roots, 1))[0])
     # a repeated root is always the middle one
     return CubicRoots(roots, r.multiplicity, None if r.repeated is None else roots[1])
 
 
-def _solve(tr: float, sigma: float, det: float, mtol: float | None = None) -> CubicRoots:
+def _solve(tr: float, sigma: float, det: float) -> CubicRoots:
     """:func:`solve_characteristic` on coefficients taken as they are."""
-    mtol = tolerances.mtol if mtol is None else mtol
     # Depress: t = u + tr/3 gives u^3 + p u + q.
     p = sigma - tr * tr / 3.0
     q = -2.0 * tr**3 / 27.0 + tr * sigma / 3.0 - det
@@ -112,4 +109,4 @@ def _solve(tr: float, sigma: float, det: float, mtol: float | None = None) -> Cu
         phi = math.acos(x) / 3.0
         u = tuple(mag * math.cos(phi - 2.0 * math.pi * k / 3.0) for k in range(3))
 
-    return _merge([ui + tr / 3.0 for ui in u], mtol)
+    return _merge([ui + tr / 3.0 for ui in u])

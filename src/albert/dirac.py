@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _rescale, _unit_scale, tolerances
+from .config import RESIDUAL_RTOL, _rescale, _unit_scale, tolerances
 from .exceptions import InconsistentError, NonNullMomentumError
 from .jordan import JordanMatrix, OctVector3, _as_octonion, char_poly
 from .octonion import CONJ_SIGNS, Octonion, _ArrayValue
@@ -145,7 +145,7 @@ def dirac_solve(P: Hermitian2) -> tuple[tuple[Octonion, Octonion], int]:
         piv = math.sqrt(max(Q.t, 0.0))
         theta = (Q.z / piv, Octonion.from_real(piv))
     recon = Hermitian2.from_outer(theta) * sign
-    if (P - recon).norm() > tolerances.residual_rtol * (1.0 + P.norm()):
+    if (P - recon).norm() > RESIDUAL_RTOL * (1.0 + P.norm()):
         raise InconsistentError(
             f"rank-one factor residual {(P - recon).norm():.3e} out of tolerance"
         )

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _rescale, _unit_scale, tolerances
+from .config import RESIDUAL_RTOL, _rescale, _unit_scale, tolerances
 from .cubic import _solve
 from .exceptions import ZeroVectorError
 from .jordan import (
@@ -120,7 +120,7 @@ def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
     lam = min(roots.simple)
 
     P = _idempotents(A._arr, poly, [lam])
-    v = phase_align(OctVector3._wrap(_extract(P, tolerances.residual_rtol)[0]))
+    v = phase_align(OctVector3._wrap(_extract(P, RESIDUAL_RTOL)[0]))
     m1, m2 = build_m1_m2(v)
     b2 = sandwich(m2, sandwich(m1, A))
 

@@ -26,6 +26,7 @@ multiplicative, |x y| = |x| |y|.
 from __future__ import annotations
 
 import math
+import sys
 from numbers import Real
 from typing import Iterable
 
@@ -109,8 +110,15 @@ class _ArrayValue:
         return self._arr.copy()
 
     def norm(self) -> float:
-        """Frobenius norm; a Jordan matrix counts each off-diagonal octonion twice."""
-        return math.sqrt(float(np.vdot(self._arr, self._arr)))
+        """Frobenius norm, a Jordan matrix counting each off-diagonal octonion
+        twice; divided by the largest |entry| where the squares leave range."""
+        n2 = float(np.vdot(self._arr, self._arr))
+        if not sys.float_info.min <= n2 < math.inf:
+            top = float(np.abs(self._arr).max())
+            if 0.0 < top < math.inf:
+                unit = self._arr / top
+                return top * math.sqrt(float(np.vdot(unit, unit)))
+        return math.sqrt(n2)
 
     def isclose(self, other, atol=None, rtol=None) -> bool:
         atol = tolerances.atol if atol is None else atol

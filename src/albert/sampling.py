@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dirac import Hermitian2
-from .jordan import JordanMatrix, OctVector3, rank1_from_vector
+from .jordan import JordanMatrix, OctVector3, _hermitian, rank1_from_vector
 from .octonion import Octonion
 
 
@@ -34,20 +34,18 @@ def random_unit_imaginary(rng: np.random.Generator) -> Octonion:
 
 
 def random_jordan(rng: np.random.Generator, span: int = 8) -> JordanMatrix:
-    """Hermitian 3x3 matrix with uniform diagonal and off-diagonal entries."""
-    return JordanMatrix(
-        p=rng.uniform(-1.0, 1.0),
-        m=rng.uniform(-1.0, 1.0),
-        n=rng.uniform(-1.0, 1.0),
-        a=random_octonion(rng, span),
-        b=random_octonion(rng, span),
-        c=random_octonion(rng, span),
-    )
+    """Hermitian 3x3 matrix with uniform diagonal p, m, n, then a, b, c."""
+    draws = rng.uniform(-1.0, 1.0, 3 + 3 * span)
+    upper = np.zeros((3, 8))
+    upper[:, :span] = draws[3:].reshape(3, span)
+    return JordanMatrix._wrap(_hermitian(draws[:3], upper))
 
 
 def random_vector(rng: np.random.Generator, span: int = 4) -> OctVector3:
     """3-component column; the quaternionic default keeps components associating."""
-    return OctVector3(tuple(random_octonion(rng, span) for _ in range(3)))
+    arr = np.zeros((3, 8))
+    arr[:, :span] = rng.uniform(-1.0, 1.0, (3, span))
+    return OctVector3._wrap(arr)
 
 
 def random_double_root_matrix(

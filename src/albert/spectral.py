@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _rescale, _unit_scale, tolerances
+from .config import RESIDUAL_RTOL, _rescale, _unit_scale, tolerances
 from .cubic import CubicRoots, _solve
 from .exceptions import (
     InconsistentError,
@@ -294,11 +294,11 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
     # The idempotents were validated above; extraction uses the looser
     # residual gate because Q-route idempotents inherit noise of order
     # eps / gap^2 near close eigenvalues.
-    vectors = _extract(P, tolerances.residual_rtol)
+    vectors = _extract(P, RESIDUAL_RTOL)
     scaled = P * np.array(lams)[:, None, None, None]
     completeness, recon = _norms((P[0] + P[1] + P[2] - JordanMatrix.identity()._arr,
                                   scaled[0] + scaled[1] + scaled[2] - A._arr))
-    gate = tolerances.residual_rtol * (1.0 + A.norm())
+    gate = RESIDUAL_RTOL * (1.0 + A.norm())
     if not (recon <= gate and completeness <= gate):
         raise InconsistentError(
             f"assembled decomposition fails to reproduce A "

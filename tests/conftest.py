@@ -4,16 +4,6 @@ from pathlib import Path
 import pytest
 
 import albert
-from albert.config import Tolerances, tolerances
-
-
-@pytest.fixture(autouse=True)
-def _reset_tolerances():
-    """CLI flags and some tests mutate the global config; restore defaults."""
-    defaults = Tolerances()
-    yield
-    for name in ("atol", "rtol", "mtol", "residual_rtol"):
-        setattr(tolerances, name, getattr(defaults, name))
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -6,6 +7,9 @@ import sys
 import pytest
 
 from albert import cli
+from albert.config import Tolerances, tolerances
+from albert.cubic import solve_characteristic
+from albert.dirac import Hermitian2
 from albert.exceptions import InconsistentError
 from albert.octonion import Octonion
 
@@ -138,6 +142,17 @@ class TestDirac:
         assert data["theta"][1][7] == pytest.approx(-1.0)
         assert data["residual"] <= 1e-12
 
+    def test_huge_residual_is_finite(self, capsys):
+        # |P - sign theta theta^dagger|^2 overflows at this scale
+        payload = {"s": 2e300, "t": 5e299, "z": [0, 6e299, 8e299, 0, 0, 0, 0, 0]}
+        code, out, _ = run_cli(
+            capsys, "dirac", "--format", "text", "--inline", inline(payload)
+        )
+        assert code == 0
+        residual = float(out.split("reconstruction residual = ")[1])
+        assert math.isfinite(residual)
+        assert residual <= 1e-10 * Hermitian2.from_dict(payload).norm()
+
     def test_non_null_is_invalid_input(self, capsys):
         payload = {"s": 1.0, "t": 1.0, "z": [0.0] * 8}
         code, out, err = run_cli(capsys, "dirac", "--inline", inline(payload))
@@ -252,6 +267,31 @@ class TestInputValidation:
         code, out, _ = run_cli(capsys, "charpoly", "--input", str(f))
         assert code == 0
         assert json.loads(out)["det"] == 6.0
+
+
+class TestToleranceOverrides:
+    @pytest.mark.parametrize("argv, expected", [
+        (["charpoly", "--inline", inline(DIAG123)], 0),
+        (["charpoly", "--inline", '{"p": 1,,}'], 2),
+        (["charpoly", "--inline", inline(matrix_payload(
+            p=2.0**600, m=1.0, n=-2.0**599, a=[2.0**599] * 8))], 1),
+    ], ids=["pass", "invalid", "inconsistent"])
+    def test_last_one_command(self, capsys, argv, expected):
+        code, _, _ = run_cli(capsys, *argv, "--atol", "1e-3", "--mtol", "1e-3")
+        assert code == expected
+        assert tolerances == Tolerances()
+        a, b, c = 1.0, 1.0 + 1e-5, 2.0
+        roots = solve_characteristic(a + b + c, a * b + a * c + b * c, a * b * c)
+        assert roots.multiplicity == "distinct"
+
+    def test_restored_after_uncaught_exception(self, monkeypatch):
+        def boom(A):
+            raise RuntimeError("not an AlbertError")
+
+        monkeypatch.setattr(cli, "decompose", boom)
+        with pytest.raises(RuntimeError):
+            cli.main(["decompose", "--inline", inline(DIAG123), "--rtol", "1e-3"])
+        assert tolerances == Tolerances()
 
 
 class TestInternalInconsistency:

@@ -47,6 +47,11 @@ class TestConstruction:
         assert JordanMatrix.identity().isclose(JordanMatrix.diag(1, 1, 1))
         assert JordanMatrix.zero().norm() == 0.0
 
+    def test_norm_without_overflow_or_underflow(self):
+        # the sum of squares is 1e400 or 1e-400, out of the double range
+        assert JordanMatrix.diag(1e200, 0, 0).norm() == 1e200
+        assert JordanMatrix.diag(1e-200, 0, 0).norm() == 1e-200
+
     def test_array_round_trip(self):
         rng = np.random.default_rng(0)
         A = sampling.random_jordan(rng)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from albert import sampling
-from albert.config import tolerances
+from albert.config import RESIDUAL_RTOL
 from albert.cubic import solve_characteristic
 from albert.dirac import classify_psquare
 from albert.exceptions import (
@@ -391,7 +391,7 @@ class TestStackedPipeline:
             dec = decompose(A)
             for lam, P, v in zip(dec.eigenvalues, dec.idempotents, dec.eigenvectors):
                 P1 = JordanMatrix._wrap(_purify(idempotent_from_q(q_matrix(A, lam))._arr))
-                v1 = extract_vector(P1, rank_rtol=tolerances.residual_rtol)
+                v1 = extract_vector(P1, rank_rtol=RESIDUAL_RTOL)
                 assert (P - P1).norm() <= 1e-14 * P1.norm()
                 assert np.linalg.norm(v.to_array() - v1.to_array()) <= 1e-14 * v1.norm()
 
