@@ -96,8 +96,8 @@ def _solve(tr: float, sigma: float, det: float) -> CubicRoots:
     p_floor = 1e-13 * (1.0 + abs(tr) ** 2 + abs(sigma) + abs(det) ** (2.0 / 3.0))
     if disc < -max(tolerances.atol, DISCRIMINANT_RTOL * terms):
         raise ComplexRootsError(
-            f"discriminant {disc:.3e} is negative beyond tolerance; "
-            "the polynomial has complex roots"
+            f"discriminant / (4 |p|^3 + 27 q^2) = {disc / terms:.3e} is negative "
+            "beyond tolerance; the polynomial has complex roots"
         )
 
     if p > -p_floor:

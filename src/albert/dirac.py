@@ -147,7 +147,8 @@ def dirac_solve(P: Hermitian2) -> tuple[tuple[Octonion, Octonion], int]:
     recon = Hermitian2.from_outer(theta) * sign
     if (P - recon).norm() > RESIDUAL_RTOL * (1.0 + P.norm()):
         raise InconsistentError(
-            f"rank-one factor residual {(P - recon).norm():.3e} out of tolerance"
+            f"rank-one factor residual / |P| = {(P - recon).norm() / P.norm():.3e} "
+            "out of tolerance"
         )
     return tuple(map(Octonion, _rescale(e, *((t.coeffs, 1) for t in theta)))), sign
 

@@ -50,7 +50,7 @@ from .exceptions import (
     NotRankOneError,
     ZeroMatrixError,
 )
-from .octonion import CONJ_SIGNS, Octonion, _ArrayValue, _is_real, associator, left_mult
+from .octonion import CONJ_SIGNS, Octonion, _ArrayValue, _is_real, _norm, associator, left_mult
 
 __all__ = [
     "JordanMatrix",
@@ -150,6 +150,18 @@ def _freudenthal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d = _diag(out)
     d += ((tx * ty - _trace(circ)) / 2.0)[..., None]
     return out
+
+
+def _det_shifted(arr: np.ndarray, lams):
+    """det(A - lambda I) of the (3, 3, 8) array A: a float for a float lambda,
+    an array for an array of them.  The off-diagonal terms are computed once
+    and only the diagonal is shifted, in the operation order of ``det``."""
+    upper = arr.reshape(9, 8).take(_UPPER_ROWS, axis=0)
+    a, b, c = upper
+    na, nb, nc = (upper * upper).sum(axis=1).tolist()
+    re_bac = float((b * CONJ_SIGNS) @ (left_mult(a) @ c))
+    p, m, n = (d - lams for d in _diag(arr).tolist())
+    return p * m * n + 2.0 * re_bac - n * na - m * nb - p * nc
 
 
 class OctVector3(_ArrayValue):
@@ -263,9 +275,8 @@ class JordanMatrix(_ArrayValue):
         if not np.isfinite(arr).all():
             raise ValueError("entries must be finite")
         if check:
-            dev = float(np.linalg.norm(arr - _conj_transpose(arr)))
-            scale = float(np.linalg.norm(arr))
-            if dev > tolerances.atol + tolerances.rtol * scale:
+            dev = _norm(arr - _conj_transpose(arr))
+            if dev > tolerances.atol + tolerances.rtol * _norm(arr):
                 raise ValueError("array is not Hermitian")
         return cls._wrap(_hermitian_part(arr))
 
@@ -292,11 +303,7 @@ class JordanMatrix(_ArrayValue):
 
     def det(self) -> float:
         """Cubic norm: p m n + 2 Re(b (a c)) - n |a|^2 - m |b|^2 - p |c|^2."""
-        p, m, n = self.diagonal()
-        a, b, c = self._upper()
-        na, nb, nc = self._norms2()
-        re_bac = float((b * CONJ_SIGNS) @ (left_mult(a) @ c))
-        return p * m * n + 2.0 * re_bac - n * na - m * nb - p * nc
+        return _det_shifted(self._arr, 0.0)
 
     def trace_reversal(self) -> "JordanMatrix":
         """A - (tr A) I, the involution entering the determinant identities."""
@@ -448,11 +455,11 @@ def _extract(V: np.ndarray, rank_rtol: float | None) -> np.ndarray:
     for i, (nrm, vxv, diag) in enumerate(zip(_norms(V), _norms(VxV), _diag(V).tolist())):
         if vxv > tolerances.atol + rtol * nrm * nrm:
             raise NotRankOneError(
-                f"V * V does not vanish (|V*V| = {vxv:.3e} at |V| = {nrm:.3e})"
+                f"V * V does not vanish (|V*V| / |V|^2 = {vxv / (nrm * nrm):.3e})"
             )
         tr = diag[0] + diag[1] + diag[2]
         if tr <= tolerances.atol + tolerances.rtol * nrm:
-            raise ZeroMatrixError(f"trace {tr:.3e} is not positive")
+            raise ZeroMatrixError("trace is not positive")
         pivot = max(diag)
         if pivot <= 0.0:
             raise ZeroMatrixError("no positive diagonal entry to pivot on")

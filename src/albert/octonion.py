@@ -86,6 +86,18 @@ def left_mult(x: np.ndarray) -> np.ndarray:
     return (x @ _MUL_FLAT).reshape(x.shape[:-1] + (8, 8)).swapaxes(-1, -2)
 
 
+def _norm(arr: np.ndarray) -> float:
+    """Frobenius norm of an array, divided by its largest |entry| where the
+    squares leave the double range, so it neither overflows nor underflows."""
+    n2 = float(np.vdot(arr, arr))
+    if not sys.float_info.min <= n2 < math.inf:
+        top = float(np.abs(arr).max())
+        if 0.0 < top < math.inf:
+            unit = arr / top
+            return top * math.sqrt(float(np.vdot(unit, unit)))
+    return math.sqrt(n2)
+
+
 class _ArrayValue:
     """Immutable value stored as one read-only float array; equal when the
     difference has Frobenius norm ``<= atol + rtol * max(|x|, |y|)``."""
@@ -111,19 +123,13 @@ class _ArrayValue:
 
     def norm(self) -> float:
         """Frobenius norm, a Jordan matrix counting each off-diagonal octonion
-        twice; divided by the largest |entry| where the squares leave range."""
-        n2 = float(np.vdot(self._arr, self._arr))
-        if not sys.float_info.min <= n2 < math.inf:
-            top = float(np.abs(self._arr).max())
-            if 0.0 < top < math.inf:
-                unit = self._arr / top
-                return top * math.sqrt(float(np.vdot(unit, unit)))
-        return math.sqrt(n2)
+        twice."""
+        return _norm(self._arr)
 
     def isclose(self, other, atol=None, rtol=None) -> bool:
         atol = tolerances.atol if atol is None else atol
         rtol = tolerances.rtol if rtol is None else rtol
-        diff = float(np.linalg.norm(self._arr - other._arr))
+        diff = _norm(self._arr - other._arr)
         return diff <= atol + rtol * max(self.norm(), other.norm())
 
     def __eq__(self, other) -> bool:

@@ -18,9 +18,12 @@ need not appear in the 24x24 spectrum at all -- satisfy the unmodified
 equation det(A - lambda I) = 0.
 
 The eigenvalues come from LAPACK (``numpy.linalg.eigvalsh``), so the oracle
-shares no code path with the Jordan-side solvers.  The check runs on A / 2^e
-at unit scale, and each cluster's lambda and r are multiplied back by 2^e
-and 2^3e.
+shares no code path with the Jordan-side solvers.  The tail after the
+eigensolve is array code: :func:`cluster_values` finds the cluster
+boundaries with one comparison, and the residuals of all clusters come from
+one call of the shifted-determinant kernel behind ``JordanMatrix.det``.  The
+check runs on A / 2^e at unit scale, and each cluster's lambda and r are
+multiplied back by 2^e and 2^3e.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import _rescale, _unit_scale
-from .jordan import JordanMatrix, OctVector3, _embed
+from .jordan import JordanMatrix, OctVector3, _det_shifted, _embed
+from .octonion import _norm
 
 __all__ = [
     "embed",
@@ -74,17 +78,17 @@ def coords_vector(coords: np.ndarray) -> OctVector3:
 def cluster_values(values: np.ndarray, gap: float) -> list[tuple[float, int]]:
     """Group sorted values whose consecutive gaps stay within ``gap``.
 
-    Returns (mean, count) per cluster, in the order of the input sort.
+    Returns (mean, count) per cluster, in the order of the input sort.  The
+    run boundaries come from one array comparison.  Each mean is the run's
+    ``sum()`` over its count, the bits of its ``mean()``; ``np.add.reduceat``
+    sums in another order and would not reproduce them.
     """
     values = np.asarray(values, dtype=float)
-    clusters: list[tuple[float, int]] = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or abs(values[i] - values[i - 1]) > gap:
-            chunk = values[start:i]
-            clusters.append((float(chunk.mean()), len(chunk)))
-            start = i
-    return clusters
+    if not len(values):
+        return []
+    cuts = (np.flatnonzero(abs(values[1:] - values[:-1]) > gap) + 1).tolist()
+    bounds = zip([0, *cuts], [*cuts, len(values)])
+    return [(float(values[i:j].sum()) / (j - i), j - i) for i, j in bounds]
 
 
 @dataclass(frozen=True)
@@ -112,26 +116,19 @@ def modified_char_check(A: JordanMatrix) -> OracleReport:
     two groups (to tolerance) with r_plus >= 0 >= r_minus.
     """
     (a,), e = _unit_scale((A._arr, 1))
-    A = JordanMatrix._wrap(a)
-    eigs = np.linalg.eigvalsh(embed(A))[::-1]
+    eigs = np.linalg.eigvalsh(_embed(a))[::-1]
     spread = float(eigs[0] - eigs[-1])
     gap = CLUSTER_GAP_RTOL * spread
     lam_clusters = cluster_values(eigs, gap) if spread > 0 else [(float(eigs[0]), len(eigs))]
+    lams, mults = zip(*lam_clusters)
+    rs = -_det_shifted(a, np.array(lams))
 
-    ident = JordanMatrix.identity()
-    rows = tuple(
-        (lam, mult, -(A - ident * lam).det()) for lam, mult in lam_clusters
-    )
-
-    r_values = np.sort(np.array([r for _, _, r in rows]))
-    r_tol = R_COLLAPSE_RTOL * (1.0 + A.norm()) ** 3
-    r_groups = cluster_values(r_values, r_tol)
+    r_tol = R_COLLAPSE_RTOL * (1.0 + _norm(a)) ** 3
+    r_groups = cluster_values(np.sort(rs), r_tol)
     passed = (
         len(r_groups) <= 2
         and r_groups[0][0] <= r_tol
         and r_groups[-1][0] >= -r_tol
     )
-    lams, mults, rs = zip(*rows)
-    lams, rs = _rescale(e, (lams, 1), (rs, 3))
-    rows = tuple(zip(lams, mults, rs))
-    return OracleReport(clusters=rows, passed=bool(passed))
+    lams, rs = _rescale(e, (lams, 1), (rs.tolist(), 3))
+    return OracleReport(clusters=tuple(zip(lams, mults, rs)), passed=bool(passed))

@@ -100,14 +100,15 @@ def _check_root(poly: tuple[float, float, float], nrm: float, lam: float) -> Non
     value = ((lam - t) * lam + s) * lam - d
     if abs(value) > tolerances.atol + tolerances.rtol * (1.0 + nrm + abs(lam)) ** 3:
         raise NotAnEigenvalueError(
-            f"characteristic value {value:.3e} at lambda={lam!r} exceeds tolerance"
+            "lambda is not a root: |characteristic value| / (|A| + |lambda|)^3 = "
+            f"{abs(value) / (nrm + abs(lam)) ** 3:.3e} exceeds tolerance"
         )
 
 
 def _check_q_trace(t: float, q_norm: float) -> None:
     if abs(t) <= tolerances.atol + tolerances.rtol * (1.0 + q_norm):
         raise ZeroQMatrixError(
-            f"tr Q = {t:.3e} vanishes to tolerance; the eigenvalue is repeated"
+            "tr Q vanishes to tolerance; the eigenvalue is repeated"
         )
 
 
@@ -151,7 +152,8 @@ def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float
     q_norm = freudenthal_product(B, B).norm()
     if q_norm > tolerances.atol + tolerances.mtol * scale**2:
         raise NotDoubleRootError(
-            f"(A - lambda I) is not rank one (|Q| = {q_norm:.3e}); lambda is not a double root"
+            "(A - lambda I) is not rank one (|Q| / |A - lambda I|^2 = "
+            f"{q_norm / B.norm() ** 2:.3e}); lambda is not a double root"
         )
     tb = B.trace()
     if abs(tb) <= tolerances.atol + tolerances.rtol * scale:
@@ -275,7 +277,8 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
         trq = (A - JordanMatrix.identity() * lam).sigma()
         if abs(trq) > tolerances.mtol * (1.0 + max(abs(r) for r in lams)) ** 2:
             raise InconsistentError(
-                f"cubic solver reports a double root but tr Q = {trq:.3e} does not vanish"
+                "cubic solver reports a double root but tr Q does not vanish "
+                f"(|tr Q| / |A|^2 = {abs(trq) / A.norm() ** 2:.3e})"
             )
     if roots.multiplicity == "triple":
         P = np.stack([JordanMatrix.diag(*unit)._arr for unit in np.eye(3)])
@@ -302,7 +305,7 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
     if not (recon <= gate and completeness <= gate):
         raise InconsistentError(
             f"assembled decomposition fails to reproduce A "
-            f"(reconstruction {recon:.3e}, completeness {completeness:.3e})"
+            f"(reconstruction / |A| = {recon / A.norm():.3e}, completeness {completeness:.3e})"
         )
     lams, eigen, recon = _rescale(
         e, (lams, 1), (_norms(_jordan(A._arr, P) - scaled), 1), (recon, 1))

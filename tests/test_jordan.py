@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from albert.exceptions import (
 from albert.jordan import (
     JordanMatrix,
     OctVector3,
+    _det_shifted,
     _freudenthal,
     _hermitian_part,
     _jordan,
@@ -29,7 +31,7 @@ from albert.jordan import (
     rank1_from_vector,
     sandwich,
 )
-from albert.octonion import MUL_INDEX, MUL_SIGN, Octonion, e
+from albert.octonion import CONJ_SIGNS, MUL_INDEX, MUL_SIGN, Octonion, e, left_mult
 
 
 def all_ones():
@@ -63,6 +65,30 @@ class TestConstruction:
         arr[0, 1, 0] = 5.0  # break conjugate symmetry
         with pytest.raises(ValueError):
             JordanMatrix.from_array(arr)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e200])
+    def test_from_array_rejects_non_hermitian_at_any_scale(self, scale):
+        # the mirror of a's e1 coefficient should carry the opposite sign;
+        # at 1e200 the sums of squares overflow unless the norm rescales
+        arr = JordanMatrix.diag(1, 2, 3).to_array() * scale
+        arr[0, 1, 1] = arr[1, 0, 1] = scale
+        with pytest.raises(ValueError, match="not Hermitian"):
+            JordanMatrix.from_array(arr)
+
+    def test_from_array_accepts_huge_hermitian_quietly(self):
+        arr = sampling.random_jordan(np.random.default_rng(5)).to_array() * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A = JordanMatrix.from_array(arr)
+        assert np.array_equal(A.to_array(), arr)
+
+    def test_isclose_without_overflow(self):
+        big = JordanMatrix.diag(1e200, 0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert big.isclose(JordanMatrix.diag(1e200 * (1 + 1e-15), 0, 0))
+            assert not big.isclose(JordanMatrix.diag(2e200, 0, 0))
+            assert JordanMatrix.diag(1e-200, 0, 0).isclose(JordanMatrix.diag(2e-200, 0, 0))
 
     def test_dict_round_trip(self):
         rng = np.random.default_rng(1)
@@ -474,6 +500,42 @@ class TestKernelAgainstReference:
     def test_det(self, samples):
         for A, _, _ in samples:
             assert_matches(A.det(), ref_det(A.to_array()), A.norm() ** 3)
+
+
+def det_before_kernel(A):
+    """det() as it was written before the shifted kernel, kept as reference."""
+    p, m, n = A.diagonal()
+    upper = A.to_array().reshape(9, 8)[[1, 6, 5]]
+    a, b, c = upper
+    na, nb, nc = (upper * upper).sum(axis=1).tolist()
+    re_bac = float((b * CONJ_SIGNS) @ (left_mult(a) @ c))
+    return p * m * n + 2.0 * re_bac - n * na - m * nb - p * nc
+
+
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
+class TestShiftedDeterminant:
+    """_det_shifted(A, lambda) is det(A - lambda I) bit for bit, for one
+    lambda or a vector of them, and det() is its lambda = 0 call."""
+
+    @pytest.mark.parametrize("span", [8, 4])
+    def test_equals_det_of_the_shifted_matrix(self, span):
+        rng = np.random.default_rng(70 + span)
+        ident = JordanMatrix.identity()
+        for _ in range(200):
+            A = sampling.random_jordan(rng, span=span)
+            lams = np.concatenate([[0.0, -0.75, 1.25], rng.uniform(-3.0, 3.0, 3)])
+            assert hexes([_det_shifted(A._arr, 0.0), A.det()]) == hexes([det_before_kernel(A)] * 2)
+            want = hexes((A - ident * float(lam)).det() for lam in lams)
+            assert hexes(_det_shifted(A._arr, lams)) == want
+            assert hexes(_det_shifted(A._arr, float(lam)) for lam in lams) == want
+
+    def test_float_in_float_out(self):
+        A = JordanMatrix.diag(1.0, 2.0, 3.0)
+        assert type(_det_shifted(A._arr, 0.0)) is float
+        assert _det_shifted(A._arr, np.array([1.0, 2.0, 3.0, 0.0])).tolist() == [0, 0, 0, 6]
 
 
 class TestStackKernels:

@@ -79,7 +79,70 @@ class TestClustering:
         assert out == [(5.0, 1), (3.0, 1), (1.0, 1)]
 
 
+def clusters_by_loop(values, gap):
+    """The per-element loop cluster_values used before it went to arrays,
+    kept as the reference for its output bits."""
+    values = np.asarray(values, dtype=float)
+    clusters = []
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or abs(values[i] - values[i - 1]) > gap:
+            chunk = values[start:i]
+            clusters.append((float(chunk.mean()), len(chunk)))
+            start = i
+    return clusters
+
+
+def hexes(clusters):
+    return [(mean.hex(), count) for mean, count in clusters]
+
+
+class TestArrayClustering:
+    """cluster_values equals the per-element loop, means bit for bit."""
+
+    def test_random_sorted(self):
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            vals = np.sort(rng.uniform(-2.0, 2.0, rng.integers(1, 30)))
+            gap = float(rng.uniform(0.0, 0.3))
+            for v in (vals, vals[::-1]):
+                assert hexes(cluster_values(v, gap)) == hexes(clusters_by_loop(v, gap))
+
+    def test_gaps_exactly_at_gap(self):
+        # dyadic steps make every difference exact, so many equal the gap
+        rng = np.random.default_rng(72)
+        gap, at_gap = 0.25, 0
+        for _ in range(200):
+            vals = np.cumsum(rng.choice([0.0, 0.125, 0.25, 0.5], rng.integers(1, 25)))[::-1]
+            at_gap += np.count_nonzero(vals[:-1] - vals[1:] == gap)
+            assert hexes(cluster_values(vals, gap)) == hexes(clusters_by_loop(vals, gap))
+        assert at_gap > 200
+
+    def test_all_singletons_and_one_run(self):
+        rng = np.random.default_rng(73)
+        spread = np.sort(rng.uniform(-1.0, 1.0, 24))[::-1] + np.arange(24.0)[::-1]
+        assert [c for _, c in cluster_values(spread, 0.5)] == [1] * 24
+        assert hexes(cluster_values(spread, 0.5)) == hexes(clusters_by_loop(spread, 0.5))
+        run = 1.0 + np.sort(rng.uniform(0.0, 1e-9, 24))[::-1]
+        assert cluster_values(run, 1e-6) == clusters_by_loop(run, 1e-6)
+        assert [c for _, c in cluster_values(run, 1e-6)] == [24]
+
+    def test_empty(self):
+        assert cluster_values(np.array([]), 1.0) == []
+
+
 class TestModifiedCharCheck:
+    @pytest.mark.parametrize("span", [8, 4])
+    def test_residuals_equal_per_cluster_shift(self, span):
+        # one kernel call on all cluster means gives what a shifted
+        # matrix per cluster gave, bit for bit
+        rng = np.random.default_rng(74 + span)
+        for _ in range(50):
+            A = sampling.random_jordan(rng, span=span)
+            for lam, _, r in modified_char_check(A).clusters:
+                assert r.hex() == (-(A - JordanMatrix.identity() * lam).det()).hex()
+
+
     def test_real_diagonal_all_residuals_zero(self):
         report = modified_char_check(JordanMatrix.diag(1, 2, 3))
         assert report.passed

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from albert import sampling
+from albert import sampling, spectral
 from albert.config import RESIDUAL_RTOL
-from albert.cubic import solve_characteristic
+from albert.cubic import CubicRoots, solve_characteristic
 from albert.dirac import classify_psquare
 from albert.exceptions import (
+    ComplexRootsError,
     InconsistentError,
     NotAnEigenvalueError,
     NotDoubleRootError,
+    NotRankOneError,
+    ZeroMatrixError,
     ZeroQMatrixError,
 )
 from albert.f4 import diagonalize
@@ -411,3 +414,42 @@ class TestStackedPipeline:
                 idempotent_from_q(q_matrix(A, lam))
         with pytest.raises(ZeroQMatrixError):
             _idempotents(A._arr, char_poly(A), lams)
+
+
+class TestScaleFreeMessages:
+    """Gates run at unit scale, so their messages quote scale-free ratios or
+    no number: the message raised on A equals the one raised on 2^20 A."""
+
+    @staticmethod
+    def message(exc_type, call, scale):
+        with pytest.raises(exc_type) as info:
+            call(scale)
+        return str(info.value)
+
+    @pytest.mark.parametrize("exc_type, call", [
+        (NotAnEigenvalueError,
+         lambda s: q_matrix(JordanMatrix.diag(1024, 2048, 4096) * s, 1500.0 * s)),
+        (ZeroQMatrixError, lambda s: idempotent_from_q(JordanMatrix.diag(3, -3, 0) * s)),
+        (NotDoubleRootError, lambda s: double_root_split(JordanMatrix.diag(1, 2, 3) * s, s)),
+        (NotDoubleRootError, lambda s: double_root_split(JordanMatrix.identity() * s, s)),
+        (NotRankOneError, lambda s: extract_vector(JordanMatrix.diag(1, 1, 0) * s)),
+        (ZeroMatrixError, lambda s: extract_vector(JordanMatrix.diag(-8, 0, 0) * s)),
+        (ComplexRootsError, lambda s: solve_characteristic(0.0, s * s, 0.0)),
+    ], ids=["check-root", "q-trace", "double-not-rank-one", "double-is-triple",
+            "extract-rank", "extract-trace", "discriminant"])
+    def test_gate(self, exc_type, call):
+        msg = self.message(exc_type, call, 1.0)
+        assert msg == self.message(exc_type, call, 2.0**20)
+        assert "0.1831" not in msg and "-5.000e-01" not in msg
+
+    def test_decompose_inconsistencies(self, monkeypatch):
+        A = JordanMatrix.diag(1.0, 2.0, 4.0)  # unit scale diag(1/8, 1/4, 1/2)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_solve", lambda *poly: CubicRoots(
+                (0.5, 0.1875, 0.1875), "double", 0.1875))
+            msgs = [self.message(InconsistentError, decompose, A * s) for s in (1.0, 2.0**20)]
+            assert msgs[0] == msgs[1] and "tr Q does not vanish" in msgs[0]
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_purify", lambda P: P * 1.5)
+            msgs = [self.message(InconsistentError, decompose, A * s) for s in (1.0, 2.0**20)]
+            assert msgs[0] == msgs[1] and "fails to reproduce A" in msgs[0]
