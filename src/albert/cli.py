@@ -39,7 +39,7 @@ from .jordan import JordanMatrix
 from .octonion import Octonion, format_octonion
 from .oracle import modified_char_check
 from .spectral import decompose
-from .verify import run_verification
+from .verify import _check_request, run_verification
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -158,6 +158,10 @@ def _cmd_dirac(args):
 
 
 def _cmd_verify(args):
+    try:
+        _check_request(args.count, args.seed)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     report = run_verification(count=args.count, seed=args.seed)
     lines = [f"seed {report.seed}, {report.count} samples per suite"]
     lines += [f"{row.name:26s} n={row.samples:5d}  max {row.max_residual:.3e}  "

@@ -62,9 +62,13 @@ def _rescale(e: int, *pairs):
     if e == 0:
         return [x for x, _ in pairs]
     try:
-        with np.errstate(over="raise"):
-            return [np.ldexp(x, d * e) if type(x) is np.ndarray
-                    else [math.ldexp(v, d * e) for v in x] if isinstance(x, (tuple, list))
-                    else math.ldexp(x, d * e) for x, d in pairs]
+        return [_ldexp_array(x, d * e) if type(x) is np.ndarray
+                else [math.ldexp(v, d * e) for v in x] if isinstance(x, (tuple, list))
+                else math.ldexp(x, d * e) for x, d in pairs]
     except (FloatingPointError, OverflowError) as exc:
         raise InconsistentError(f"a result overflows at scale 2^{e}") from exc
+
+
+def _ldexp_array(x: np.ndarray, k: int) -> np.ndarray:
+    with np.errstate(over="raise"):  # math.ldexp raises by itself, np.ldexp only warns
+        return np.ldexp(x, k)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import RESIDUAL_RTOL, _rescale, _unit_scale, tolerances
 from .exceptions import InconsistentError, NonNullMomentumError
-from .jordan import JordanMatrix, OctVector3, _as_octonion, char_poly
+from .jordan import JordanMatrix, OctVector3, _as_octonion, _invariants
 from .octonion import CONJ_SIGNS, Octonion, _ArrayValue
 
 # Relative threshold shared by the null-momentum gate and the p-square
@@ -200,7 +200,7 @@ def classify_psquare(A: JordanMatrix) -> PSquareClass:
     (a,), e = _unit_scale((A._arr, 1))
     A = JordanMatrix._wrap(a)
     nrm = A.norm()
-    tr, sigma, det = char_poly(A)
+    tr, sigma, det = _invariants(a)
     if abs(det) > CLASS_RTOL * nrm**3:
         p = 3
     elif abs(sigma) > CLASS_RTOL * nrm**2:

@@ -45,7 +45,8 @@ from .jordan import (
     JordanMatrix,
     OctVector3,
     _extract,
-    char_poly,
+    _hermitian,
+    _invariants,
     phase_align,
     sandwich,
 )
@@ -93,13 +94,20 @@ def build_m1_m2(v: OctVector3) -> tuple[JordanMatrix, JordanMatrix]:
     if n1 <= tolerances.atol + tolerances.rtol:
         m1 = JordanMatrix.identity()
     else:
-        m1 = JordanMatrix(p=-r0 / n1, m=1.0, n=r0 / n1, b=x * CONJ_SIGNS * (1.0 / n1))
+        m1 = _reflection((-r0 / n1, 1.0, r0 / n1), 1, x * CONJ_SIGNS * (1.0 / n1))
     if math.sqrt(y2) <= tolerances.atol + tolerances.rtol:
         m2 = JordanMatrix.identity()
     else:
         n2 = math.sqrt(n1 * n1 + y2)  # = 1 for unit v
-        m2 = JordanMatrix(p=1.0, m=-n1 / n2, n=n1 / n2, c=y * (1.0 / n2))
+        m2 = _reflection((1.0, -n1 / n2, n1 / n2), 2, y * (1.0 / n2))
     return m1, m2
+
+
+def _reflection(diag, row: int, entry: np.ndarray) -> JordanMatrix:
+    """Diagonal ``diag``, entry a, b or c (row 0, 1, 2); finite, so unchecked."""
+    upper = np.zeros((3, 8))
+    upper[row] = entry
+    return JordanMatrix._wrap(_hermitian(diag, upper))
 
 
 def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
@@ -112,15 +120,15 @@ def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
     """
     (a,), e = _unit_scale((A._arr, 1))
     A = JordanMatrix._wrap(a)
-    poly = char_poly(A)
+    poly = _invariants(a)
     roots = _solve(*poly)
     if roots.multiplicity == "triple":
         diagonal, residual = _rescale(e, (A.diagonal(), 1), (A.offdiag_norm(), 1))
         return DiagonalizationResult(steps=(), diagonal=tuple(diagonal), residual=residual)
     lam = min(roots.simple)
 
-    P = _idempotents(A._arr, poly, [lam])
-    v = phase_align(OctVector3._wrap(_extract(P, RESIDUAL_RTOL)[0]))
+    P, PoP = _idempotents(a, poly, [lam])
+    v = phase_align(OctVector3._wrap(_extract(P, RESIDUAL_RTOL, PoP)[0]))
     m1, m2 = build_m1_m2(v)
     b2 = sandwich(m2, sandwich(m1, A))
 
@@ -133,7 +141,7 @@ def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
         m3 = JordanMatrix.identity()
     else:
         s3 = math.sqrt(n3)
-        m3 = JordanMatrix(p=(mu - t) / s3, m=(t - mu) / s3, n=1.0, a=z * (1.0 / s3))
+        m3 = _reflection(((mu - t) / s3, (t - mu) / s3, 1.0), 0, z * (1.0 / s3))
     b3 = sandwich(m3, b2)
 
     diagonal, residual = _rescale(e, (b3.diagonal(), 1), (math.sqrt(max(b3._norms2())), 1))

@@ -139,8 +139,8 @@ def _jordan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _hermitian_part(_raw_mul(x, y))
 
 
-def _freudenthal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    circ = _jordan(x, y)
+def _freudenthal(x: np.ndarray, y: np.ndarray, circ: np.ndarray | None = None) -> np.ndarray:
+    circ = _jordan(x, y) if circ is None else circ  # x o y, when the caller holds it
     tx = _trace(x)
     if y is x:  # the square: (x tr x + x tr x) / 2 is x tr x exactly
         ty, out = tx, circ - x * tx[..., None, None, None]
@@ -152,16 +152,24 @@ def _freudenthal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _det_shifted(arr: np.ndarray, lams):
-    """det(A - lambda I) of the (3, 3, 8) array A: a float for a float lambda,
-    an array for an array of them.  The off-diagonal terms are computed once
-    and only the diagonal is shifted, in the operation order of ``det``."""
+def _invariants(arr: np.ndarray, lams=0.0):
+    """tr A, sigma(A) and det(A - lambda I) of the (3, 3, 8) array A, its entries
+    read once.  det is a float for a float lambda, an array for an array of
+    them: the off-diagonal terms are computed once, only the diagonal shifts."""
     upper = arr.reshape(9, 8).take(_UPPER_ROWS, axis=0)
     a, b, c = upper
     na, nb, nc = (upper * upper).sum(axis=1).tolist()
     re_bac = float((b * CONJ_SIGNS) @ (left_mult(a) @ c))
-    p, m, n = (d - lams for d in _diag(arr).tolist())
-    return p * m * n + 2.0 * re_bac - n * na - m * nb - p * nc
+    diag = _diag(arr).tolist()
+    p, m, n = diag
+    sigma = p * m + m * n + p * n - na - nb - nc
+    p, m, n = (d - lams for d in diag)
+    det = p * m * n + 2.0 * re_bac - n * na - m * nb - p * nc
+    return diag[0] + diag[1] + diag[2], sigma, det
+
+
+def _det_shifted(arr: np.ndarray, lams):
+    return _invariants(arr, lams)[2]
 
 
 class OctVector3(_ArrayValue):
@@ -297,9 +305,7 @@ class JordanMatrix(_ArrayValue):
 
     def sigma(self) -> float:
         """Sum of the pairwise eigenvalue products, tr(A * A)."""
-        p, m, n = self.diagonal()
-        na, nb, nc = self._norms2()
-        return p * m + m * n + p * n - na - nb - nc
+        return _invariants(self._arr)[1]
 
     def det(self) -> float:
         """Cubic norm: p m n + 2 Re(b (a c)) - n |a|^2 - m |b|^2 - p |c|^2."""
@@ -385,10 +391,16 @@ def freudenthal_product(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
 def char_poly(A: JordanMatrix) -> tuple[float, float, float]:
     """Coefficients (tr A, sigma(A), det A) of t^3 - tr t^2 + sigma t - det.
 
-    Computed at the scale of A, so they overflow to inf or NaN for huge
-    entries; :func:`albert.cubic.solve_characteristic` rejects those.
+    Computed on A / 2^e and multiplied back by 2^e, 2^2e and 2^3e, which is
+    exact; a coefficient outside the double range becomes +/-inf, never NaN,
+    and :func:`albert.cubic.solve_characteristic` rejects it.
     """
-    return (A.trace(), A.sigma(), A.det())
+    (a,), e = _unit_scale((A._arr, 1))
+    poly = _invariants(a)
+    if e == 0:
+        return poly
+    with np.errstate(over="ignore", under="ignore"):
+        return tuple(np.ldexp(poly, (e, 2 * e, 3 * e)).tolist())
 
 
 def det_via_trace(A: JordanMatrix) -> float:
@@ -446,10 +458,12 @@ def extract_vector(V: JordanMatrix, rank_rtol: float | None = None) -> OctVector
     return OctVector3._wrap(*_rescale(e, (_extract(v, rank_rtol)[0], 1)))
 
 
-def _extract(V: np.ndarray, rank_rtol: float | None) -> np.ndarray:
-    """:func:`extract_vector` on (3, 3, 8) or (k, 3, 3, 8), giving (k, 3, 8)."""
+def _extract(V: np.ndarray, rank_rtol: float | None,
+             VoV: np.ndarray | None = None) -> np.ndarray:
+    """:func:`extract_vector` on (3, 3, 8) or (k, 3, 3, 8), giving (k, 3, 8).
+    ``VoV`` is the Jordan square V o V when the caller already holds it."""
     rtol = tolerances.rtol if rank_rtol is None else rank_rtol
-    VxV = _freudenthal(V, V).reshape(-1, 3, 3, 8)
+    VxV = _freudenthal(V, V, VoV).reshape(-1, 3, 3, 8)
     V = V.reshape(-1, 3, 3, 8)
     out = np.empty((len(V), 3, 8))
     for i, (nrm, vxv, diag) in enumerate(zip(_norms(V), _norms(VxV), _diag(V).tolist())):

@@ -26,6 +26,8 @@ tr(A - lambda I) primitive and K = I - P its rank-two complement.
 The array kernels of :mod:`albert.jordan` take stacks (k, 3, 3, 8), and
 :func:`decompose` builds, purifies, extracts and checks the eigenmatrices of
 all its roots as one stack; the public one-root functions are k = 1 calls.
+Purification polishes only a stack not yet idempotent to rounding, and the
+rank-one gate of the extraction reuses its last P o P.
 
 The public functions run on A (and lambda) divided by 2^e and multiply each
 output back by 2^(degree * e), so results are exact under 2^k scaling.
@@ -51,10 +53,10 @@ from .jordan import (
     OctVector3,
     _extract,
     _freudenthal,
+    _invariants,
     _jordan,
     _norms,
     _trace,
-    char_poly,
     freudenthal_product,
     phase_align,
     rank1_from_vector,
@@ -122,7 +124,7 @@ def q_matrix(A: JordanMatrix, lam: float) -> JordanMatrix:
     """(A - lambda I) * (A - lambda I) for an eigenvalue lambda of A."""
     (a, lam), e = _unit_scale((A._arr, 1), (lam, 1))
     A = JordanMatrix._wrap(a)
-    _check_root(char_poly(A), A.norm(), lam)
+    _check_root(_invariants(a), A.norm(), lam)
     return JordanMatrix._wrap(*_rescale(e, (_q_stack(a, lam), 2)))
 
 
@@ -229,25 +231,35 @@ def invariant_double_decomposition(
     return ((mu, P), (float(lam), K))
 
 
-def _purify(P: np.ndarray) -> np.ndarray:
-    """Two idempotent-polishing steps, P -> 3 P^2 - 2 P^3, on a stack.
+#: |P o P - P| up to which a unit-trace P is idempotent to rounding: no step.
+PURE_DEFECT = 8 * np.finfo(float).eps
 
-    Exact idempotents are fixed points; a near-idempotent loses its
-    deviation quadratically in each step.  Q-route idempotents need this
-    because their noise grows like eps / gap^2 as two eigenvalues approach:
-    near 1e-4 at a gap of 1e-6, which one step leaves at the 1e-8 rank-one
-    gate and two bring to rounding.  Powers of a single element associate,
-    so the expression is unambiguous.
+
+def _purify(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Idempotent polishing, P -> 3 P^2 - 2 P^3, on a stack; returns P and
+    P o P, which the rank-one gate of ``_extract`` reuses.
+
+    A step cuts the deviation quadratically.  Q-route noise grows like
+    eps / gap^2 as two eigenvalues approach: near 1e-4 at a gap of 1e-6,
+    which one step leaves at the 1e-8 rank-one gate and two bring to
+    rounding.  Well-separated roots give |P o P - P| of 1-12 eps already, so
+    a step (on the whole stack, at most two) runs only while some root
+    exceeds ``PURE_DEFECT``, 8 eps, as an unpolished P passes its defect to
+    the result's residuals.  P has unit trace and degree zero, so the rule
+    is scale-free.  Powers of one element associate: no ambiguity.
     """
+    P2 = _jordan(P, P)
     for _ in range(2):
-        P2 = _jordan(P, P)
+        if max(_norms(P2 - P)) <= PURE_DEFECT:
+            break
         P = P2 * 3.0 - _jordan(P2, P) * 2.0
-    return P
+        P2 = _jordan(P, P)
+    return P, P2
 
 
-def _idempotents(A: np.ndarray, poly: tuple[float, float, float], lams) -> np.ndarray:
+def _idempotents(A: np.ndarray, poly: tuple[float, float, float], lams):
     """Purified Q-route idempotents of A, poly = char_poly(A), for the roots
-    lams, (k, 3, 3, 8).  After the arithmetic the gates of :func:`q_matrix`
+    lams, (k, 3, 3, 8), and P o P.  After the arithmetic the gates of :func:`q_matrix`
     and :func:`idempotent_from_q` run root by root, as a loop over roots would."""
     Q = _q_stack(A, lams)
     tq = _trace(Q)
@@ -269,7 +281,7 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
     """
     (a,), e = _unit_scale((A._arr, 1))
     A = JordanMatrix._wrap(a)
-    poly = char_poly(A)
+    poly = _invariants(a)
     roots: CubicRoots = _solve(*poly)
     lams, lam = roots.roots, roots.repeated
     if roots.multiplicity == "double":
@@ -281,10 +293,10 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
                 f"(|tr Q| / |A|^2 = {abs(trq) / A.norm() ** 2:.3e})"
             )
     if roots.multiplicity == "triple":
-        P = np.stack([JordanMatrix.diag(*unit)._arr for unit in np.eye(3)])
+        P, PoP = np.stack([JordanMatrix.diag(*unit)._arr for unit in np.eye(3)]), None
     else:
         try:
-            P = _idempotents(A._arr, poly, roots.simple)
+            P, PoP = _idempotents(A._arr, poly, roots.simple)
         except ZeroQMatrixError as exc:
             raise InconsistentError(
                 "cubic solver reports a simple root with a vanishing Q matrix"
@@ -292,12 +304,12 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
     if roots.multiplicity == "double":
         V1, V2 = _split(A, lam, e)
         pair = (V1._arr, V2._arr)
-        P = np.stack((P[0], *pair) if lams[0] > lam else (*pair, P[0]))
+        P, PoP = np.stack((P[0], *pair) if lams[0] > lam else (*pair, P[0])), None
 
     # The idempotents were validated above; extraction uses the looser
     # residual gate because Q-route idempotents inherit noise of order
     # eps / gap^2 near close eigenvalues.
-    vectors = _extract(P, RESIDUAL_RTOL)
+    vectors = _extract(P, RESIDUAL_RTOL, PoP)
     scaled = P * np.array(lams)[:, None, None, None]
     completeness, recon = _norms((P[0] + P[1] + P[2] - JordanMatrix.identity()._arr,
                                   scaled[0] + scaled[1] + scaled[2] - A._arr))

@@ -281,8 +281,14 @@ _SUITES = (
 )
 
 
+def _check_request(count: int, seed: int) -> None:
+    if count < 1 or seed < 0:
+        raise ValueError(f"need count >= 1 and seed >= 0, got count {count}, seed {seed}")
+
+
 def run_verification(count: int = 1000, seed: int = 42) -> VerifyReport:
     """Run every suite with per-suite deterministic sample streams."""
+    _check_request(count, seed)
     rows = []
     for index, (name, residual) in enumerate(_SUITES):
         rng = np.random.default_rng([seed, index])

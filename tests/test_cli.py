@@ -329,6 +329,13 @@ class TestVerify:
         assert code == 0
         assert out.strip().endswith("PASS")
 
+    @pytest.mark.parametrize("argv", [("--count", "0"), ("--count", "-3"), ("--seed", "-1")])
+    def test_rejects_unusable_count_or_seed(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv, "--format", "text")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestEntryPoint:
     @pytest.mark.skipif(

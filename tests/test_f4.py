@@ -6,7 +6,7 @@ import pytest
 from albert import sampling
 from albert.cubic import solve_characteristic
 from albert.exceptions import ZeroVectorError
-from albert.f4 import build_m1_m2, diagonalize
+from albert.f4 import _reflection, build_m1_m2, diagonalize
 from albert.jordan import (
     JordanMatrix,
     OctVector3,
@@ -16,7 +16,7 @@ from albert.jordan import (
     phase_align,
     sandwich,
 )
-from albert.octonion import Octonion, e
+from albert.octonion import CONJ_SIGNS, Octonion, e
 
 
 def all_ones():
@@ -79,6 +79,38 @@ class TestReflections:
         for _ in range(50):
             v = phase_align(sampling.random_vector(rng, span=1))
             build_m1_m2(v)  # must not raise
+
+
+def m1_m2_by_constructor(v):
+    """build_m1_m2 through the validating constructor, as it was written
+    before the reflections were laid out as arrays; kept as reference."""
+    x, y, r = v.to_array() * (1.0 / v.norm())
+    r0, y2 = float(r[0]), float(y @ y)
+    n1 = math.sqrt(float(x @ x) + r0**2)
+    n2 = math.sqrt(n1 * n1 + y2)
+    return (JordanMatrix(p=-r0 / n1, m=1.0, n=r0 / n1, b=x * CONJ_SIGNS * (1.0 / n1)),
+            JordanMatrix(p=1.0, m=-n1 / n2, n=n1 / n2, c=y * (1.0 / n2)))
+
+
+class TestReflectionLayout:
+    """The reflections are laid out as arrays, with the bits of the public
+    constructor."""
+
+    @pytest.mark.parametrize("span", [8, 4, 1])
+    def test_build_m1_m2_equals_constructor_route(self, span):
+        rng = np.random.default_rng(53 + span)
+        for _ in range(100):
+            v = phase_align(sampling.random_vector(rng, span=span))
+            got, want = build_m1_m2(v), m1_m2_by_constructor(v)
+            for M, W in zip(got, want, strict=True):
+                assert M.to_array().tobytes() == W.to_array().tobytes()
+
+    def test_any_entry_row(self):
+        rng = np.random.default_rng(56)
+        for row, name in enumerate("abc"):
+            diag, entry = tuple(rng.uniform(-1, 1, 3).tolist()), rng.uniform(-1, 1, 8)
+            want = JordanMatrix(*diag, **{name: entry})
+            assert _reflection(diag, row, entry).to_array().tobytes() == want.to_array().tobytes()
 
 
 class TestDiagonalize:

@@ -538,6 +538,47 @@ class TestShiftedDeterminant:
         assert _det_shifted(A._arr, np.array([1.0, 2.0, 3.0, 0.0])).tolist() == [0, 0, 0, 6]
 
 
+def sigma_before_single_pass(A):
+    """sigma() as it was written before the single-pass invariants."""
+    p, m, n = A.diagonal()
+    upper = A.to_array().reshape(9, 8)[[1, 6, 5]]
+    na, nb, nc = (upper * upper).sum(axis=1).tolist()
+    return p * m + m * n + p * n - na - nb - nc
+
+
+class TestSinglePassInvariants:
+    """char_poly reads the entries once and keeps the bits of the separate
+    trace, sigma and det; off unit scale it multiplies each coefficient back
+    by 2^(degree e), overflowing to +/-inf, never to NaN, and never warning."""
+
+    @pytest.mark.parametrize("span", [8, 4])
+    def test_bits_of_the_separate_invariants(self, span):
+        rng = np.random.default_rng(90 + span)
+        for _ in range(200):
+            A = sampling.random_jordan(rng, span=span)
+            want = hexes([sum(A.diagonal()), sigma_before_single_pass(A), det_before_kernel(A)])
+            assert hexes(char_poly(A)) == want
+            assert hexes([A.trace(), A.sigma(), A.det()]) == want
+
+    @pytest.mark.parametrize("k", [-40, -3, 1, 7, 60])
+    def test_exact_under_power_of_two_scaling(self, k):
+        rng = np.random.default_rng(95)
+        for _ in range(50):
+            A = sampling.random_jordan(rng)
+            want = [math.ldexp(x, d * k) for x, d in zip(char_poly(A), (1, 2, 3))]
+            assert hexes(char_poly(A * math.ldexp(1.0, k))) == hexes(want)
+
+    @pytest.mark.parametrize("k", [600, 400, 200, -600])
+    def test_out_of_range_is_inf_not_nan(self, k):
+        # warnings are errors in this suite, so a numpy warning fails here
+        rng = np.random.default_rng(96)
+        for _ in range(50):
+            poly = char_poly(sampling.random_jordan(rng) * 2.0**k)
+            assert not any(map(math.isnan, poly))
+            assert all(math.isfinite(x) or abs(x) == math.inf for x in poly)
+        assert math.isinf(char_poly(JordanMatrix.diag(2.0**600, 2.0**600, 1.0))[1])
+
+
 class TestStackKernels:
     """The array kernels on a (5, 3, 3, 8) stack equal their per-slice single
     calls exactly, and a single factor broadcasts against a stack."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from albert import sampling, spectral
+from albert import jordan, sampling, spectral
 from albert.config import RESIDUAL_RTOL
 from albert.cubic import CubicRoots, solve_characteristic
 from albert.dirac import classify_psquare
@@ -22,6 +22,9 @@ from albert.f4 import diagonalize
 from albert.jordan import (
     JordanMatrix,
     OctVector3,
+    _extract,
+    _freudenthal,
+    _jordan,
     char_poly,
     extract_vector,
     freudenthal_product,
@@ -31,8 +34,10 @@ from albert.jordan import (
 from albert.octonion import Octonion, e
 from albert.oracle import modified_char_check
 from albert.spectral import (
+    PURE_DEFECT,
     _idempotents,
     _purify,
+    _q_stack,
     decompose,
     double_root_split,
     idempotent_from_q,
@@ -393,7 +398,7 @@ class TestStackedPipeline:
             A = sampling.random_jordan(rng)
             dec = decompose(A)
             for lam, P, v in zip(dec.eigenvalues, dec.idempotents, dec.eigenvectors):
-                P1 = JordanMatrix._wrap(_purify(idempotent_from_q(q_matrix(A, lam))._arr))
+                P1 = JordanMatrix._wrap(_purify(idempotent_from_q(q_matrix(A, lam))._arr)[0])
                 v1 = extract_vector(P1, rank_rtol=RESIDUAL_RTOL)
                 assert (P - P1).norm() <= 1e-14 * P1.norm()
                 assert np.linalg.norm(v.to_array() - v1.to_array()) <= 1e-14 * v1.norm()
@@ -450,6 +455,116 @@ class TestScaleFreeMessages:
             msgs = [self.message(InconsistentError, decompose, A * s) for s in (1.0, 2.0**20)]
             assert msgs[0] == msgs[1] and "tr Q does not vanish" in msgs[0]
         with monkeypatch.context() as m:
-            m.setattr(spectral, "_purify", lambda P: P * 1.5)
+            m.setattr(spectral, "_purify", lambda P: (P * 1.5, None))
             msgs = [self.message(InconsistentError, decompose, A * s) for s in (1.0, 2.0**20)]
             assert msgs[0] == msgs[1] and "fails to reproduce A" in msgs[0]
+
+
+def two_step_purify(P):
+    """_purify as it was before it measured the defect: two unconditional
+    steps, kept as reference."""
+    for _ in range(2):
+        P2 = _jordan(P, P)
+        P = P2 * 3.0 - _jordan(P2, P) * 2.0
+    return P
+
+
+def q_route(A, lams):
+    """Unpurified Q-route idempotents Q / tr Q of A for the roots lams."""
+    Q = _q_stack(A.to_array(), lams)
+    return Q / Q.reshape(len(lams), 72)[:, ::32].sum(axis=1)[:, None, None, None]
+
+
+def near_double(gap, seed):
+    """A matrix with spectrum (0.5, 0.5 + gap, -0.75) in a random frame."""
+    dec = decompose(sampling.random_jordan(np.random.default_rng(seed)))
+    return sum((P * lam for P, lam in zip(dec.idempotents, (0.5 + gap, 0.5, -0.75))),
+               JordanMatrix.zero())
+
+
+class TestAdaptivePurification:
+    """_purify steps only while some root of the stack is not idempotent to
+    PURE_DEFECT, and returns P o P for the rank-one gate."""
+
+    def test_idempotent_stack_is_returned_unchanged(self):
+        rng = np.random.default_rng(31)
+        frames = [np.stack([JordanMatrix.diag(*u).to_array() for u in np.eye(3)])]
+        for _ in range(20):
+            A = sampling.random_jordan(rng)
+            frames.append(q_route(A, solve_characteristic(*char_poly(A)).roots))
+        for P in frames:
+            defects = [np.linalg.norm(x) for x in _jordan(P, P) - P]
+            assert max(defects) <= PURE_DEFECT
+            out, PoP = _purify(P)
+            assert out is P
+            assert PoP.tobytes() == _jordan(P, P).tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_near_degenerate_stack_takes_both_steps(self, seed):
+        A = near_double(1e-6, seed)
+        lams = solve_characteristic(*char_poly(A)).roots
+        P = q_route(A, lams)
+        P2 = _jordan(P, P)
+        once = P2 * 3.0 - _jordan(P2, P) * 2.0
+        assert max(np.linalg.norm(x) for x in _jordan(once, once) - once) > PURE_DEFECT
+        out, PoP = _purify(P)
+        want = two_step_purify(P)
+        assert out.tobytes() == want.tobytes()
+        assert PoP.tobytes() == _jordan(want, want).tobytes()
+
+    def test_extract_reuses_the_square_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        for _ in range(30):
+            A = sampling.random_jordan(rng)
+            P, PoP = _purify(q_route(A, solve_characteristic(*char_poly(A)).roots))
+            assert _freudenthal(P, P, PoP).tobytes() == _freudenthal(P, P).tobytes()
+            assert (_extract(P, RESIDUAL_RTOL, PoP).tobytes()
+                    == _extract(P, RESIDUAL_RTOL).tobytes())
+
+    @pytest.mark.parametrize("V, exc_type", [
+        (np.stack([JordanMatrix.diag(1, 0, 0).to_array(), JordanMatrix.diag(1, 1, 0).to_array()]),
+         NotRankOneError),
+        (JordanMatrix.diag(-8, 0, 0).to_array()[None], ZeroMatrixError),
+    ], ids=["rank-two", "negative-trace"])
+    def test_extract_reuse_raises_the_same(self, V, exc_type):
+        messages = []
+        for VoV in (None, _jordan(V, V)):
+            with pytest.raises(exc_type) as info:
+                _extract(V, RESIDUAL_RTOL, VoV)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+class TestWorkDone:
+    """Matrix products per call on the common paths, counted exactly, so a
+    change that restores wasted products fails here without timing."""
+
+    @staticmethod
+    def products(monkeypatch, fn, A):
+        calls = []
+        raw_mul = jordan._raw_mul
+
+        def counted(x, y):
+            calls.append(None)
+            return raw_mul(x, y)
+
+        with monkeypatch.context() as m:
+            m.setattr(jordan, "_raw_mul", counted)
+            fn(A)
+        return len(calls)
+
+    def test_well_separated(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        for _ in range(10):
+            A = sampling.random_jordan(rng)
+            roots = solve_characteristic(*char_poly(A)).roots
+            assert min(roots[0] - roots[1], roots[1] - roots[2]) > 1.0
+            assert self.products(monkeypatch, decompose, A) <= 4
+            assert self.products(monkeypatch, diagonalize, A) <= 8
+
+    def test_double_root(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            A = sampling.random_double_root_matrix(rng)[0]
+            assert self.products(monkeypatch, decompose, A) <= 7
+            assert self.products(monkeypatch, diagonalize, A) <= 8

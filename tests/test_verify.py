@@ -59,3 +59,8 @@ class TestRunVerification:
         assert sorted(d["rows"][0]) == [
             "max_residual", "name", "pass", "samples", "threshold",
         ]
+
+    @pytest.mark.parametrize("count, seed", [(0, 42), (-3, 42), (1, -1)])
+    def test_rejects_unusable_count_or_seed(self, count, seed):
+        with pytest.raises(ValueError, match="^need count >= 1 and seed >= 0"):
+            run_verification(count=count, seed=seed)
