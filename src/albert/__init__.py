@@ -6,108 +6,57 @@ scalar invariants, the characteristic cubic, orthogonal primitive
 idempotent decompositions, diagonalization by nested conjugations, a
 24x24 real-symmetric cross-check oracle, and the null-momentum / rank-one
 packing machinery for 2x2 blocks.
+
+``import albert`` loads only :mod:`albert.config` (and with it numpy) and
+:mod:`albert.exceptions`; every other public name imports its submodule on
+first use, so a program pays only for the modules it runs.
 """
 
-from .config import Tolerances, tolerances
-from .cubic import CubicRoots, solve_characteristic
-from .dirac import (
-    Hermitian2,
-    PSquareClass,
-    classify_psquare,
-    dirac_solve,
-    psi_pack,
-)
-from .exceptions import (
-    AlbertError,
-    ComplexRootsError,
-    InconsistentError,
-    NonAssociativeComponentsError,
-    NonNullMomentumError,
-    NotAnEigenvalueError,
-    NotDoubleRootError,
-    NotRankOneError,
-    ZeroMatrixError,
-    ZeroQMatrixError,
-    ZeroVectorError,
-)
-from .f4 import DiagonalizationResult, build_m1_m2, diagonalize
-from .jordan import (
-    JordanMatrix,
-    OctVector3,
-    char_poly,
-    det_via_trace,
-    extract_vector,
-    freudenthal_product,
-    jordan_product,
-    matvec,
-    phase_align,
-    rank1_from_vector,
-    sandwich,
-)
-from .octonion import Octonion, associator, e, format_octonion
-from .oracle import OracleReport, embed, modified_char_check
-from .spectral import (
-    SpectralDecomposition,
-    decompose,
-    double_root_split,
-    idempotent_from_q,
-    invariant_double_decomposition,
-    q_matrix,
-)
-from .verify import CheckRow, VerifyReport, run_verification
+import importlib
+
+from . import config, exceptions
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlbertError",
-    "CheckRow",
-    "ComplexRootsError",
-    "CubicRoots",
-    "DiagonalizationResult",
-    "Hermitian2",
-    "InconsistentError",
-    "JordanMatrix",
-    "NonAssociativeComponentsError",
-    "NonNullMomentumError",
-    "NotAnEigenvalueError",
-    "NotDoubleRootError",
-    "NotRankOneError",
-    "OctVector3",
-    "Octonion",
-    "OracleReport",
-    "PSquareClass",
-    "SpectralDecomposition",
-    "Tolerances",
-    "VerifyReport",
-    "ZeroMatrixError",
-    "ZeroQMatrixError",
-    "ZeroVectorError",
-    "associator",
-    "build_m1_m2",
-    "char_poly",
-    "classify_psquare",
-    "decompose",
-    "det_via_trace",
-    "diagonalize",
-    "dirac_solve",
-    "double_root_split",
-    "e",
-    "embed",
-    "extract_vector",
-    "format_octonion",
-    "freudenthal_product",
-    "idempotent_from_q",
-    "invariant_double_decomposition",
-    "jordan_product",
-    "matvec",
-    "modified_char_check",
-    "phase_align",
-    "psi_pack",
-    "q_matrix",
-    "rank1_from_vector",
-    "run_verification",
-    "sandwich",
-    "solve_characteristic",
-    "tolerances",
-    "__version__",
-]
+# Each submodule and the public names it exports.
+_EXPORTS = {
+    "config": ("Tolerances", "tolerances"),
+    "cubic": ("CubicRoots", "solve_characteristic"),
+    "dirac": ("Hermitian2", "PSquareClass", "classify_psquare", "dirac_solve", "psi_pack"),
+    "exceptions": (
+        "AlbertError", "ComplexRootsError", "InconsistentError",
+        "NonAssociativeComponentsError", "NonNullMomentumError", "NotAnEigenvalueError",
+        "NotDoubleRootError", "NotRankOneError", "ZeroMatrixError", "ZeroQMatrixError",
+        "ZeroVectorError",
+    ),
+    "f4": ("DiagonalizationResult", "build_m1_m2", "diagonalize"),
+    "jordan": (
+        "JordanMatrix", "OctVector3", "char_poly", "det_via_trace", "extract_vector",
+        "freudenthal_product", "jordan_product", "matvec", "phase_align",
+        "rank1_from_vector", "sandwich",
+    ),
+    "octonion": ("Octonion", "associator", "e", "format_octonion"),
+    "oracle": ("OracleReport", "embed", "modified_char_check"),
+    "spectral": (
+        "SpectralDecomposition", "decompose", "double_root_split", "idempotent_from_q",
+        "invariant_double_decomposition", "q_matrix",
+    ),
+    "verify": ("CheckRow", "VerifyReport", "run_verification"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    # An unknown name raises AttributeError, so ``from albert import oracle``
+    # falls back to importing the submodule.
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

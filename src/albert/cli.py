@@ -30,16 +30,12 @@ import argparse
 import json
 import sys
 
+# Only what every command shares is imported here; each handler imports the
+# module it runs, so a cold start compiles no module its command does not use.
 from .config import tolerances
-from .cubic import solve_characteristic
-from .dirac import Hermitian2, classify_psquare, dirac_solve
 from .exceptions import AlbertError, NonNullMomentumError
-from .f4 import diagonalize
 from .jordan import JordanMatrix
 from .octonion import Octonion, format_octonion
-from .oracle import modified_char_check
-from .spectral import decompose
-from .verify import _check_request, run_verification
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -96,6 +92,9 @@ def _matrix_lines(A: JordanMatrix) -> list[str]:
 
 
 def _cmd_charpoly(args):
+    from .cubic import solve_characteristic
+    from .dirac import classify_psquare
+
     cls = classify_psquare(_load(args, JordanMatrix))
     tr, sigma, det = cls.trace, cls.sigma, cls.det
     roots = solve_characteristic(tr, sigma, det)
@@ -108,6 +107,8 @@ def _cmd_charpoly(args):
 
 
 def _cmd_decompose(args):
+    from .spectral import decompose
+
     dec = decompose(_load(args, JordanMatrix))
     res = dec.residuals
     lines = []
@@ -121,6 +122,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_diagonalize(args):
+    from .f4 import diagonalize
+
     result = diagonalize(_load(args, JordanMatrix))
     lines = [f"steps: {len(result.steps)}"]
     for k, M in enumerate(result.steps, start=1):
@@ -131,6 +134,8 @@ def _cmd_diagonalize(args):
 
 
 def _cmd_classify(args):
+    from .dirac import classify_psquare
+
     cls = classify_psquare(_load(args, JordanMatrix))
     return cls.to_dict(), [
         f"p-square class: {cls.p}",
@@ -139,6 +144,8 @@ def _cmd_classify(args):
 
 
 def _cmd_oracle(args):
+    from .oracle import modified_char_check
+
     report = modified_char_check(_load(args, JordanMatrix))
     lines = ["lambda        mult  r"]
     lines += [f"{lam:+.9f}  {mult:4d}  {r:+.9f}" for lam, mult, r in report.clusters]
@@ -147,6 +154,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_dirac(args):
+    from .dirac import Hermitian2, dirac_solve
+
     P = _load(args, Hermitian2)
     theta, sign = dirac_solve(P)
     residual = (P - Hermitian2.from_outer(theta) * float(sign)).norm()
@@ -158,6 +167,8 @@ def _cmd_dirac(args):
 
 
 def _cmd_verify(args):
+    from .verify import _check_request, run_verification
+
     try:
         _check_request(args.count, args.seed)
     except ValueError as exc:

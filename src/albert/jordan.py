@@ -152,17 +152,22 @@ def _freudenthal(x: np.ndarray, y: np.ndarray, circ: np.ndarray | None = None) -
     return out
 
 
+def _quadratic(arr: np.ndarray):
+    """The diagonal [p, m, n], the rows a, b, c, their squared norms and
+    sigma(A) of the (3, 3, 8) array A, its entries read once."""
+    upper = arr.reshape(9, 8).take(_UPPER_ROWS, axis=0)
+    na, nb, nc = norms = (upper * upper).sum(axis=1).tolist()
+    diag = _diag(arr).tolist()
+    p, m, n = diag
+    return diag, upper, norms, p * m + m * n + p * n - na - nb - nc
+
+
 def _invariants(arr: np.ndarray, lams=0.0):
     """tr A, sigma(A) and det(A - lambda I) of the (3, 3, 8) array A, its entries
     read once.  det is a float for a float lambda, an array for an array of
     them: the off-diagonal terms are computed once, only the diagonal shifts."""
-    upper = arr.reshape(9, 8).take(_UPPER_ROWS, axis=0)
-    a, b, c = upper
-    na, nb, nc = (upper * upper).sum(axis=1).tolist()
+    diag, (a, b, c), (na, nb, nc), sigma = _quadratic(arr)
     re_bac = float((b * CONJ_SIGNS) @ (left_mult(a) @ c))
-    diag = _diag(arr).tolist()
-    p, m, n = diag
-    sigma = p * m + m * n + p * n - na - nb - nc
     p, m, n = (d - lams for d in diag)
     det = p * m * n + 2.0 * re_bac - n * na - m * nb - p * nc
     return diag[0] + diag[1] + diag[2], sigma, det
@@ -305,7 +310,7 @@ class JordanMatrix(_ArrayValue):
 
     def sigma(self) -> float:
         """Sum of the pairwise eigenvalue products, tr(A * A)."""
-        return _invariants(self._arr)[1]
+        return _quadratic(self._arr)[3]
 
     def det(self) -> float:
         """Cubic norm: p m n + 2 Re(b (a c)) - n |a|^2 - m |b|^2 - p |c|^2."""

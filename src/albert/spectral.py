@@ -275,9 +275,11 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
 
     The idempotents of the simple roots, the eigenvectors and the residuals
     are each computed on one (k, 3, 3, 8) stack.  Raises
-    :class:`~albert.exceptions.InconsistentError` when the assembled
-    pieces fail to reproduce A, and propagates root-multiplicity conflicts
-    between the cubic solver and the Q-matrix criterion the same way.
+    :class:`~albert.exceptions.InconsistentError` when any of the four
+    residuals exceeds its gate (the assembled pieces fail to reproduce A,
+    or are not orthogonal eigenmatrices of it), and propagates
+    root-multiplicity conflicts between the cubic solver and the Q-matrix
+    criterion the same way.
     """
     (a,), e = _unit_scale((A._arr, 1))
     A = JordanMatrix._wrap(a)
@@ -319,15 +321,22 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
             f"assembled decomposition fails to reproduce A "
             f"(reconstruction / |A| = {recon / A.norm():.3e}, completeness {completeness:.3e})"
         )
-    lams, eigen, recon = _rescale(
-        e, (lams, 1), (_norms(_jordan(A._arr, P) - scaled), 1), (recon, 1))
+    # P o P has degree zero, so orthogonality is gated without the |A| term.
+    eigen = _norms(_jordan(A._arr, P) - scaled)
+    orthogonality = max(_norms(_jordan(P[[0, 0, 1]], P[[1, 2, 2]])))
+    if not (max(eigen) <= gate and orthogonality <= RESIDUAL_RTOL):
+        raise InconsistentError(
+            f"idempotents are not orthogonal eigenmatrices of A "
+            f"(eigen / |A| = {max(eigen) / A.norm():.3e}, orthogonality {orthogonality:.3e})"
+        )
+    lams, eigen, recon = _rescale(e, (lams, 1), (eigen, 1), (recon, 1))
     return SpectralDecomposition(
         eigenvalues=tuple(float(v) for v in lams),
         idempotents=tuple(JordanMatrix._wrap(p) for p in P),
         eigenvectors=tuple(OctVector3._wrap(v) for v in vectors),
         residuals={
             "eigen": eigen,
-            "orthogonality": max(_norms(_jordan(P[[0, 0, 1]], P[[1, 2, 2]]))),
+            "orthogonality": orthogonality,
             "completeness": completeness,
             "reconstruction": recon,
         },

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from albert import cli
+from albert import cli, spectral
 from albert.config import Tolerances, tolerances
 from albert.cubic import solve_characteristic
 from albert.dirac import Hermitian2
@@ -288,7 +288,7 @@ class TestToleranceOverrides:
         def boom(A):
             raise RuntimeError("not an AlbertError")
 
-        monkeypatch.setattr(cli, "decompose", boom)
+        monkeypatch.setattr(spectral, "decompose", boom)
         with pytest.raises(RuntimeError):
             cli.main(["decompose", "--inline", inline(DIAG123), "--rtol", "1e-3"])
         assert tolerances == Tolerances()
@@ -299,7 +299,7 @@ class TestInternalInconsistency:
         def boom(A):
             raise InconsistentError("forced failure")
 
-        monkeypatch.setattr(cli, "decompose", boom)
+        monkeypatch.setattr(spectral, "decompose", boom)
         code, out, err = run_cli(capsys, "decompose", "--inline", inline(DIAG123))
         assert code == 1
         assert "inconsistency:" in err

@@ -319,14 +319,11 @@ class TestOverflowingInput:
             "oracle": modified_char_check,
         }[entry]
         outputs_fit = A is not HUGE or entry not in ("charpoly", "classify")
-        # char_poly works at the caller's scale, so its overflow warns
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not outputs_fit:
-                with pytest.raises(InconsistentError):
-                    call(A)
-                return
-            out = call(A)
-        known_answer(entry, out, spectrum)
+        if not outputs_fit:
+            with pytest.raises(InconsistentError):
+                call(A)
+            return
+        known_answer(entry, call(A), spectrum)
 
     @pytest.mark.parametrize("call, check", [
         # (1 + |A|)^3 does not fit in a double here, but both Q matrices do:
@@ -458,6 +455,20 @@ class TestScaleFreeMessages:
             m.setattr(spectral, "_purify", lambda P: (P * 1.5, None))
             msgs = [self.message(InconsistentError, decompose, A * s) for s in (1.0, 2.0**20)]
             assert msgs[0] == msgs[1] and "fails to reproduce A" in msgs[0]
+
+    def test_decompose_gates_orthogonality(self, monkeypatch):
+        # A close pair whose idempotents turn by +/- t in their shared plane,
+        # as Q-route noise does near a small gap: each stays rank one to t^2
+        # (under the 1e-8 gate), completeness is exact and reconstruction and
+        # eigen residuals are of order t * gap, but P1 o P2 = -t^2 (E11 + E22)
+        # reads sqrt(2) t^2 = 1.3e-8 over RESIDUAL_RTOL.
+        A = JordanMatrix.diag(4.0, 2.0 + 2.0**-16, 2.0)
+        N = JordanMatrix(c=1.0)._arr * 9.5e-5
+        turn = np.stack([np.zeros_like(N), N, -N])
+        monkeypatch.setattr(spectral, "_purify", lambda P: (_purify(P)[0] + turn, None))
+        msgs = [self.message(InconsistentError, decompose, A * s) for s in (1.0, 2.0**20)]
+        assert msgs[0] == msgs[1] and "not orthogonal eigenmatrices" in msgs[0]
+        assert "orthogonality 1.27" in msgs[0]
 
 
 def two_step_purify(P):
