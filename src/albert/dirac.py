@@ -27,8 +27,8 @@ import numpy as np
 
 from .config import RESIDUAL_RTOL, _rescale, _unit_scale, tolerances
 from .exceptions import InconsistentError, NonNullMomentumError
-from .jordan import JordanMatrix, OctVector3, _as_octonion, _invariants
-from .octonion import CONJ_SIGNS, Octonion, _ArrayValue
+from .jordan import JordanMatrix, OctVector3, _invariants, _outer
+from .octonion import CONJ_SIGNS, Octonion, _ArrayValue, _as_octonion
 
 # Relative threshold shared by the null-momentum gate and the p-square
 # class boundaries; scaled by the matching power of the input norm.
@@ -86,20 +86,6 @@ class Hermitian2(_ArrayValue):
         p1, p2 = (_as_octonion(x) for x in psi)
         return (self.s * p1 + self.z * p2, self.z.conjugate() * p1 + self.t * p2)
 
-    def __add__(self, other: "Hermitian2") -> "Hermitian2":
-        return Hermitian2._wrap(self._arr + other._arr)
-
-    def __sub__(self, other: "Hermitian2") -> "Hermitian2":
-        return Hermitian2._wrap(self._arr - other._arr)
-
-    def __neg__(self) -> "Hermitian2":
-        return Hermitian2._wrap(-self._arr)
-
-    def __mul__(self, scalar) -> "Hermitian2":
-        return Hermitian2._wrap(self._arr * float(scalar))
-
-    __rmul__ = __mul__
-
     def to_dict(self) -> dict:
         return {"s": self.s, "t": self.t, "z": self._arr[0, 1].tolist()}
 
@@ -156,23 +142,18 @@ def dirac_solve(P: Hermitian2) -> tuple[tuple[Octonion, Octonion], int]:
 def psi_pack(theta, xi) -> tuple[OctVector3, JordanMatrix]:
     """Stack theta and xi into Psi = (theta; conj(xi)) and PP = Psi Psi^dagger.
 
-    PP is assembled entrywise from the block formula
+    PP is assembled entrywise, which is the block formula
 
-        PP = [[theta theta^dagger, theta xi], [(theta xi)^dagger, |xi|^2]]
+        PP = [[theta theta^dagger, theta xi], [(theta xi)^dagger, |xi|^2]],
 
     because the components of Psi need not associate.  For theta with
-    components in a common complex subalgebra, PP * PP = 0.
+    components in a common complex subalgebra, PP * PP = 0.  PP is formed on
+    Psi / 2^e and multiplied back by 2^2e.
     """
-    t1, t2 = (_as_octonion(x) for x in theta)
-    xi = _as_octonion(xi)
-    psi1 = t1 * xi
-    psi2 = t2 * xi
-    Psi = OctVector3((t1, t2, xi.conjugate()))
-    PP = JordanMatrix(
-        p=t1.norm2(), m=t2.norm2(), n=xi.norm2(),
-        a=t1 * t2.conjugate(), b=psi1.conjugate(), c=psi2,
-    )
-    return Psi, PP
+    t1, t2 = (_as_octonion(x).coeffs for x in theta)
+    Psi = OctVector3._wrap(np.array([t1, t2, _as_octonion(xi).coeffs * CONJ_SIGNS]))
+    (u,), e = _unit_scale((Psi._arr, 1))
+    return Psi, JordanMatrix._wrap(*_rescale(e, (_outer(u), 2)))
 
 
 @dataclass(frozen=True)

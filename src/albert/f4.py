@@ -47,10 +47,11 @@ from .jordan import (
     _extract,
     _hermitian,
     _invariants,
+    _quadratic,
     phase_align,
     sandwich,
 )
-from .octonion import CONJ_SIGNS
+from .octonion import CONJ_SIGNS, _norm
 from .spectral import _idempotents
 
 __all__ = ["DiagonalizationResult", "build_m1_m2", "diagonalize"]
@@ -77,15 +78,16 @@ def build_m1_m2(v: OctVector3) -> tuple[JordanMatrix, JordanMatrix]:
     """Reflections sending the direction of v to (0, 0, 1).
 
     v must be nonzero and phase-aligned (third component real).  The
-    matrices depend only on the direction of v; for unit v the composite
-    satisfies M2 (M1 v) = (0, 0, 1).
+    matrices depend only on the direction of v, which is read from v / 2^e;
+    for unit v the composite satisfies M2 (M1 v) = (0, 0, 1).
     """
-    vn = v.norm()
-    if vn <= tolerances.atol:
+    (u,), _ = _unit_scale((v._arr, 1))
+    vn = _norm(u)
+    if vn == 0.0:
         raise ZeroVectorError("cannot build reflections from the zero vector")
-    x, y, r = v._arr * (1.0 / vn)
+    x, y, r = u * (1.0 / vn)
     # computed from the coefficients directly: norm2() - real**2 cancels badly
-    imag = float(np.linalg.norm(r[1:]))
+    imag = _norm(r[1:])
     if imag > tolerances.atol + tolerances.rtol:
         raise ValueError("third component is not real; phase_align the vector first")
 
@@ -133,8 +135,7 @@ def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
     b2 = sandwich(m2, sandwich(m1, A))
 
     # b2 is [[X, 0], [0, lam]] with X = [[s, z], [conj(z), t]] in the upper block.
-    s, t, _ = b2.diagonal()
-    z, z2 = b2._arr[0, 1], b2._norms2()[0]
+    (s, t, _), (z, _, _), (z2, _, _), _ = _quadratic(b2._arr)
     mu = 0.5 * ((s + t) + math.sqrt((s - t) ** 2 + 4.0 * z2))
     n3 = (mu - t) ** 2 + z2
     if n3 <= (tolerances.atol + tolerances.rtol * (1.0 + A.norm())) ** 2:
@@ -144,7 +145,8 @@ def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
         m3 = _reflection(((mu - t) / s3, (t - mu) / s3, 1.0), 0, z * (1.0 / s3))
     b3 = sandwich(m3, b2)
 
-    diagonal, residual = _rescale(e, (b3.diagonal(), 1), (math.sqrt(max(b3._norms2())), 1))
+    diag, _, norms2, _ = _quadratic(b3._arr)
+    diagonal, residual = _rescale(e, (diag, 1), (math.sqrt(max(norms2)), 1))
     return DiagonalizationResult(
         steps=(m1, m2, m3),
         diagonal=tuple(diagonal),

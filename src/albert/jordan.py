@@ -50,7 +50,15 @@ from .exceptions import (
     NotRankOneError,
     ZeroMatrixError,
 )
-from .octonion import CONJ_SIGNS, Octonion, _ArrayValue, _is_real, _norm, associator, left_mult
+from .octonion import (
+    CONJ_SIGNS,
+    Octonion,
+    _ArrayValue,
+    _as_octonion,
+    _associator,
+    _norm,
+    left_mult,
+)
 
 __all__ = [
     "JordanMatrix",
@@ -73,22 +81,6 @@ _UPPER_ROWS = np.array([1, 6, 5])
 _LOWER_ROWS = np.array([3, 2, 7])
 
 
-def _coeffs(x) -> np.ndarray:
-    """Eight coefficients of an octonion, a real scalar or an 8-sequence."""
-    if isinstance(x, Octonion):
-        return x.coeffs
-    if type(x) is not np.ndarray and _is_real(x):
-        return np.array([float(x), 0, 0, 0, 0, 0, 0, 0])
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (8,):
-        raise ValueError(f"octonion needs 8 coefficients, got shape {arr.shape}")
-    return arr
-
-
-def _as_octonion(x) -> Octonion:
-    return x if isinstance(x, Octonion) else Octonion(_coeffs(x))
-
-
 def _hermitian(diag, upper: np.ndarray) -> np.ndarray:
     """(3, 3, 8) Hermitian array from three reals and the rows a, b, c."""
     rows = np.zeros((9, 8))
@@ -106,11 +98,6 @@ def _diag(arr: np.ndarray) -> np.ndarray:
 def _trace(arr: np.ndarray):
     d = _diag(arr).T
     return d[0] + d[1] + d[2]
-
-
-def _norms(stack) -> list[float]:
-    """Frobenius norm of each matrix of a (k, 3, 3, 8) stack or a sequence."""
-    return [math.sqrt(float(np.vdot(x, x))) for x in stack]
 
 
 def _conj_transpose(arr: np.ndarray) -> np.ndarray:
@@ -183,7 +170,7 @@ class OctVector3(_ArrayValue):
     __slots__ = ()
 
     def __init__(self, components):
-        arr = np.array([_coeffs(c) for c in components])
+        arr = np.array([_as_octonion(c).coeffs for c in components])
         if arr.shape != (3, 8):
             raise ValueError("vector needs exactly 3 components")
         super().__init__(arr)
@@ -214,18 +201,11 @@ class OctVector3(_ArrayValue):
         """v-dagger v, always real and non-negative."""
         return float(np.vdot(self._arr, self._arr))
 
-    def __mul__(self, scalar) -> "OctVector3":
-        if _is_real(scalar):
-            return OctVector3._wrap(self._arr * float(scalar))
-        if isinstance(scalar, Octonion):
+    def __mul__(self, other) -> "OctVector3":
+        if isinstance(other, Octonion):
             # right multiplication of each component: (v_i q)_k = L(v_i)[k, j] q_j
-            return OctVector3._wrap(left_mult(self._arr) @ scalar.coeffs)
-        return NotImplemented
-
-    def __rmul__(self, scalar) -> "OctVector3":
-        if _is_real(scalar):
-            return self * scalar
-        return NotImplemented
+            return OctVector3._wrap(left_mult(self._arr) @ other.coeffs)
+        return super().__mul__(other)
 
     def to_list(self) -> list[list[float]]:
         return self._arr.tolist()
@@ -246,7 +226,7 @@ class JordanMatrix(_ArrayValue):
         upper = np.zeros((3, 8))
         for row, x in zip(upper, (a, b, c)):
             if x is not None:
-                row[:] = _coeffs(x)
+                row[:] = _as_octonion(x).coeffs
         arr = _hermitian((float(p), float(m), float(n)), upper)
         if not np.isfinite(arr).all():
             raise ValueError("entries must be finite")
@@ -295,18 +275,8 @@ class JordanMatrix(_ArrayValue):
 
     # -- invariants ----------------------------------------------------------
 
-    def _upper(self) -> np.ndarray:
-        """The rows a, b, c."""
-        return self._arr.reshape(9, 8).take(_UPPER_ROWS, axis=0)
-
-    def _norms2(self) -> list[float]:
-        """|a|^2, |b|^2, |c|^2."""
-        upper = self._upper()
-        return (upper * upper).sum(axis=1).tolist()
-
     def trace(self) -> float:
-        p, m, n = self.diagonal()
-        return p + m + n
+        return float(_trace(self._arr))
 
     def sigma(self) -> float:
         """Sum of the pairwise eigenvalue products, tr(A * A)."""
@@ -323,44 +293,16 @@ class JordanMatrix(_ArrayValue):
         return JordanMatrix._wrap(arr)
 
     def offdiag_norm(self) -> float:
-        return math.sqrt(2.0 * sum(self._norms2()))
+        return math.sqrt(2.0 * sum(_quadratic(self._arr)[2]))
 
     def diagonal(self) -> tuple[float, float, float]:
-        return tuple(self._arr.reshape(72)[::32].tolist())
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other) -> "JordanMatrix":
-        if not isinstance(other, JordanMatrix):
-            return NotImplemented
-        return JordanMatrix._wrap(self._arr + other._arr)
-
-    def __sub__(self, other) -> "JordanMatrix":
-        if not isinstance(other, JordanMatrix):
-            return NotImplemented
-        return JordanMatrix._wrap(self._arr - other._arr)
-
-    def __neg__(self) -> "JordanMatrix":
-        return JordanMatrix._wrap(-self._arr)
-
-    def __mul__(self, scalar) -> "JordanMatrix":
-        if not _is_real(scalar):
-            return NotImplemented
-        return JordanMatrix._wrap(self._arr * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "JordanMatrix":
-        if not _is_real(scalar):
-            return NotImplemented
-        return self * (1.0 / float(scalar))
+        return tuple(_diag(self._arr).tolist())
 
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        p, m, n = self.diagonal()
-        a, b, c = self._upper().tolist()
-        return {"p": p, "m": m, "n": n, "a": a, "b": b, "c": c}
+        (p, m, n), (a, b, c), _, _ = _quadratic(self._arr)
+        return {"p": p, "m": m, "n": n, "a": a.tolist(), "b": b.tolist(), "c": c.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "JordanMatrix":
@@ -431,23 +373,29 @@ def sandwich(M: JordanMatrix, A: JordanMatrix) -> JordanMatrix:
 # -- rank-one projectors -------------------------------------------------------
 
 
+def _outer(v: np.ndarray) -> np.ndarray:
+    """v v-dagger of a (3, 8) array, entry by entry, a = v1 conj(v2),
+    b = v3 conj(v1), c = v2 conj(v3): no bracketing of three components."""
+    left, right = v[[0, 2, 1]], v[[1, 0, 2]] * CONJ_SIGNS
+    upper = (left_mult(left) @ right[:, :, None])[:, :, 0]
+    return _hermitian(np.einsum("ij,ij->i", v, v), upper)
+
+
 def rank1_from_vector(v: OctVector3) -> JordanMatrix:
-    """v v-dagger as a Jordan matrix.
+    """v v-dagger as a Jordan matrix, formed on v / 2^e and multiplied back
+    by 2^2e.
 
     The components of v must associate (their associator must vanish to
-    tolerance), otherwise the result would not satisfy V * V = 0.
+    tolerance, at unit scale), otherwise the result would not satisfy
+    V * V = 0.
     """
-    v1, v2, v3 = v._arr
-    l1 = left_mult(v1)
-    assoc = float(np.linalg.norm(left_mult(l1 @ v2) @ v3 - l1 @ (left_mult(v2) @ v3)))
-    if assoc > tolerances.atol + tolerances.rtol * np.prod(np.linalg.norm(v._arr, axis=1)):
+    (u,), e = _unit_scale((v._arr, 1))
+    assoc, scale = _norm(_associator(*u)), math.prod(map(_norm, u))
+    if assoc > tolerances.atol + tolerances.rtol * scale:
         raise NonAssociativeComponentsError(
-            f"components do not associate (|[v1,v2,v3]| = {assoc:.3e})"
+            f"components do not associate (|[v1,v2,v3]| / (|v1| |v2| |v3|) = {assoc / scale:.3e})"
         )
-    # a = v1 conj(v2), b = v3 conj(v1), c = v2 conj(v3)
-    left, right = v._arr[[0, 2, 1]], v._arr[[1, 0, 2]] * CONJ_SIGNS
-    upper = (left_mult(left) @ right[:, :, None])[:, :, 0]
-    return JordanMatrix._wrap(_hermitian(np.einsum("ij,ij->i", v._arr, v._arr), upper))
+    return JordanMatrix._wrap(*_rescale(e, (_outer(u), 2)))
 
 
 def extract_vector(V: JordanMatrix, rank_rtol: float | None = None) -> OctVector3:
@@ -471,7 +419,7 @@ def _extract(V: np.ndarray, rank_rtol: float | None,
     VxV = _freudenthal(V, V, VoV).reshape(-1, 3, 3, 8)
     V = V.reshape(-1, 3, 3, 8)
     out = np.empty((len(V), 3, 8))
-    for i, (nrm, vxv, diag) in enumerate(zip(_norms(V), _norms(VxV), _diag(V).tolist())):
+    for i, (nrm, vxv, diag) in enumerate(zip(map(_norm, V), map(_norm, VxV), _diag(V).tolist())):
         if vxv > tolerances.atol + rtol * nrm * nrm:
             raise NotRankOneError(
                 f"V * V does not vanish (|V*V| / |V|^2 = {vxv / (nrm * nrm):.3e})"
@@ -492,18 +440,18 @@ def offdiag_associator(A: JordanMatrix) -> Octonion:
     Vanishes exactly when (a, b, c) lie in a common associative subalgebra,
     which holds for every primitive idempotent.
     """
-    return associator(A.a, A.b, A.c)
+    return Octonion._wrap(_associator(*_quadratic(A._arr)[1]))
 
 
 def phase_align(v: OctVector3) -> OctVector3:
     """Right-multiply by a unit phase so the third component is real >= 0.
 
     The phase lies in the subalgebra spanned by the components, so
-    v v-dagger is unchanged.  A vector with (near-)zero third component is
-    returned as-is.
+    v v-dagger is unchanged.  A vector whose third component vanishes
+    relative to |v| is returned as-is.
     """
     r = v._arr[2]
-    rn = math.sqrt(r @ r)
-    if rn <= tolerances.atol + tolerances.rtol * v.norm():
+    rn = _norm(r)
+    if rn <= tolerances.rtol * v.norm():
         return v
     return OctVector3._wrap(left_mult(v._arr) @ (r * CONJ_SIGNS * (1.0 / rn)))

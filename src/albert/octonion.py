@@ -32,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import tolerances
+from .config import _rescale, _unit_scale, tolerances
 
 __all__ = [
     "Octonion",
@@ -100,7 +100,12 @@ def _norm(arr: np.ndarray) -> float:
 
 class _ArrayValue:
     """Immutable value stored as one read-only float array; equal when the
-    difference has Frobenius norm ``<= atol + rtol * max(|x|, |y|)``."""
+    difference has Frobenius norm ``<= atol + rtol * max(|x|, |y|)``.
+
+    The linear-space operators are defined here once: ``+`` and ``-`` with a
+    value of the same type, ``*`` and ``/`` by a real scalar, ``/`` as the
+    product with the reciprocal.
+    """
 
     __slots__ = ("_arr",)
 
@@ -132,12 +137,44 @@ class _ArrayValue:
         diff = _norm(self._arr - other._arr)
         return diff <= atol + rtol * max(self.norm(), other.norm())
 
+    def _operand(self, other):
+        """``other`` as an operand of ``+``, ``-`` and ``==``, or None."""
+        return other if isinstance(other, type(self)) else None
+
     def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.isclose(other)
+        o = self._operand(other)
+        return NotImplemented if o is None else self.isclose(o)
 
     __hash__ = None
+
+    def __add__(self, other):
+        o = self._operand(other)
+        return NotImplemented if o is None else self._wrap(self._arr + o._arr)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._operand(other)
+        return NotImplemented if o is None else self._wrap(self._arr - o._arr)
+
+    def __rsub__(self, other):
+        o = self._operand(other)
+        return NotImplemented if o is None else self._wrap(o._arr - self._arr)
+
+    def __neg__(self):
+        return self._wrap(-self._arr)
+
+    def __mul__(self, scalar):
+        if not _is_real(scalar):
+            return NotImplemented
+        return self._wrap(self._arr * float(scalar))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        if not _is_real(scalar):
+            return NotImplemented
+        return self * (1.0 / float(scalar))
 
 
 class Octonion(_ArrayValue):
@@ -190,72 +227,32 @@ class Octonion(_ArrayValue):
         return float(self.coeffs @ self.coeffs)
 
     def inverse(self) -> "Octonion":
-        n2 = self.norm2()
-        if n2 <= tolerances.atol:
-            raise ZeroDivisionError("octonion has (near-)zero norm")
-        return Octonion(self.coeffs * CONJ_SIGNS / n2)
+        """conj(x) / |x|^2, formed on x / 2^e and multiplied back by 2^-e, so
+        only zero has none."""
+        (x,), e = _unit_scale((self._arr, 1))
+        n2 = float(x @ x)
+        if n2 == 0.0:
+            raise ZeroDivisionError("octonion is zero")
+        return Octonion._wrap(*_rescale(e, (x * CONJ_SIGNS / n2, -1)))
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: real coercion, the octonion product, true division -----
 
-    @staticmethod
-    def _coerce(other) -> "Octonion | None":
-        if isinstance(other, Octonion):
-            return other
-        if _is_real(other):
-            return Octonion.from_real(float(other))
-        return None
-
-    def __add__(self, other) -> "Octonion":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Octonion(self.coeffs + o.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Octonion":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Octonion(self.coeffs - o.coeffs)
-
-    def __rsub__(self, other) -> "Octonion":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Octonion(o.coeffs - self.coeffs)
-
-    def __neg__(self) -> "Octonion":
-        return Octonion(-self.coeffs)
+    def _operand(self, other):
+        return _as_octonion(other) if _is_real(other) else super()._operand(other)
 
     def __mul__(self, other) -> "Octonion":
         if isinstance(other, Octonion):
-            return Octonion(left_mult(self.coeffs) @ other.coeffs)
-        if _is_real(other):
-            return Octonion(self.coeffs * float(other))
-        return NotImplemented
-
-    def __rmul__(self, other) -> "Octonion":
-        if _is_real(other):
-            return Octonion(self.coeffs * float(other))
-        return NotImplemented
+            return Octonion._wrap(left_mult(self._arr) @ other._arr)
+        return super().__mul__(other)
 
     def __truediv__(self, other) -> "Octonion":
-        if _is_real(other):
-            return Octonion(self.coeffs / float(other))
         if isinstance(other, Octonion):
             return self * other.inverse()
+        if _is_real(other):
+            return Octonion._wrap(self._arr / float(other))
         return NotImplemented
 
-    # -- comparison and display --------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.isclose(o)
-
-    __hash__ = None
+    # -- display -------------------------------------------------------------
 
     def __repr__(self) -> str:
         return f"Octonion({format_octonion(self)})"
@@ -264,14 +261,30 @@ class Octonion(_ArrayValue):
         return format_octonion(self)
 
 
+def _as_octonion(x) -> Octonion:
+    """The one coercer: an octonion, a real scalar (a multiple of e0) or
+    eight coefficients."""
+    if isinstance(x, Octonion):
+        return x
+    if type(x) is not np.ndarray and _is_real(x):
+        return Octonion.from_real(float(x))
+    return Octonion(x)
+
+
 def e(k: int) -> Octonion:
     """The k-th basis octonion (e0 is the identity)."""
     return Octonion.basis(k)
 
 
+def _associator(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(x y) z - x (y z) of three coefficient arrays (8,)."""
+    lx = left_mult(x)
+    return left_mult(lx @ y) @ z - lx @ (left_mult(y) @ z)
+
+
 def associator(x: Octonion, y: Octonion, z: Octonion) -> Octonion:
     """(x y) z - x (y z); zero iff the triple associates."""
-    return (x * y) * z - x * (y * z)
+    return Octonion._wrap(_associator(*(_as_octonion(w)._arr for w in (x, y, z))))
 
 
 def format_octonion(x: Octonion, fmt: str = "%.12g") -> str:

@@ -55,13 +55,11 @@ from .jordan import (
     _freudenthal,
     _invariants,
     _jordan,
-    _norms,
     _trace,
-    freudenthal_product,
     phase_align,
     rank1_from_vector,
 )
-from .octonion import CONJ_SIGNS, left_mult
+from .octonion import CONJ_SIGNS, _norm, left_mult
 
 __all__ = [
     "SpectralDecomposition",
@@ -141,8 +139,9 @@ def idempotent_from_q(Q: JordanMatrix) -> JordanMatrix:
     return Q / t
 
 
-def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float]:
-    """B = A - lambda I and its trace mu - lambda, for a double root lambda.
+def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float, np.ndarray]:
+    """B = A - lambda I, its trace mu - lambda and B o B, for a double root
+    lambda.
 
     Raises :class:`NotDoubleRootError` when B vanishes or is traceless (a
     triple root) or is not rank one (a simple root).
@@ -151,7 +150,8 @@ def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float
     scale = 1.0 + A.norm() + abs(lam)
     if B.norm() <= tolerances.atol + tolerances.rtol * scale:
         raise NotDoubleRootError("A equals lambda I; the root is triple, not double")
-    q_norm = freudenthal_product(B, B).norm()
+    BoB = _jordan(B._arr, B._arr)
+    q_norm = _norm(_freudenthal(B._arr, B._arr, BoB))
     if q_norm > tolerances.atol + tolerances.mtol * scale**2:
         raise NotDoubleRootError(
             "(A - lambda I) is not rank one (|Q| / |A - lambda I|^2 = "
@@ -160,7 +160,7 @@ def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float
     tb = B.trace()
     if abs(tb) <= tolerances.atol + tolerances.rtol * scale:
         raise NotDoubleRootError("tr(A - lambda I) vanishes; the root is triple, not double")
-    return B, tb
+    return B, tb, BoB
 
 
 def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, JordanMatrix]:
@@ -178,10 +178,11 @@ def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, Jordan
 
 def _split(A: JordanMatrix, lam: float, e: int) -> tuple[JordanMatrix, JordanMatrix]:
     """:func:`double_root_split` of a unit-scale A, ordered at the scale 2^e A."""
-    B, tb = _double_root_shift(A, lam)
+    B, tb, BoB = _double_root_shift(A, lam)
     sign = 1.0 if tb > 0 else -1.0
 
-    w = OctVector3._wrap(_extract((B * sign)._arr, tolerances.mtol)[0])
+    # (-B) o (-B) is B o B, bit for bit
+    w = OctVector3._wrap(_extract((B * sign)._arr, tolerances.mtol, BoB)[0])
     wn = w.norm()
     v = None
     for shift in range(3):
@@ -224,7 +225,7 @@ def invariant_double_decomposition(
     """
     (a, unit_lam), e = _unit_scale((A._arr, 1), (lam, 1))
     A = JordanMatrix._wrap(a)
-    B, tb = _double_root_shift(A, unit_lam)
+    B, tb, _ = _double_root_shift(A, unit_lam)
     (mu,) = _rescale(e, (A.trace() - 2.0 * unit_lam, 1))
     P = B / tb
     K = -(B.trace_reversal()) / tb
@@ -250,7 +251,7 @@ def _purify(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     P2 = _jordan(P, P)
     for _ in range(2):
-        if max(_norms(P2 - P)) <= PURE_DEFECT:
+        if max(map(_norm, P2 - P)) <= PURE_DEFECT:
             break
         P = P2 * 3.0 - _jordan(P2, P) * 2.0
         P2 = _jordan(P, P)
@@ -263,8 +264,8 @@ def _idempotents(A: np.ndarray, poly: tuple[float, float, float], lams):
     and :func:`idempotent_from_q` run root by root, as a loop over roots would."""
     Q = _q_stack(A, lams)
     tq = _trace(Q)
-    nrm = math.sqrt(float(np.vdot(A, A)))
-    for lam, t, q_norm in zip(lams, tq.tolist(), _norms(Q)):
+    nrm = _norm(A)
+    for lam, t, q_norm in zip(lams, tq.tolist(), map(_norm, Q)):
         _check_root(poly, nrm, lam)
         _check_q_trace(t, q_norm)
     return _purify(Q * (1.0 / tq)[:, None, None, None])
@@ -313,8 +314,8 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
     # eps / gap^2 near close eigenvalues.
     vectors = _extract(P, RESIDUAL_RTOL, PoP)
     scaled = P * np.array(lams)[:, None, None, None]
-    completeness, recon = _norms((P[0] + P[1] + P[2] - JordanMatrix.identity()._arr,
-                                  scaled[0] + scaled[1] + scaled[2] - A._arr))
+    completeness, recon = map(_norm, (P[0] + P[1] + P[2] - JordanMatrix.identity()._arr,
+                                      scaled[0] + scaled[1] + scaled[2] - A._arr))
     gate = RESIDUAL_RTOL * (1.0 + A.norm())
     if not (recon <= gate and completeness <= gate):
         raise InconsistentError(
@@ -322,8 +323,8 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
             f"(reconstruction / |A| = {recon / A.norm():.3e}, completeness {completeness:.3e})"
         )
     # P o P has degree zero, so orthogonality is gated without the |A| term.
-    eigen = _norms(_jordan(A._arr, P) - scaled)
-    orthogonality = max(_norms(_jordan(P[[0, 0, 1]], P[[1, 2, 2]])))
+    eigen = list(map(_norm, _jordan(A._arr, P) - scaled))
+    orthogonality = max(map(_norm, _jordan(P[[0, 0, 1]], P[[1, 2, 2]])))
     if not (max(eigen) <= gate and orthogonality <= RESIDUAL_RTOL):
         raise InconsistentError(
             f"idempotents are not orthogonal eigenmatrices of A "

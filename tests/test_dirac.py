@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from albert.dirac import (
     dirac_solve,
     psi_pack,
 )
-from albert.exceptions import NonNullMomentumError
+from albert.exceptions import InconsistentError, NonNullMomentumError
 from albert.f4 import diagonalize
 from albert.jordan import JordanMatrix, freudenthal_product, rank1_from_vector, sandwich
 from albert.octonion import Octonion, e
@@ -43,6 +44,16 @@ class TestHermitian2:
         assert (-P).s == -1.0
         assert (P * 2.0).t == 4.0
         assert (2.0 * P).t == 4.0
+        assert (P / 2.0).t == 1.0
+
+    def test_operators_take_the_same_type_and_real_scalars_only(self):
+        P, J = Hermitian2(1.0, 1.0), JordanMatrix.identity()
+        with pytest.raises(TypeError):
+            P * "2"
+        with pytest.raises(TypeError):
+            P + J
+        with pytest.raises(TypeError):
+            J + P
 
     def test_from_outer(self):
         theta = (Octonion.from_real(2.0), e(3))
@@ -159,6 +170,29 @@ class TestPsiPack:
         t1, t2 = theta
         expect = (t1.norm2() + t2.norm2()) + xi.norm2()
         assert PP.trace() == pytest.approx(expect)
+
+
+class TestPsiPackScale:
+    """PP is formed on Psi / 2^e and multiplied back by 2^2e."""
+
+    @staticmethod
+    def sample(k):
+        rng = np.random.default_rng(75)
+        s = math.ldexp(1.0, k)
+        theta = sampling.random_complex_theta(rng)
+        return tuple(t * s for t in theta), sampling.random_octonion(rng) * s
+
+    @pytest.mark.parametrize("k", [-300, -40, 3, 40, 300])
+    def test_exact_under_power_of_two_scaling(self, k):
+        _, want = psi_pack(*self.sample(0))
+        _, got = psi_pack(*self.sample(k))
+        assert np.array_equal(got.to_array(), np.ldexp(want.to_array(), 2 * k))
+
+    def test_overflow_is_inconsistency_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InconsistentError):
+                psi_pack(*self.sample(600))
 
 
 class TestClassify:

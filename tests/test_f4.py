@@ -38,6 +38,13 @@ class TestReflections:
         with pytest.raises(ZeroVectorError):
             build_m1_m2(OctVector3((Octonion.zero(),) * 3))
 
+    def test_small_vectors_give_the_same_reflections(self):
+        v = phase_align(sampling.random_vector(np.random.default_rng(49), span=4))
+        want = build_m1_m2(v)
+        for scale in (1e-13, 2.0**-600, 2.0**600):
+            for got, M in zip(build_m1_m2(v * scale), want):
+                assert got.isclose(M)
+
     def test_unaligned_vector_rejected(self):
         v = OctVector3((Octonion.from_real(1.0), Octonion.zero(), e(1)))
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 
 from albert import sampling
 from albert.exceptions import (
+    InconsistentError,
     NonAssociativeComponentsError,
     NotRankOneError,
     ZeroMatrixError,
@@ -338,9 +339,10 @@ class TestRankOne:
             assert jordan_product(V, V).isclose(V * V.trace())
 
     def test_non_associating_components_rejected(self):
-        v = OctVector3((e(1), e(2), e(4)))
-        with pytest.raises(NonAssociativeComponentsError):
-            rank1_from_vector(v)
+        for scale in (1.0, 1e-5):
+            v = OctVector3((e(1), e(2), e(4))) * scale
+            with pytest.raises(NonAssociativeComponentsError):
+                rank1_from_vector(v)
 
     def test_extract_examples(self):
         v = extract_vector(JordanMatrix.diag(0, 0, 1))
@@ -371,6 +373,46 @@ class TestRankOne:
         assert w.components[0].real > 0
 
 
+class TestRankOneAtUnitScale:
+    """v v-dagger is formed on v / 2^e and multiplied back by 2^2e: the
+    associator gate does not see the scale of v, and a result outside the
+    double range is an InconsistentError, not inf and a warning."""
+
+    @staticmethod
+    def associates(v) -> bool:
+        try:
+            rank1_from_vector(v)
+        except NonAssociativeComponentsError:
+            return False
+        except InconsistentError:
+            pass
+        return True
+
+    @pytest.mark.parametrize("k", [-600, -300, -40, 40, 300, 600])
+    def test_gate_is_scale_free(self, k):
+        rng = np.random.default_rng(97)
+        vectors = [OctVector3((e(1), e(2), e(4)))]
+        vectors += [sampling.random_vector(rng, span=s) for s in (4, 8) for _ in range(20)]
+        assert {self.associates(v) for v in vectors} == {True, False}
+        for v in vectors:
+            assert self.associates(v * math.ldexp(1.0, k)) == self.associates(v)
+
+    @pytest.mark.parametrize("k", [-300, -40, 3, 40, 300])
+    def test_exact_under_power_of_two_scaling(self, k):
+        rng = np.random.default_rng(98)
+        for _ in range(50):
+            v = sampling.random_vector(rng, span=4)
+            want = np.ldexp(rank1_from_vector(v).to_array(), 2 * k)
+            assert np.array_equal(rank1_from_vector(v * math.ldexp(1.0, k)).to_array(), want)
+
+    def test_overflow_is_inconsistency_without_warning(self):
+        v = sampling.random_vector(np.random.default_rng(99), span=4) * 2.0**600
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InconsistentError):
+                rank1_from_vector(v)
+
+
 class TestVectorsAndAction:
     def test_matvec_identity(self):
         rng = np.random.default_rng(19)
@@ -399,6 +441,12 @@ class TestVectorsAndAction:
             assert float(np.linalg.norm(r.coeffs[1:])) <= 1e-12 * (1 + v.norm2())
             assert r.real >= 0.0
             assert rank1_from_vector(va).isclose(rank1_from_vector(v))
+
+    def test_phase_align_gate_is_relative(self):
+        v = sampling.random_vector(np.random.default_rng(22), span=4) * 1e-13
+        r = phase_align(v).components[2]
+        assert r.real > 0.0
+        assert float(np.abs(r.coeffs[1:]).max()) <= 1e-12 * r.real
 
     def test_offdiag_associator_quaternionic_zero(self):
         rng = np.random.default_rng(23)

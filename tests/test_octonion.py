@@ -106,6 +106,21 @@ class TestArithmetic:
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             Octonion.zero().inverse()
+        with pytest.raises(ZeroDivisionError):
+            Octonion.from_real(1.0) / Octonion.zero()
+
+    def test_small_octonion_has_an_inverse(self):
+        x = Octonion.from_real(1e-7)
+        assert x.inverse().isclose(Octonion.from_real(1e7))
+        assert (Octonion.from_real(2.0) / x).isclose(Octonion.from_real(2e7))
+
+    @pytest.mark.parametrize("k", [-600, -300, -40, -1, 1, 40, 300, 600])
+    def test_inverse_exact_under_power_of_two_scaling(self, k):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            y = rand(rng)
+            got = (y * math.ldexp(1.0, k)).inverse().coeffs
+            assert np.array_equal(got, y.inverse().coeffs * math.ldexp(1.0, -k))
 
     def test_basis_validation(self):
         with pytest.raises(ValueError):

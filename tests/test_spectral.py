@@ -577,5 +577,5 @@ class TestWorkDone:
         rng = np.random.default_rng(34)
         for _ in range(10):
             A = sampling.random_double_root_matrix(rng)[0]
-            assert self.products(monkeypatch, decompose, A) <= 7
+            assert self.products(monkeypatch, decompose, A) <= 6
             assert self.products(monkeypatch, diagonalize, A) <= 8
