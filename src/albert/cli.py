@@ -231,7 +231,10 @@ def main(argv=None) -> int:
     try:
         for name in saved:  # --atol, --rtol and --mtol last this one command
             if getattr(args, name) is not None:
-                setattr(tolerances, name, getattr(args, name))
+                try:
+                    setattr(tolerances, name, getattr(args, name))
+                except ValueError as exc:
+                    raise _InputError(str(exc)) from exc
         payload, lines, code = _HANDLERS[args.command](args)
     except (_InputError, NonNullMomentumError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,11 +28,19 @@ class Tolerances:
     mtol
         Root-merging tolerance: characteristic roots closer than
         ``mtol * (1 + max |root|)`` are treated as repeated.
+
+    A NaN, infinite or negative value is refused with ``ValueError`` on
+    assignment: against it a gate passes or fails whatever the residual.
     """
 
     atol: float = 1e-12
     rtol: float = 1e-10
     mtol: float = 1e-7
+
+    def __setattr__(self, name, value):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"tolerance {name} must be finite and >= 0, got {value!r}")
+        super().__setattr__(name, value)
 
 
 tolerances = Tolerances()
@@ -46,10 +54,14 @@ def _unit_scale(*pairs):
     least e with every |entry| below 2^(degree * e), for degree one the
     ``math.frexp`` exponent of the largest.  Zero values are ignored, so e
     is 0 for zero input; with e = 0 the values come back themselves."""
-    exps = [-(-math.frexp(top)[1] // d) for x, d in pairs
-            if (top := abs(x).max() if type(x) is np.ndarray else abs(x))]
-    e = max(exps) if exps else 0
-    if e == 0:
+    e = None
+    for x, d in pairs:
+        top = np.maximum.reduce(abs(x), None) if type(x) is np.ndarray else abs(x)
+        if top:
+            k = -(-math.frexp(top)[1] // d)
+            if e is None or k > e:
+                e = k
+    if not e:
         return [x for x, _ in pairs], 0
     return [(np.ldexp if type(x) is np.ndarray else math.ldexp)(x, -d * e)
             for x, d in pairs], e

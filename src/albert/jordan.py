@@ -151,13 +151,20 @@ def _quadratic(arr: np.ndarray):
 
 def _invariants(arr: np.ndarray, lams=0.0):
     """tr A, sigma(A) and det(A - lambda I) of the (3, 3, 8) array A, its entries
-    read once.  det is a float for a float lambda, an array for an array of
-    them: the off-diagonal terms are computed once, only the diagonal shifts."""
+    read once.  det is a float for a float lambda, a list of floats for a list
+    or tuple of them and an array for an array, each lambda's bits those of its
+    float call: the off-diagonal terms are computed once, only the diagonal
+    shifts."""
     diag, (a, b, c), (na, nb, nc), sigma = _quadratic(arr)
-    re_bac = float((b * CONJ_SIGNS) @ (left_mult(a) @ c))
-    p, m, n = (d - lams for d in diag)
-    det = p * m * n + 2.0 * re_bac - n * na - m * nb - p * nc
-    return diag[0] + diag[1] + diag[2], sigma, det
+    re_bac2 = 2.0 * float((b * CONJ_SIGNS) @ (left_mult(a) @ c))
+    p0, m0, n0 = diag
+
+    def det(lam):
+        p, m, n = p0 - lam, m0 - lam, n0 - lam
+        return p * m * n + re_bac2 - n * na - m * nb - p * nc
+
+    dets = [det(lam) for lam in lams] if isinstance(lams, (list, tuple)) else det(lams)
+    return p0 + m0 + n0, sigma, dets
 
 
 def _det_shifted(arr: np.ndarray, lams):

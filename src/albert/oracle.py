@@ -19,11 +19,13 @@ equation det(A - lambda I) = 0.
 
 The eigenvalues come from LAPACK (``numpy.linalg.eigvalsh``), so the oracle
 shares no code path with the Jordan-side solvers.  The tail after the
-eigensolve is array code: :func:`cluster_values` finds the cluster
-boundaries with one comparison, and the residuals of all clusters come from
-one call of the shifted-determinant kernel behind ``JordanMatrix.det``.  The
-check runs on A / 2^e at unit scale, and each cluster's lambda and r are
-multiplied back by 2^e and 2^3e.
+eigensolve handles at most 24 numbers, where a numpy call costs more than
+its arithmetic, so it is one pass over Python floats: :func:`cluster_values`
+finds the cluster boundaries with one scan of the sorted spectrum, the
+residuals of all clusters come from one call of the shifted-determinant
+kernel behind ``JordanMatrix.det``, and the residuals are grouped by the same
+scan.  The check runs on A / 2^e at unit scale, and each cluster's lambda
+and r are multiplied back by 2^e and 2^3e.
 """
 
 from __future__ import annotations
@@ -78,17 +80,29 @@ def coords_vector(coords: np.ndarray) -> OctVector3:
 def cluster_values(values: np.ndarray, gap: float) -> list[tuple[float, int]]:
     """Group sorted values whose consecutive gaps stay within ``gap``.
 
-    Returns (mean, count) per cluster, in the order of the input sort.  The
-    run boundaries come from one array comparison.  Each mean is the run's
-    ``sum()`` over its count, the bits of its ``mean()``; ``np.add.reduceat``
-    sums in another order and would not reproduce them.
+    Returns (mean, count) per cluster, in the order of the input sort, each
+    mean with the bits of numpy's ``mean()`` of its run.
     """
-    values = np.asarray(values, dtype=float)
-    if not len(values):
-        return []
-    cuts = (np.flatnonzero(abs(values[1:] - values[:-1]) > gap) + 1).tolist()
-    bounds = zip([0, *cuts], [*cuts, len(values)])
-    return [(float(values[i:j].sum()) / (j - i), j - i) for i, j in bounds]
+    return _clusters(np.asarray(values, dtype=float).tolist(), gap)
+
+
+def _clusters(vals: list[float], gap: float) -> list[tuple[float, int]]:
+    cuts = [i for i in range(1, len(vals)) if abs(vals[i] - vals[i - 1]) > gap]
+    bounds = zip([0, *cuts], [*cuts, len(vals)]) if vals else ()
+    return [(_sum(vals[i:j]) / (j - i), j - i) for i, j in bounds]
+
+
+def _sum(run: list[float]) -> float:
+    """numpy's ``add.reduce`` of the run, bit for bit.  Below eight terms
+    numpy adds in order from 0.0 (the base case of its pairwise sum), which
+    a Python loop reproduces in a fraction of the call; the builtin ``sum``
+    does not, as it compensates from Python 3.12 on."""
+    if len(run) >= 8:
+        return float(np.add.reduce(run))
+    total = 0.0
+    for x in run:
+        total += x
+    return total
 
 
 @dataclass(frozen=True)
@@ -121,14 +135,14 @@ def modified_char_check(A: JordanMatrix) -> OracleReport:
     gap = CLUSTER_GAP_RTOL * spread
     lam_clusters = cluster_values(eigs, gap) if spread > 0 else [(float(eigs[0]), len(eigs))]
     lams, mults = zip(*lam_clusters)
-    rs = -_det_shifted(a, np.array(lams))
+    rs = [-d for d in _det_shifted(a, lams)]
 
     r_tol = R_COLLAPSE_RTOL * (1.0 + _norm(a)) ** 3
-    r_groups = cluster_values(np.sort(rs), r_tol)
+    r_groups = _clusters(sorted(rs), r_tol)
     passed = (
         len(r_groups) <= 2
         and r_groups[0][0] <= r_tol
         and r_groups[-1][0] >= -r_tol
     )
-    lams, rs = _rescale(e, (lams, 1), (rs.tolist(), 3))
-    return OracleReport(clusters=tuple(zip(lams, mults, rs)), passed=bool(passed))
+    lams, rs = _rescale(e, (lams, 1), (rs, 3))
+    return OracleReport(clusters=tuple(zip(lams, mults, rs)), passed=passed)

@@ -294,6 +294,40 @@ class TestToleranceOverrides:
         assert tolerances == Tolerances()
 
 
+class TestBadToleranceOverrides:
+    """A NaN, infinite or negative tolerance is refused by config and exits 2
+    before the command runs; the tolerances stay as they were."""
+
+    DOUBLE = matrix_payload(p=1.0, m=1.0, n=2.0)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("flag", ["--atol", "--rtol", "--mtol"])
+    @pytest.mark.parametrize("command", ["charpoly", "decompose"])
+    def test_exit_two(self, capsys, command, flag, value):
+        code, out, err = run_cli(capsys, command, "--inline", inline(self.DOUBLE),
+                                 "--atol", "1e-3", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance ") and "Traceback" not in err
+        assert tolerances == Tolerances()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_config_refuses_on_assignment(self, value):
+        for name in ("atol", "rtol", "mtol"):
+            with pytest.raises(ValueError, match=f"tolerance {name} must be finite"):
+                setattr(tolerances, name, value)
+            with pytest.raises(ValueError):
+                Tolerances(**{name: value})
+        assert tolerances == Tolerances()
+
+    def test_zero_is_allowed(self, capsys):
+        code, out, _ = run_cli(capsys, "charpoly", "--inline", inline(DIAG123),
+                               "--atol", "0", "--rtol", "0", "--mtol", "0")
+        assert code == 0
+        assert json.loads(out)["roots"] == pytest.approx([3.0, 2.0, 1.0])
+        assert tolerances == Tolerances()
+
+
 class TestInternalInconsistency:
     def test_maps_to_exit_one(self, capsys, monkeypatch):
         def boom(A):

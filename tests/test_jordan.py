@@ -586,6 +586,27 @@ class TestShiftedDeterminant:
         assert _det_shifted(A._arr, np.array([1.0, 2.0, 3.0, 0.0])).tolist() == [0, 0, 0, 6]
 
 
+class TestShiftedDeterminantOnFloats:
+    """A list or tuple of lambdas gives a list of floats, each with the bits
+    of its float call and of the array call."""
+
+    @pytest.mark.parametrize("span", [8, 4])
+    def test_sequence_in_list_out(self, span):
+        rng = np.random.default_rng(78 + span)
+        for _ in range(100):
+            A = sampling.random_jordan(rng, span=span)
+            lams = rng.uniform(-3.0, 3.0, 6).tolist()
+            want = hexes(_det_shifted(A._arr, lam) for lam in lams)
+            assert hexes(_det_shifted(A._arr, np.array(lams))) == want
+            for seq in (lams, tuple(lams)):
+                out = _det_shifted(A._arr, seq)
+                assert type(out) is list and all(type(d) is float for d in out)
+                assert hexes(out) == want
+
+    def test_empty(self):
+        assert _det_shifted(JordanMatrix.diag(1.0, 2.0, 3.0)._arr, ()) == []
+
+
 def sigma_before_single_pass(A):
     """sigma() as it was written before the single-pass invariants."""
     p, m, n = A.diagonal()

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from albert import sampling
-from albert.jordan import JordanMatrix, OctVector3, matvec
-from albert.octonion import MUL_TENSOR, Octonion, e
+from albert import jordan, octonion, oracle, sampling
+from albert.config import _rescale
+from albert.jordan import JordanMatrix, OctVector3, _embed, _quadratic, matvec
+from albert.octonion import CONJ_SIGNS, MUL_TENSOR, Octonion, _norm, e
 from albert.oracle import (
+    CLUSTER_GAP_RTOL,
+    R_COLLAPSE_RTOL,
     cluster_values,
     coords_vector,
     embed,
@@ -224,3 +229,113 @@ class TestModifiedCharCheck:
         d = modified_char_check(JordanMatrix.diag(1, 2, 3)).to_dict()
         assert d["pass"] is True
         assert sorted(d["clusters"][0]) == ["lambda", "mult", "r"]
+
+
+def check_by_arrays(A):
+    """modified_char_check as it was with its tail on arrays: the unit scale
+    from abs().max(), the shifted determinant on an array of cluster means,
+    and the r groups clustered after np.sort, each clustering with the bits
+    of clusters_by_loop (TestArrayClustering).  Returns (clusters, passed)."""
+    top = abs(A._arr).max()
+    e = math.frexp(top)[1] if top else 0
+    a = np.ldexp(A._arr, -e) if e else A._arr
+    eigs = np.linalg.eigvalsh(_embed(a))[::-1]
+    spread = float(eigs[0] - eigs[-1])
+    gap = CLUSTER_GAP_RTOL * spread
+    lam_clusters = clusters_by_loop(eigs, gap) if spread > 0 else [(float(eigs[0]), len(eigs))]
+    lams, mults = zip(*lam_clusters)
+    diag, (x, y, z), (na, nb, nc), _ = _quadratic(a)
+    re_bac = float((y * CONJ_SIGNS) @ (octonion.left_mult(x) @ z))
+    p, m, n = (d - np.array(lams) for d in diag)
+    rs = -(p * m * n + 2.0 * re_bac - n * na - m * nb - p * nc)
+    r_tol = R_COLLAPSE_RTOL * (1.0 + _norm(a)) ** 3
+    r_groups = clusters_by_loop(np.sort(rs), r_tol)
+    passed = (
+        len(r_groups) <= 2
+        and r_groups[0][0] <= r_tol
+        and r_groups[-1][0] >= -r_tol
+    )
+    lams, rs = _rescale(e, (lams, 1), (rs.tolist(), 3))
+    return tuple(zip(lams, mults, rs)), bool(passed)
+
+
+def outcome(check, A):
+    """Hex bits of every lambda, mult and r and the pass flag, or the type of
+    the exception raised."""
+    try:
+        clusters, passed = check(A)
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+    return [(lam.hex(), mult, r.hex()) for lam, mult, r in clusters], passed
+
+
+def new_check(A):
+    report = modified_char_check(A)
+    assert type(report.passed) is bool
+    assert all(type(lam) is float and type(mult) is int and type(r) is float
+               for lam, mult, r in report.clusters)
+    return report.clusters, report.passed
+
+
+class TestFloatTail:
+    """The tail on Python floats keeps every output bit of the array tail."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(75)
+        fixed = [JordanMatrix.diag(1, 2, 3), JordanMatrix.zero(), JordanMatrix.identity()]
+        for k in (-600, -1, 1, 600):
+            fixed.append(JordanMatrix.diag(1, 2, 3) * 2.0**k)
+        yield from fixed
+        for i in range(600):
+            A = sampling.random_jordan(rng, span=(8, 4)[i % 2])
+            if i % 3 == 0:
+                A = sampling.random_double_root_matrix(rng)[0]
+            if i % 4 >= 2:
+                A = A * math.ldexp(1.0, int(rng.integers(-600, 601)))
+            yield A
+
+    def test_bits_equal_the_array_tail(self):
+        raised = failed = 0
+        for A in self.cases():
+            want = outcome(check_by_arrays, A)
+            assert outcome(new_check, A) == want
+            raised += isinstance(want, type)
+            failed += not isinstance(want, type) and not want[1]
+        assert raised > 20  # r out of the double range at 2^k, k near 600
+        assert failed < raised  # most inputs reach the pass decision
+
+
+class TestWorkDone:
+    """One modified_char_check makes exactly one eigensolve, one call of the
+    determinant kernel (on a tuple of floats), one unit-scale decision and no
+    array sort, so a tail that returns to per-cluster or array calls fails
+    without timing."""
+
+    def test_one_call_each(self, monkeypatch):
+        calls = {}
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls.setdefault(name, []).append(args)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(np.linalg, "eigvalsh")
+        count(jordan, "_invariants")
+        count(oracle, "_unit_scale")
+        count(np, "sort")
+        rng = np.random.default_rng(76)
+        cases = [JordanMatrix.diag(1, 2, 3), JordanMatrix.zero()]
+        cases += [sampling.random_jordan(rng, span=span) * 2.0**k
+                  for span in (8, 4) for k in (0, 300, -300)]
+        for A in cases:
+            calls.clear()
+            modified_char_check(A)
+            assert {name: len(args) for name, args in calls.items()} == {
+                "eigvalsh": 1, "_invariants": 1, "_unit_scale": 1}
+            lams = calls["_invariants"][0][1]
+            assert type(lams) is tuple and all(type(lam) is float for lam in lams)
