@@ -148,12 +148,14 @@ def psi_pack(theta, xi) -> tuple[OctVector3, JordanMatrix]:
 
     because the components of Psi need not associate.  For theta with
     components in a common complex subalgebra, PP * PP = 0.  PP is formed on
-    Psi / 2^e and multiplied back by 2^2e.
+    Psi / 2^e and multiplied back by 2^2e; a nonzero Psi whose |Psi|^2
+    overflows, or underflows below the smallest normal double, raises
+    :class:`InconsistentError`.
     """
     t1, t2 = (_as_octonion(x).coeffs for x in theta)
     Psi = OctVector3._wrap(np.array([t1, t2, _as_octonion(xi).coeffs * CONJ_SIGNS]))
     (u,), e = _unit_scale((Psi._arr, 1))
-    return Psi, JordanMatrix._wrap(*_rescale(e, (_outer(u), 2)))
+    return Psi, JordanMatrix._wrap(_outer(u, e))
 
 
 @dataclass(frozen=True)

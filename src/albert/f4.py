@@ -29,6 +29,21 @@ with M3 = I when N3 = 0 (X already diagonal).  The result is
 diag(mu, tr X - mu, lambda); each step preserves trace, sigma and
 determinant, so the diagonal carries the characteristic roots.  The order
 in which they appear is a convention, not canonical.
+
+:func:`diagonalize` applies each reflection as the quadratic representation
+of the Jordan algebra,
+
+    M (X M) = U_M X = 2 M o (M o X) - M^2 o X,
+
+on the Hermitian coordinates (see :mod:`albert.jordan`); M is an
+involution, M^2 = I to rounding, so this is two products by the one 27x27
+matrix L(M), less X.  Expanding the Jordan products, U_M X equals
+M (X M) exactly when M (M X) = (M M) X, (X M) M = X (M M) and
+M (X M) = (M X) M, which asks the associator [p, q, x] to vanish for any two
+entries p, q of M and any octonion x.  The octonions are alternative, so it
+does when p and q lie in one complex subalgebra, as the entries of M1, M2
+and M3 do; for a generic M it does not, and the public :func:`sandwich`
+keeps the ordinary products, which hold the formula for any M.
 """
 
 from __future__ import annotations
@@ -44,12 +59,15 @@ from .exceptions import ZeroVectorError
 from .jordan import (
     JordanMatrix,
     OctVector3,
+    _apply,
     _extract,
-    _hermitian,
+    _frob,
     _invariants,
-    _quadratic,
+    _UNIT,
+    _op,
+    _pack,
+    _unpack,
     phase_align,
-    sandwich,
 )
 from .octonion import CONJ_SIGNS, _norm
 from .spectral import _idempotents
@@ -82,6 +100,12 @@ def build_m1_m2(v: OctVector3) -> tuple[JordanMatrix, JordanMatrix]:
     for unit v the composite satisfies M2 (M1 v) = (0, 0, 1).
     """
     (u,), _ = _unit_scale((v._arr, 1))
+    return tuple(JordanMatrix._wrap(m) for m in _unpack(_m1_m2(u)))
+
+
+def _m1_m2(u: np.ndarray) -> np.ndarray:
+    """:func:`build_m1_m2` of a (3, 8) array at unit scale, as the Hermitian
+    coordinates (2, 27) of M1 and M2."""
     vn = _norm(u)
     if vn == 0.0:
         raise ZeroVectorError("cannot build reflections from the zero vector")
@@ -94,22 +118,32 @@ def build_m1_m2(v: OctVector3) -> tuple[JordanMatrix, JordanMatrix]:
     r0, x2, y2 = float(r[0]), float(x @ x), float(y @ y)
     n1 = math.sqrt(x2 + r0**2)
     if n1 <= tolerances.atol + tolerances.rtol:
-        m1 = JordanMatrix.identity()
+        m1 = _UNIT
     else:
         m1 = _reflection((-r0 / n1, 1.0, r0 / n1), 1, x * CONJ_SIGNS * (1.0 / n1))
     if math.sqrt(y2) <= tolerances.atol + tolerances.rtol:
-        m2 = JordanMatrix.identity()
+        m2 = _UNIT
     else:
         n2 = math.sqrt(n1 * n1 + y2)  # = 1 for unit v
         m2 = _reflection((1.0, -n1 / n2, n1 / n2), 2, y * (1.0 / n2))
-    return m1, m2
+    return np.array([m1, m2])
 
 
-def _reflection(diag, row: int, entry: np.ndarray) -> JordanMatrix:
-    """Diagonal ``diag``, entry a, b or c (row 0, 1, 2); finite, so unchecked."""
-    upper = np.zeros((3, 8))
-    upper[row] = entry
-    return JordanMatrix._wrap(_hermitian(diag, upper))
+def _reflection(diag, row: int, entry: np.ndarray) -> np.ndarray:
+    """Hermitian coordinates of the matrix with diagonal ``diag`` and entry
+    a, b or c (row 0, 1, 2)."""
+    h = np.zeros(27)
+    h[:3] = diag
+    h[3 + 8 * row:11 + 8 * row] = entry
+    return h
+
+
+def _reflect(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """M (X M) of Hermitian coordinates x, (27,), for a reflection M of
+    coordinates m, as U_M X = 2 M o (M o X) - M^2 o X with M^2 = I: two
+    products by L(M)."""
+    L = _op(m)
+    return _apply(_apply(x, L), L) * 2.0 - x
 
 
 def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
@@ -129,26 +163,31 @@ def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
         return DiagonalizationResult(steps=(), diagonal=tuple(diagonal), residual=residual)
     lam = min(roots.simple)
 
-    P, PoP = _idempotents(a, poly, [lam])
-    v = phase_align(OctVector3._wrap(_extract(P, RESIDUAL_RTOL, PoP)[0]))
-    m1, m2 = build_m1_m2(v)
-    b2 = sandwich(m2, sandwich(m1, A))
+    h = _pack(a)
+    nrm = _norm(_frob(h))
+    P, _ = _idempotents(h, nrm, poly, [lam])
+    v = phase_align(OctVector3._wrap(_extract(P, RESIDUAL_RTOL)[0]))
+    # v is a unit vector, so already at the unit scale build_m1_m2 would take
+    m1, m2 = _m1_m2(v._arr)
+    b2 = _reflect(_reflect(h, m1), m2)
 
     # b2 is [[X, 0], [0, lam]] with X = [[s, z], [conj(z), t]] in the upper block.
-    (s, t, _), (z, _, _), (z2, _, _), _ = _quadratic(b2._arr)
+    s, t, z = float(b2[0]), float(b2[1]), b2[3:11]
+    z2 = float(z @ z)
     mu = 0.5 * ((s + t) + math.sqrt((s - t) ** 2 + 4.0 * z2))
     n3 = (mu - t) ** 2 + z2
-    if n3 <= (tolerances.atol + tolerances.rtol * (1.0 + A.norm())) ** 2:
-        m3 = JordanMatrix.identity()
+    if n3 <= (tolerances.atol + tolerances.rtol * (1.0 + nrm)) ** 2:
+        m3 = _UNIT
     else:
         s3 = math.sqrt(n3)
         m3 = _reflection(((mu - t) / s3, (t - mu) / s3, 1.0), 0, z * (1.0 / s3))
-    b3 = sandwich(m3, b2)
+    b3 = _reflect(b2, m3)
 
-    diag, _, norms2, _ = _quadratic(b3._arr)
-    diagonal, residual = _rescale(e, (diag, 1), (math.sqrt(max(norms2)), 1))
+    upper = b3[3:].reshape(3, 8)
+    norms2 = (upper * upper).sum(axis=1).tolist()
+    diagonal, residual = _rescale(e, (b3[:3].tolist(), 1), (math.sqrt(max(norms2)), 1))
     return DiagonalizationResult(
-        steps=(m1, m2, m3),
+        steps=tuple(JordanMatrix._wrap(m) for m in _unpack(np.array([m1, m2, m3]))),
         diagonal=tuple(diagonal),
         residual=residual,
     )

@@ -30,12 +30,21 @@ consistent when the components of v associate, which is why
 
 Storage: a :class:`JordanMatrix` is one read-only Hermitian (3, 3, 8) array
 (``to_array`` copies it; ``p, m, n, a, b, c`` are computed on read), an
-:class:`OctVector3` one (3, 8) array.  A matrix product is the 24x24 real
+:class:`OctVector3` one (3, 8) array.  The computations run on the 27 real
+Hermitian coordinates (p, m, n, a, b, c) instead (:func:`_pack`,
+:func:`_unpack`), in which both products are bilinear: with the exact
+structure tensors ``_JORDAN`` and ``_FREUDENTHAL``, (27, 27, 27) stored as
+(27, 729), whose slices are the products of basis pairs, x o y is
+``y @ L(x)`` for the 27x27 matrix ``L(x) = (x @ _JORDAN).reshape(27, 27)``
+(:func:`_op`, :func:`_mul`), and x * y the same with ``_FREUDENTHAL``.
+The tensors are built once at import, from one stacked product of all 729
+basis pairs.  Norms weight each off-diagonal coordinate by sqrt(2)
+(:func:`_frob`), which gives the Frobenius norm of the (3, 3, 8) form.  A stack (..., 27) of
+coordinates takes every kernel at once, a single factor broadcasting
+against a stack.  The ordinary octonionic matrix product, the 24x24 real
 matrix of the left factor (:func:`albert.octonion.left_mult`) times the
-columns of the right one.  The private array kernels (``_jordan``,
-``_freudenthal``, ``_trace``, ...) take one (3, 3, 8) array or a stack
-(..., 3, 3, 8), a single factor broadcasting against a stack; they read and
-write the real diagonal as flat positions ::32 of the 72 coefficients.
+columns of the right one, remains only for :func:`sandwich`, :func:`matvec`
+and the real oracle, and to build the tensors.
 """
 
 from __future__ import annotations
@@ -46,11 +55,13 @@ import numpy as np
 
 from .config import _rescale, _unit_scale, tolerances
 from .exceptions import (
+    InconsistentError,
     NonAssociativeComponentsError,
     NotRankOneError,
     ZeroMatrixError,
 )
 from .octonion import (
+    _TINY,
     CONJ_SIGNS,
     Octonion,
     _ArrayValue,
@@ -80,14 +91,37 @@ __all__ = [
 _UPPER_ROWS = np.array([1, 6, 5])
 _LOWER_ROWS = np.array([3, 2, 7])
 
+# The 27 Hermitian coordinates p, m, n, a, b, c: their flat positions among
+# the 72 coefficients of a (3, 3, 8) array, and the exact 0/+-1 matrix that
+# writes the 72 coefficients from them, the lower entries conjugating a, b, c.
+_PACK = np.concatenate(([0, 32, 64], (8 * _UPPER_ROWS[:, None] + np.arange(8)).ravel()))
+_UNPACK = np.zeros((27, 9, 8))
+_UNPACK[[0, 1, 2], [0, 4, 8], 0] = 1.0
+_UNPACK[3:, _UPPER_ROWS] = np.eye(24).reshape(24, 3, 8)
+_UNPACK[3:, _LOWER_ROWS] = _UNPACK[3:, _UPPER_ROWS] * CONJ_SIGNS
+_UNPACK = _UNPACK.reshape(27, 72)
 
-def _hermitian(diag, upper: np.ndarray) -> np.ndarray:
-    """(3, 3, 8) Hermitian array from three reals and the rows a, b, c."""
-    rows = np.zeros((9, 8))
-    rows[::4, 0] = diag
-    rows[_UPPER_ROWS] = upper
-    rows[_LOWER_ROWS] = upper * CONJ_SIGNS
-    return rows.reshape(3, 3, 8)
+#: The identity in Hermitian coordinates; x @ _UNIT is tr x.
+_UNIT = np.concatenate((np.ones(3), np.zeros(24)))
+
+# Weights that count each off-diagonal coordinate twice in a sum of squares.
+_FROB_WEIGHTS = np.concatenate((np.ones(3), np.full(24, math.sqrt(2.0))))
+
+
+def _pack(arr: np.ndarray) -> np.ndarray:
+    """Hermitian coordinates (..., 27) of (..., 3, 3, 8) Hermitian arrays."""
+    return arr.reshape(arr.shape[:-3] + (72,))[..., _PACK]
+
+
+def _unpack(h: np.ndarray) -> np.ndarray:
+    """(..., 3, 3, 8) Hermitian arrays of coordinates (..., 27), exactly."""
+    return (h @ _UNPACK).reshape(h.shape[:-1] + (3, 3, 8))
+
+
+def _frob(h: np.ndarray) -> np.ndarray:
+    """Coordinates weighted so that their Euclidean norm (``octonion._norm``)
+    is the Frobenius norm of the (3, 3, 8) form."""
+    return h * _FROB_WEIGHTS
 
 
 def _diag(arr: np.ndarray) -> np.ndarray:
@@ -121,22 +155,47 @@ def _raw_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return prod.reshape(prod.shape[:-2] + (3, 8, 3)).swapaxes(-2, -1)
 
 
+def _structure_tensors() -> tuple[np.ndarray, np.ndarray]:
+    """The Jordan and Freudenthal products of the 27 x 27 basis pairs, as
+    (27, 729) tensors: one stacked matrix product, exact, since every
+    coefficient is 0, +-1/2 or +-1."""
+    basis = _unpack(np.eye(27))
+    circ = _pack(_hermitian_part(_raw_mul(basis[:, None], basis[None, :])))
+    # x * y = x o y - (x tr y + y tr x) / 2 + (tr x tr y - tr(x o y)) / 2 I
+    tr, eye = _UNIT, np.eye(27)
+    cross = (circ - (eye[:, None] * tr[None, :, None] + eye[None, :] * tr[:, None, None]) / 2.0
+             + ((np.outer(tr, tr) - circ @ tr) / 2.0)[..., None] * tr)
+    return circ.reshape(27, 729), cross.reshape(27, 729)
+
+
+_JORDAN, _FREUDENTHAL = _structure_tensors()
+
+
+def _op(x: np.ndarray, tensor: np.ndarray = _JORDAN) -> np.ndarray:
+    """L(x), (..., 27, 27), of coordinates x, (..., 27): y @ L(x) is the
+    product of x and y whose structure tensor is ``tensor``."""
+    return (x @ tensor).reshape(x.shape[:-1] + (27, 27))
+
+
+def _apply(y: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """y @ L for coordinates y (..., 27) and matrices L (..., 27, 27), summed
+    in a fixed order: a BLAS vector-matrix product sums in an order that
+    depends on memory alignment, so its bits would vary from call to call.
+    (``_op`` needs no such care: each entry of L(x) has at most two terms.)"""
+    return np.einsum("...j,...jk->...k", y, L)
+
+
+def _mul(x: np.ndarray, y: np.ndarray, tensor: np.ndarray = _JORDAN) -> np.ndarray:
+    """x o y, or x * y with ``tensor=_FREUDENTHAL``, on coordinates (..., 27)."""
+    return _apply(y, _op(x, tensor))
+
+
 def _jordan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Y X is the conjugate transpose of X Y for Hermitian factors.
-    return _hermitian_part(_raw_mul(x, y))
+    return _unpack(_mul(_pack(x), _pack(y)))
 
 
-def _freudenthal(x: np.ndarray, y: np.ndarray, circ: np.ndarray | None = None) -> np.ndarray:
-    circ = _jordan(x, y) if circ is None else circ  # x o y, when the caller holds it
-    tx = _trace(x)
-    if y is x:  # the square: (x tr x + x tr x) / 2 is x tr x exactly
-        ty, out = tx, circ - x * tx[..., None, None, None]
-    else:
-        ty = _trace(y)
-        out = circ - (y * tx[..., None, None, None] + x * ty[..., None, None, None]) * 0.5
-    d = _diag(out)
-    d += ((tx * ty - _trace(circ)) / 2.0)[..., None]
-    return out
+def _freudenthal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _unpack(_mul(_pack(x), _pack(y), _FREUDENTHAL))
 
 
 def _quadratic(arr: np.ndarray):
@@ -230,14 +289,14 @@ class JordanMatrix(_ArrayValue):
     __slots__ = ()
 
     def __init__(self, p=0.0, m=0.0, n=0.0, a=None, b=None, c=None):
-        upper = np.zeros((3, 8))
-        for row, x in zip(upper, (a, b, c)):
+        h = np.zeros(27)
+        h[:3] = float(p), float(m), float(n)
+        for row, x in zip(h[3:].reshape(3, 8), (a, b, c)):
             if x is not None:
                 row[:] = _as_octonion(x).coeffs
-        arr = _hermitian((float(p), float(m), float(n)), upper)
-        if not np.isfinite(arr).all():
+        if not np.isfinite(h).all():
             raise ValueError("entries must be finite")
-        super().__init__(arr)
+        super().__init__(_unpack(h))
 
     # -- entries -------------------------------------------------------------
 
@@ -372,20 +431,30 @@ def sandwich(M: JordanMatrix, A: JordanMatrix) -> JordanMatrix:
 
     The two bracketings agree because the entries of M lie in a single
     complex subalgebra, which makes the product flexible; the result is
-    Hermitian again when M is.
+    Hermitian again when M is.  Computed from the ordinary products, as the
+    Hermitian part of (M A) M, so it assumes nothing of M.
     """
-    return JordanMatrix._wrap(_jordan(_raw_mul(M._arr, A._arr), M._arr))
+    M = M._arr
+    return JordanMatrix._wrap(_hermitian_part(_raw_mul(_raw_mul(M, A._arr), M)))
 
 
 # -- rank-one projectors -------------------------------------------------------
 
 
-def _outer(v: np.ndarray) -> np.ndarray:
-    """v v-dagger of a (3, 8) array, entry by entry, a = v1 conj(v2),
-    b = v3 conj(v1), c = v2 conj(v3): no bracketing of three components."""
-    left, right = v[[0, 2, 1]], v[[1, 0, 2]] * CONJ_SIGNS
+def _outer(u: np.ndarray, e: int) -> np.ndarray:
+    """v v-dagger of v = 2^e u, u a (3, 8) array at unit scale, entry by
+    entry, a = v1 conj(v2), b = v3 conj(v1), c = v2 conj(v3): no bracketing
+    of three components.  Formed on u and multiplied back by 2^2e; raises
+    :class:`InconsistentError` when |v|^2 leaves the normal double range,
+    upward (in ``_rescale``) or downward."""
+    left, right = u[[0, 2, 1]], u[[1, 0, 2]] * CONJ_SIGNS
     upper = (left_mult(left) @ right[:, :, None])[:, :, 0]
-    return _hermitian(np.einsum("ij,ij->i", v, v), upper)
+    h = np.concatenate((np.einsum("ij,ij->i", u, u), upper.ravel()))
+    (V,) = _rescale(e, (_unpack(h), 2))
+    n2 = h[0] + h[1] + h[2]
+    if e < 0 and n2 and math.ldexp(n2, 2 * e) < _TINY:
+        raise InconsistentError(f"|v|^2 underflows the double range at scale 2^{e}")
+    return V
 
 
 def rank1_from_vector(v: OctVector3) -> JordanMatrix:
@@ -394,7 +463,8 @@ def rank1_from_vector(v: OctVector3) -> JordanMatrix:
 
     The components of v must associate (their associator must vanish to
     tolerance, at unit scale), otherwise the result would not satisfy
-    V * V = 0.
+    V * V = 0.  A nonzero v whose |v|^2 overflows, or underflows below the
+    smallest normal double, raises :class:`InconsistentError`.
     """
     (u,), e = _unit_scale((v._arr, 1))
     assoc, scale = _norm(_associator(*u)), math.prod(map(_norm, u))
@@ -402,7 +472,7 @@ def rank1_from_vector(v: OctVector3) -> JordanMatrix:
         raise NonAssociativeComponentsError(
             f"components do not associate (|[v1,v2,v3]| / (|v1| |v2| |v3|) = {assoc / scale:.3e})"
         )
-    return JordanMatrix._wrap(*_rescale(e, (_outer(u), 2)))
+    return JordanMatrix._wrap(_outer(u, e))
 
 
 def extract_vector(V: JordanMatrix, rank_rtol: float | None = None) -> OctVector3:
@@ -415,18 +485,17 @@ def extract_vector(V: JordanMatrix, rank_rtol: float | None = None) -> OctVector
     scale by an even power of two and v takes half of it.
     """
     (v,), e = _unit_scale((V._arr, 2))
-    return OctVector3._wrap(*_rescale(e, (_extract(v, rank_rtol)[0], 1)))
+    return OctVector3._wrap(*_rescale(e, (_extract(_pack(v), rank_rtol)[0], 1)))
 
 
-def _extract(V: np.ndarray, rank_rtol: float | None,
-             VoV: np.ndarray | None = None) -> np.ndarray:
-    """:func:`extract_vector` on (3, 3, 8) or (k, 3, 3, 8), giving (k, 3, 8).
-    ``VoV`` is the Jordan square V o V when the caller already holds it."""
+def _extract(V: np.ndarray, rank_rtol: float | None) -> np.ndarray:
+    """:func:`extract_vector` on coordinates (27,) or (k, 27), giving (k, 3, 8)."""
     rtol = tolerances.rtol if rank_rtol is None else rank_rtol
-    VxV = _freudenthal(V, V, VoV).reshape(-1, 3, 3, 8)
-    V = V.reshape(-1, 3, 3, 8)
+    V = V.reshape(-1, 27)
+    VxV, cols = _mul(V, V, _FREUDENTHAL), _unpack(V)
     out = np.empty((len(V), 3, 8))
-    for i, (nrm, vxv, diag) in enumerate(zip(map(_norm, V), map(_norm, VxV), _diag(V).tolist())):
+    for i, (nrm, vxv, diag) in enumerate(zip(map(_norm, _frob(V)), map(_norm, _frob(VxV)),
+                                             V[:, :3].tolist())):
         if vxv > tolerances.atol + rtol * nrm * nrm:
             raise NotRankOneError(
                 f"V * V does not vanish (|V*V| / |V|^2 = {vxv / (nrm * nrm):.3e})"
@@ -437,7 +506,7 @@ def _extract(V: np.ndarray, rank_rtol: float | None,
         pivot = max(diag)
         if pivot <= 0.0:
             raise ZeroMatrixError("no positive diagonal entry to pivot on")
-        out[i] = V[i, :, diag.index(pivot)] / math.sqrt(pivot)
+        out[i] = cols[i, :, diag.index(pivot)] / math.sqrt(pivot)
     return out
 
 

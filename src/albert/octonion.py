@@ -86,11 +86,14 @@ def left_mult(x: np.ndarray) -> np.ndarray:
     return (x @ _MUL_FLAT).reshape(x.shape[:-1] + (8, 8)).swapaxes(-1, -2)
 
 
+_TINY = sys.float_info.min  # the smallest normal double
+
+
 def _norm(arr: np.ndarray) -> float:
     """Frobenius norm of an array, divided by its largest |entry| where the
     squares leave the double range, so it neither overflows nor underflows."""
     n2 = float(np.vdot(arr, arr))
-    if not sys.float_info.min <= n2 < math.inf:
+    if not _TINY <= n2 < math.inf:
         top = float(np.abs(arr).max())
         if 0.0 < top < math.inf:
             unit = arr / top

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dirac import Hermitian2
-from .jordan import JordanMatrix, OctVector3, _hermitian, rank1_from_vector
+from .jordan import JordanMatrix, OctVector3, _unpack, rank1_from_vector
 from .octonion import Octonion
 
 
@@ -36,9 +36,10 @@ def random_unit_imaginary(rng: np.random.Generator) -> Octonion:
 def random_jordan(rng: np.random.Generator, span: int = 8) -> JordanMatrix:
     """Hermitian 3x3 matrix with uniform diagonal p, m, n, then a, b, c."""
     draws = rng.uniform(-1.0, 1.0, 3 + 3 * span)
-    upper = np.zeros((3, 8))
-    upper[:, :span] = draws[3:].reshape(3, span)
-    return JordanMatrix._wrap(_hermitian(draws[:3], upper))
+    h = np.zeros(27)
+    h[:3] = draws[:3]
+    h[3:].reshape(3, 8)[:, :span] = draws[3:].reshape(3, span)
+    return JordanMatrix._wrap(_unpack(h))
 
 
 def random_vector(rng: np.random.Generator, span: int = 4) -> OctVector3:

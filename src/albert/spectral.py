@@ -23,11 +23,12 @@ The alternative invariant form for a double root keeps the rank-two piece
 whole instead of splitting it: A = mu P + lambda K with P = (A - lambda I)/
 tr(A - lambda I) primitive and K = I - P its rank-two complement.
 
-The array kernels of :mod:`albert.jordan` take stacks (k, 3, 3, 8), and
-:func:`decompose` builds, purifies, extracts and checks the eigenmatrices of
-all its roots as one stack; the public one-root functions are k = 1 calls.
-Purification polishes only a stack not yet idempotent to rounding, and the
-rank-one gate of the extraction reuses its last P o P.
+The array kernels of :mod:`albert.jordan` take stacks (k, 27) of Hermitian
+coordinates, and :func:`decompose` builds, purifies, extracts and checks the
+eigenmatrices of all its roots as one stack; the public one-root functions
+are k = 1 calls.  A is packed once at entry, and only the returned
+idempotents are unpacked.  Purification polishes only a stack not yet
+idempotent to rounding.
 
 The public functions run on A (and lambda) divided by 2^e and multiply each
 output back by 2^(degree * e), so results are exact under 2^k scaling.
@@ -49,13 +50,19 @@ from .exceptions import (
     ZeroQMatrixError,
 )
 from .jordan import (
+    _FREUDENTHAL,
+    _UNIT,
     JordanMatrix,
     OctVector3,
+    _apply,
     _extract,
+    _frob,
     _freudenthal,
     _invariants,
-    _jordan,
-    _trace,
+    _mul,
+    _op,
+    _pack,
+    _unpack,
     phase_align,
     rank1_from_vector,
 )
@@ -113,9 +120,10 @@ def _check_q_trace(t: float, q_norm: float) -> None:
 
 
 def _q_stack(A: np.ndarray, lams) -> np.ndarray:
-    """(A - lambda I) * (A - lambda I): (3, 3, 8) for one lambda, (k, 3, 3, 8) for k."""
-    B = A - JordanMatrix.identity()._arr * np.asarray(lams)[..., None, None, None]
-    return _freudenthal(B, B)
+    """(A - lambda I) * (A - lambda I) of coordinates A: (27,) for one lambda,
+    (k, 27) for k."""
+    B = A - np.multiply.outer(lams, _UNIT)
+    return _mul(B, B, _FREUDENTHAL)
 
 
 def q_matrix(A: JordanMatrix, lam: float) -> JordanMatrix:
@@ -123,7 +131,7 @@ def q_matrix(A: JordanMatrix, lam: float) -> JordanMatrix:
     (a, lam), e = _unit_scale((A._arr, 1), (lam, 1))
     A = JordanMatrix._wrap(a)
     _check_root(_invariants(a), A.norm(), lam)
-    return JordanMatrix._wrap(*_rescale(e, (_q_stack(a, lam), 2)))
+    return JordanMatrix._wrap(*_rescale(e, (_unpack(_q_stack(_pack(a), lam)), 2)))
 
 
 def idempotent_from_q(Q: JordanMatrix) -> JordanMatrix:
@@ -139,9 +147,8 @@ def idempotent_from_q(Q: JordanMatrix) -> JordanMatrix:
     return Q / t
 
 
-def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float, np.ndarray]:
-    """B = A - lambda I, its trace mu - lambda and B o B, for a double root
-    lambda.
+def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float]:
+    """B = A - lambda I and its trace mu - lambda, for a double root lambda.
 
     Raises :class:`NotDoubleRootError` when B vanishes or is traceless (a
     triple root) or is not rank one (a simple root).
@@ -150,8 +157,7 @@ def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float
     scale = 1.0 + A.norm() + abs(lam)
     if B.norm() <= tolerances.atol + tolerances.rtol * scale:
         raise NotDoubleRootError("A equals lambda I; the root is triple, not double")
-    BoB = _jordan(B._arr, B._arr)
-    q_norm = _norm(_freudenthal(B._arr, B._arr, BoB))
+    q_norm = _norm(_freudenthal(B._arr, B._arr))
     if q_norm > tolerances.atol + tolerances.mtol * scale**2:
         raise NotDoubleRootError(
             "(A - lambda I) is not rank one (|Q| / |A - lambda I|^2 = "
@@ -160,7 +166,7 @@ def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float
     tb = B.trace()
     if abs(tb) <= tolerances.atol + tolerances.rtol * scale:
         raise NotDoubleRootError("tr(A - lambda I) vanishes; the root is triple, not double")
-    return B, tb, BoB
+    return B, tb
 
 
 def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, JordanMatrix]:
@@ -178,11 +184,9 @@ def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, Jordan
 
 def _split(A: JordanMatrix, lam: float, e: int) -> tuple[JordanMatrix, JordanMatrix]:
     """:func:`double_root_split` of a unit-scale A, ordered at the scale 2^e A."""
-    B, tb, BoB = _double_root_shift(A, lam)
+    B, tb = _double_root_shift(A, lam)
     sign = 1.0 if tb > 0 else -1.0
-
-    # (-B) o (-B) is B o B, bit for bit
-    w = OctVector3._wrap(_extract((B * sign)._arr, tolerances.mtol, BoB)[0])
+    w = OctVector3._wrap(_extract(_pack((B * sign)._arr), tolerances.mtol)[0])
     wn = w.norm()
     v = None
     for shift in range(3):
@@ -225,7 +229,7 @@ def invariant_double_decomposition(
     """
     (a, unit_lam), e = _unit_scale((A._arr, 1), (lam, 1))
     A = JordanMatrix._wrap(a)
-    B, tb, _ = _double_root_shift(A, unit_lam)
+    B, tb = _double_root_shift(A, unit_lam)
     (mu,) = _rescale(e, (A.trace() - 2.0 * unit_lam, 1))
     P = B / tb
     K = -(B.trace_reversal()) / tb
@@ -237,8 +241,8 @@ PURE_DEFECT = 8 * np.finfo(float).eps
 
 
 def _purify(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Idempotent polishing, P -> 3 P^2 - 2 P^3, on a stack; returns P and
-    P o P, which the rank-one gate of ``_extract`` reuses.
+    """Idempotent polishing, P -> 3 P^2 - 2 P^3, on a stack of coordinates;
+    returns P and L(P), which the residuals of :func:`decompose` reuse.
 
     A step cuts the deviation quadratically.  Q-route noise grows like
     eps / gap^2 as two eigenvalues approach: near 1e-4 at a gap of 1e-6,
@@ -249,33 +253,35 @@ def _purify(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the result's residuals.  P has unit trace and degree zero, so the rule
     is scale-free.  Powers of one element associate: no ambiguity.
     """
-    P2 = _jordan(P, P)
+    L = _op(P)
+    P2 = _apply(P, L)
     for _ in range(2):
-        if max(map(_norm, P2 - P)) <= PURE_DEFECT:
+        if max(map(_norm, _frob(P2 - P))) <= PURE_DEFECT:
             break
-        P = P2 * 3.0 - _jordan(P2, P) * 2.0
-        P2 = _jordan(P, P)
-    return P, P2
+        P = P2 * 3.0 - _apply(P2, L) * 2.0
+        L = _op(P)
+        P2 = _apply(P, L)
+    return P, L
 
 
-def _idempotents(A: np.ndarray, poly: tuple[float, float, float], lams):
-    """Purified Q-route idempotents of A, poly = char_poly(A), for the roots
-    lams, (k, 3, 3, 8), and P o P.  After the arithmetic the gates of :func:`q_matrix`
-    and :func:`idempotent_from_q` run root by root, as a loop over roots would."""
+def _idempotents(A: np.ndarray, nrm: float, poly: tuple[float, float, float], lams):
+    """Purified Q-route idempotents of coordinates A, |A| = nrm and
+    poly = char_poly(A), for the roots lams, (k, 27), and L of them.  After
+    the arithmetic the gates of :func:`q_matrix` and :func:`idempotent_from_q`
+    run root by root, as a loop over roots would."""
     Q = _q_stack(A, lams)
-    tq = _trace(Q)
-    nrm = _norm(A)
-    for lam, t, q_norm in zip(lams, tq.tolist(), map(_norm, Q)):
+    tq = Q[:, :3].sum(axis=1)
+    for lam, t, q_norm in zip(lams, tq.tolist(), map(_norm, _frob(Q))):
         _check_root(poly, nrm, lam)
         _check_q_trace(t, q_norm)
-    return _purify(Q * (1.0 / tq)[:, None, None, None])
+    return _purify(Q * (1.0 / tq)[:, None])
 
 
 def decompose(A: JordanMatrix) -> SpectralDecomposition:
     """Full eigenmatrix decomposition of A with verification residuals.
 
     The idempotents of the simple roots, the eigenvectors and the residuals
-    are each computed on one (k, 3, 3, 8) stack.  Raises
+    are each computed on one (k, 27) stack of Hermitian coordinates.  Raises
     :class:`~albert.exceptions.InconsistentError` when any of the four
     residuals exceeds its gate (the assembled pieces fail to reproduce A,
     or are not orthogonal eigenmatrices of it), and propagates
@@ -283,11 +289,13 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
     criterion the same way.
     """
     (a,), e = _unit_scale((A._arr, 1))
-    A = JordanMatrix._wrap(a)
+    h = _pack(a)
+    nrm = _norm(_frob(h))
     poly = _invariants(a)
     roots: CubicRoots = _solve(*poly)
     lams, lam = roots.roots, roots.repeated
     if roots.multiplicity == "double":
+        A = JordanMatrix._wrap(a)
         # Cross-check the solver's multiplicity call against tr Q = sigma(A - lam I).
         trq = (A - JordanMatrix.identity() * lam).sigma()
         if abs(trq) > tolerances.mtol * (1.0 + max(abs(r) for r in lams)) ** 2:
@@ -296,44 +304,46 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
                 f"(|tr Q| / |A|^2 = {abs(trq) / A.norm() ** 2:.3e})"
             )
     if roots.multiplicity == "triple":
-        P, PoP = np.stack([JordanMatrix.diag(*unit)._arr for unit in np.eye(3)]), None
+        P = np.eye(27)[:3]
+        L = _op(P)
     else:
         try:
-            P, PoP = _idempotents(A._arr, poly, roots.simple)
+            P, L = _idempotents(h, nrm, poly, roots.simple)
         except ZeroQMatrixError as exc:
             raise InconsistentError(
                 "cubic solver reports a simple root with a vanishing Q matrix"
             ) from exc
     if roots.multiplicity == "double":
-        V1, V2 = _split(A, lam, e)
-        pair = (V1._arr, V2._arr)
-        P, PoP = np.stack((P[0], *pair) if lams[0] > lam else (*pair, P[0])), None
+        pair = _pack(np.stack([V._arr for V in _split(A, lam, e)]))
+        P = np.stack((P[0], *pair) if lams[0] > lam else (*pair, P[0]))
+        L = _op(P)
 
     # The idempotents were validated above; extraction uses the looser
     # residual gate because Q-route idempotents inherit noise of order
     # eps / gap^2 near close eigenvalues.
-    vectors = _extract(P, RESIDUAL_RTOL, PoP)
-    scaled = P * np.array(lams)[:, None, None, None]
-    completeness, recon = map(_norm, (P[0] + P[1] + P[2] - JordanMatrix.identity()._arr,
-                                      scaled[0] + scaled[1] + scaled[2] - A._arr))
-    gate = RESIDUAL_RTOL * (1.0 + A.norm())
+    vectors = _extract(P, RESIDUAL_RTOL)
+    scaled = P * np.array(lams)[:, None]
+    completeness = _norm(_frob(P.sum(axis=0) - _UNIT))
+    recon = _norm(_frob(scaled.sum(axis=0) - h))
+    gate = RESIDUAL_RTOL * (1.0 + nrm)
     if not (recon <= gate and completeness <= gate):
         raise InconsistentError(
             f"assembled decomposition fails to reproduce A "
-            f"(reconstruction / |A| = {recon / A.norm():.3e}, completeness {completeness:.3e})"
+            f"(reconstruction / |A| = {recon / nrm:.3e}, completeness {completeness:.3e})"
         )
+    # L(P) gives every A o P_i and P_(i+1) o P_i, which are the three pairs.
     # P o P has degree zero, so orthogonality is gated without the |A| term.
-    eigen = list(map(_norm, _jordan(A._arr, P) - scaled))
-    orthogonality = max(map(_norm, _jordan(P[[0, 0, 1]], P[[1, 2, 2]])))
+    eigen = list(map(_norm, _frob(_apply(h, L) - scaled)))
+    orthogonality = max(map(_norm, _frob(_apply(P[[1, 2, 0]], L))))
     if not (max(eigen) <= gate and orthogonality <= RESIDUAL_RTOL):
         raise InconsistentError(
             f"idempotents are not orthogonal eigenmatrices of A "
-            f"(eigen / |A| = {max(eigen) / A.norm():.3e}, orthogonality {orthogonality:.3e})"
+            f"(eigen / |A| = {max(eigen) / nrm:.3e}, orthogonality {orthogonality:.3e})"
         )
     lams, eigen, recon = _rescale(e, (lams, 1), (eigen, 1), (recon, 1))
     return SpectralDecomposition(
         eigenvalues=tuple(float(v) for v in lams),
-        idempotents=tuple(JordanMatrix._wrap(p) for p in P),
+        idempotents=tuple(JordanMatrix._wrap(p) for p in _unpack(P)),
         eigenvectors=tuple(OctVector3._wrap(v) for v in vectors),
         residuals={
             "eigen": eigen,

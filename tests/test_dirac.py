@@ -182,7 +182,7 @@ class TestPsiPackScale:
         theta = sampling.random_complex_theta(rng)
         return tuple(t * s for t in theta), sampling.random_octonion(rng) * s
 
-    @pytest.mark.parametrize("k", [-300, -40, 3, 40, 300])
+    @pytest.mark.parametrize("k", [-400, -300, -40, 3, 40, 300])
     def test_exact_under_power_of_two_scaling(self, k):
         _, want = psi_pack(*self.sample(0))
         _, got = psi_pack(*self.sample(k))
@@ -193,6 +193,12 @@ class TestPsiPackScale:
             warnings.simplefilter("error")
             with pytest.raises(InconsistentError):
                 psi_pack(*self.sample(600))
+
+    @pytest.mark.parametrize("k", [-600, -530])
+    def test_underflow_is_inconsistency(self, k):
+        # |Psi|^2 is about 2^(2k): zero at -600, subnormal at -530
+        with pytest.raises(InconsistentError, match="underflows"):
+            psi_pack(*self.sample(k))
 
 
 class TestClassify:

@@ -6,10 +6,13 @@ import pytest
 from albert import sampling
 from albert.cubic import solve_characteristic
 from albert.exceptions import ZeroVectorError
-from albert.f4 import _reflection, build_m1_m2, diagonalize
+from albert.f4 import _reflect, _reflection, build_m1_m2, diagonalize
 from albert.jordan import (
     JordanMatrix,
     OctVector3,
+    _frob,
+    _pack,
+    _unpack,
     char_poly,
     jordan_product,
     matvec,
@@ -117,7 +120,40 @@ class TestReflectionLayout:
         for row, name in enumerate("abc"):
             diag, entry = tuple(rng.uniform(-1, 1, 3).tolist()), rng.uniform(-1, 1, 8)
             want = JordanMatrix(*diag, **{name: entry})
-            assert _reflection(diag, row, entry).to_array().tobytes() == want.to_array().tobytes()
+            assert _unpack(_reflection(diag, row, entry)).tobytes() == want.to_array().tobytes()
+
+
+def block_diagonal(rng):
+    """[[X, 0], [0, n]] with n the smallest root, so M1 = diag(-1, 1, 1) and M2 = I."""
+    return JordanMatrix(rng.uniform(1.0, 2.0), rng.uniform(1.0, 2.0), -3.0,
+                        a=sampling.random_octonion(rng) * 0.25)
+
+
+class TestReflectionRoute:
+    """diagonalize applies each reflection as U_M X = 2 M o (M o X) - X on
+    Hermitian coordinates; every reflected matrix, and the diagonal, equal
+    the public nested sandwich M (X M) to 1e-15 |A|, including the steps that
+    degenerate to the identity (N1 = 0, |y| = 0, X already diagonal)."""
+
+    @staticmethod
+    def cases(span):
+        rng = np.random.default_rng(60 + span)
+        yield from (sampling.random_jordan(rng, span=span) for _ in range(200))
+        yield from (JordanMatrix.diag(*d) for d in ((2.0, 1.0, 3.0), (1.0, 2.0, 3.0), (2.0, 3.0, 1.0)))
+        yield from (block_diagonal(rng) for _ in range(5))
+
+    @pytest.mark.parametrize("span", [1, 4, 8])
+    def test_matches_nested_sandwich(self, span):
+        identity_steps = 0
+        for A in self.cases(span):
+            res = diagonalize(A)
+            B, x = A, _pack(A.to_array())
+            for M in res.steps:
+                B, x = sandwich(M, B), _reflect(x, _pack(M.to_array()))
+                assert np.linalg.norm(_frob(x - _pack(B.to_array()))) <= 1e-15 * A.norm()
+                identity_steps += M.isclose(JordanMatrix.identity(), atol=0.0, rtol=0.0)
+            assert np.abs(np.subtract(res.diagonal, B.diagonal())).max() <= 1e-15 * A.norm()
+        assert identity_steps >= 3
 
 
 class TestDiagonalize:

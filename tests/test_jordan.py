@@ -13,14 +13,20 @@ from albert.exceptions import (
     ZeroMatrixError,
 )
 from albert.jordan import (
+    _FREUDENTHAL,
+    _JORDAN,
     JordanMatrix,
     OctVector3,
     _det_shifted,
     _freudenthal,
+    _frob,
     _hermitian_part,
     _jordan,
+    _mul,
+    _pack,
     _raw_mul,
     _trace,
+    _unpack,
     char_poly,
     det_via_trace,
     extract_vector,
@@ -178,8 +184,8 @@ class TestInvariants:
 
 class TestProducts:
     def test_commutative(self):
-        # symmetrization happens via the conjugate transpose, so swapping the
-        # operands only reorders the sums: equal to rounding, not bitwise
+        # x o y is y @ L(x), so swapping the operands sums the same terms in
+        # another order: equal to rounding, not bitwise
         rng = np.random.default_rng(5)
         for _ in range(100):
             A, B = sampling.random_jordan(rng), sampling.random_jordan(rng)
@@ -397,7 +403,7 @@ class TestRankOneAtUnitScale:
         for v in vectors:
             assert self.associates(v * math.ldexp(1.0, k)) == self.associates(v)
 
-    @pytest.mark.parametrize("k", [-300, -40, 3, 40, 300])
+    @pytest.mark.parametrize("k", [-400, -300, -40, 3, 40, 300])
     def test_exact_under_power_of_two_scaling(self, k):
         rng = np.random.default_rng(98)
         for _ in range(50):
@@ -411,6 +417,14 @@ class TestRankOneAtUnitScale:
             warnings.simplefilter("error")
             with pytest.raises(InconsistentError):
                 rank1_from_vector(v)
+
+    @pytest.mark.parametrize("k", [-600, -530])
+    def test_underflow_is_inconsistency(self, k):
+        # |v|^2 is about 2^(2k): zero at -600, subnormal at -530
+        v = sampling.random_vector(np.random.default_rng(99), span=4)
+        with pytest.raises(InconsistentError, match="underflows"):
+            rank1_from_vector(v * 2.0**k)
+        assert rank1_from_vector(v * 0.0).norm() == 0.0
 
 
 class TestVectorsAndAction:
@@ -548,6 +562,53 @@ class TestKernelAgainstReference:
     def test_det(self, samples):
         for A, _, _ in samples:
             assert_matches(A.det(), ref_det(A.to_array()), A.norm() ** 3)
+
+
+class TestStructureTensors:
+    """The Jordan and Freudenthal tensors hold the products of the 27 x 27
+    pairs of basis matrices, exactly, and contracting with them gives the
+    product of any pair, a stack the bits of its slices."""
+
+    @pytest.mark.parametrize("tensor, ref", [(_JORDAN, ref_jordan), (_FREUDENTHAL, ref_freudenthal)],
+                             ids=["jordan", "freudenthal"])
+    def test_basis_pairs_exact(self, tensor, ref):
+        basis = _unpack(np.eye(27))
+        T = tensor.reshape(27, 27, 27)
+        for i in range(27):
+            for j in range(27):
+                assert np.array_equal(_unpack(T[i, j]), ref(basis[i], basis[j])), (i, j)
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(28)
+        for _ in range(50):
+            A, B = sampling.random_jordan(rng), sampling.random_jordan(rng)
+            X, Y = A.to_array(), B.to_array()
+            x, y = _pack(X), _pack(Y)
+            scale = A.norm() * B.norm()
+            assert_matches(_unpack(_mul(x, y)), ref_jordan(X, Y), scale)
+            assert_matches(_unpack(_mul(x, y, _FREUDENTHAL)), ref_freudenthal(X, Y), scale)
+
+    def test_commutative(self):
+        for tensor in (_JORDAN, _FREUDENTHAL):
+            T = tensor.reshape(27, 27, 27)
+            assert np.array_equal(T, T.swapaxes(0, 1))
+
+    def test_stack_equals_slices_bit_for_bit(self):
+        # fresh copies put the slices at other memory alignments, where a
+        # BLAS vector-matrix product would sum in another order
+        X, Y = np.random.default_rng(29).uniform(-1.0, 1.0, (2, 5, 27))
+        for tensor in (_JORDAN, _FREUDENTHAL):
+            got, left = _mul(X, Y, tensor), _mul(X[0], Y, tensor)
+            for i in range(len(X)):
+                assert np.array_equal(got[i], _mul(X[i].copy(), Y[i].copy(), tensor))
+                assert np.array_equal(left[i], _mul(X[0].copy(), Y[i].copy(), tensor))
+
+    def test_pack_round_trip(self):
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            X = sampling.random_jordan(rng).to_array()
+            assert np.array_equal(_unpack(_pack(X)), X)
+            assert np.linalg.norm(_frob(_pack(X))) == pytest.approx(np.linalg.norm(X), rel=1e-15)
 
 
 def det_before_kernel(A):

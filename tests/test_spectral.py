@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from albert import jordan, sampling, spectral
+from albert import f4, jordan, sampling, spectral
 from albert.config import RESIDUAL_RTOL
 from albert.cubic import CubicRoots, solve_characteristic
 from albert.dirac import classify_psquare
@@ -22,9 +22,11 @@ from albert.f4 import diagonalize
 from albert.jordan import (
     JordanMatrix,
     OctVector3,
-    _extract,
-    _freudenthal,
-    _jordan,
+    _frob,
+    _mul,
+    _op,
+    _pack,
+    _unpack,
     char_poly,
     extract_vector,
     freudenthal_product,
@@ -395,7 +397,8 @@ class TestStackedPipeline:
             A = sampling.random_jordan(rng)
             dec = decompose(A)
             for lam, P, v in zip(dec.eigenvalues, dec.idempotents, dec.eigenvectors):
-                P1 = JordanMatrix._wrap(_purify(idempotent_from_q(q_matrix(A, lam))._arr)[0])
+                Q1 = _pack(idempotent_from_q(q_matrix(A, lam))._arr)
+                P1 = JordanMatrix._wrap(_unpack(_purify(Q1[None])[0][0]))
                 v1 = extract_vector(P1, rank_rtol=RESIDUAL_RTOL)
                 assert (P - P1).norm() <= 1e-14 * P1.norm()
                 assert np.linalg.norm(v.to_array() - v1.to_array()) <= 1e-14 * v1.norm()
@@ -403,7 +406,7 @@ class TestStackedPipeline:
     def test_non_root_in_stack(self):
         A = JordanMatrix.diag(1.0, 2.0, 3.0)
         with pytest.raises(NotAnEigenvalueError):
-            _idempotents(A._arr, char_poly(A), (3.0, 2.5))
+            _idempotents(_pack(A._arr), A.norm(), char_poly(A), (3.0, 2.5))
 
     def test_repeated_root_precedes_later_non_root(self):
         # 1 is a double root of A: its Q vanishes.  The non-root 5 comes
@@ -415,7 +418,12 @@ class TestStackedPipeline:
             for lam in lams:
                 idempotent_from_q(q_matrix(A, lam))
         with pytest.raises(ZeroQMatrixError):
-            _idempotents(A._arr, char_poly(A), lams)
+            _idempotents(_pack(A._arr), A.norm(), char_poly(A), lams)
+
+
+def with_op(P):
+    """A stack of coordinates and its L(P), as ``_purify`` returns them."""
+    return P, _op(P)
 
 
 class TestScaleFreeMessages:
@@ -452,7 +460,7 @@ class TestScaleFreeMessages:
             msgs = [self.message(InconsistentError, decompose, A * s) for s in (1.0, 2.0**20)]
             assert msgs[0] == msgs[1] and "tr Q does not vanish" in msgs[0]
         with monkeypatch.context() as m:
-            m.setattr(spectral, "_purify", lambda P: (P * 1.5, None))
+            m.setattr(spectral, "_purify", lambda P: with_op(P * 1.5))
             msgs = [self.message(InconsistentError, decompose, A * s) for s in (1.0, 2.0**20)]
             assert msgs[0] == msgs[1] and "fails to reproduce A" in msgs[0]
 
@@ -463,9 +471,9 @@ class TestScaleFreeMessages:
         # eigen residuals are of order t * gap, but P1 o P2 = -t^2 (E11 + E22)
         # reads sqrt(2) t^2 = 1.3e-8 over RESIDUAL_RTOL.
         A = JordanMatrix.diag(4.0, 2.0 + 2.0**-16, 2.0)
-        N = JordanMatrix(c=1.0)._arr * 9.5e-5
+        N = _pack(JordanMatrix(c=1.0)._arr) * 9.5e-5
         turn = np.stack([np.zeros_like(N), N, -N])
-        monkeypatch.setattr(spectral, "_purify", lambda P: (_purify(P)[0] + turn, None))
+        monkeypatch.setattr(spectral, "_purify", lambda P: with_op(_purify(P)[0] + turn))
         msgs = [self.message(InconsistentError, decompose, A * s) for s in (1.0, 2.0**20)]
         assert msgs[0] == msgs[1] and "not orthogonal eigenmatrices" in msgs[0]
         assert "orthogonality 1.27" in msgs[0]
@@ -475,15 +483,16 @@ def two_step_purify(P):
     """_purify as it was before it measured the defect: two unconditional
     steps, kept as reference."""
     for _ in range(2):
-        P2 = _jordan(P, P)
-        P = P2 * 3.0 - _jordan(P2, P) * 2.0
+        P2 = _mul(P, P)
+        P = P2 * 3.0 - _mul(P, P2) * 2.0
     return P
 
 
 def q_route(A, lams):
-    """Unpurified Q-route idempotents Q / tr Q of A for the roots lams."""
-    Q = _q_stack(A.to_array(), lams)
-    return Q / Q.reshape(len(lams), 72)[:, ::32].sum(axis=1)[:, None, None, None]
+    """Unpurified Q-route idempotents Q / tr Q of A, in Hermitian
+    coordinates, for the roots lams."""
+    Q = _q_stack(_pack(A.to_array()), lams)
+    return Q / Q[:, :3].sum(axis=1)[:, None]
 
 
 def near_double(gap, seed):
@@ -493,76 +502,67 @@ def near_double(gap, seed):
                JordanMatrix.zero())
 
 
+def defects(P):
+    """|P o P - P| per root of a stack of coordinates, as Frobenius norms."""
+    return [np.linalg.norm(x) for x in _frob(_mul(P, P) - P)]
+
+
 class TestAdaptivePurification:
     """_purify steps only while some root of the stack is not idempotent to
-    PURE_DEFECT, and returns P o P for the rank-one gate."""
+    PURE_DEFECT, and returns L(P) for the residuals of decompose."""
 
     def test_idempotent_stack_is_returned_unchanged(self):
         rng = np.random.default_rng(31)
-        frames = [np.stack([JordanMatrix.diag(*u).to_array() for u in np.eye(3)])]
+        frames = [np.eye(27)[:3]]
         for _ in range(20):
             A = sampling.random_jordan(rng)
             frames.append(q_route(A, solve_characteristic(*char_poly(A)).roots))
         for P in frames:
-            defects = [np.linalg.norm(x) for x in _jordan(P, P) - P]
-            assert max(defects) <= PURE_DEFECT
-            out, PoP = _purify(P)
+            assert max(defects(P)) <= PURE_DEFECT
+            out, L = _purify(P)
             assert out is P
-            assert PoP.tobytes() == _jordan(P, P).tobytes()
+            assert L.tobytes() == _op(P).tobytes()
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_near_degenerate_stack_takes_both_steps(self, seed):
         A = near_double(1e-6, seed)
         lams = solve_characteristic(*char_poly(A)).roots
         P = q_route(A, lams)
-        P2 = _jordan(P, P)
-        once = P2 * 3.0 - _jordan(P2, P) * 2.0
-        assert max(np.linalg.norm(x) for x in _jordan(once, once) - once) > PURE_DEFECT
-        out, PoP = _purify(P)
+        P2 = _mul(P, P)
+        once = P2 * 3.0 - _mul(P, P2) * 2.0
+        assert max(defects(once)) > PURE_DEFECT
+        out, L = _purify(P)
         want = two_step_purify(P)
         assert out.tobytes() == want.tobytes()
-        assert PoP.tobytes() == _jordan(want, want).tobytes()
-
-    def test_extract_reuses_the_square_bit_for_bit(self):
-        rng = np.random.default_rng(32)
-        for _ in range(30):
-            A = sampling.random_jordan(rng)
-            P, PoP = _purify(q_route(A, solve_characteristic(*char_poly(A)).roots))
-            assert _freudenthal(P, P, PoP).tobytes() == _freudenthal(P, P).tobytes()
-            assert (_extract(P, RESIDUAL_RTOL, PoP).tobytes()
-                    == _extract(P, RESIDUAL_RTOL).tobytes())
-
-    @pytest.mark.parametrize("V, exc_type", [
-        (np.stack([JordanMatrix.diag(1, 0, 0).to_array(), JordanMatrix.diag(1, 1, 0).to_array()]),
-         NotRankOneError),
-        (JordanMatrix.diag(-8, 0, 0).to_array()[None], ZeroMatrixError),
-    ], ids=["rank-two", "negative-trace"])
-    def test_extract_reuse_raises_the_same(self, V, exc_type):
-        messages = []
-        for VoV in (None, _jordan(V, V)):
-            with pytest.raises(exc_type) as info:
-                _extract(V, RESIDUAL_RTOL, VoV)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+        assert L.tobytes() == _op(want).tobytes()
 
 
 class TestWorkDone:
-    """Matrix products per call on the common paths, counted exactly, so a
-    change that restores wasted products fails here without timing."""
+    """Products per call on the common paths, counted exactly, so a change
+    that restores wasted products fails here without timing: each product
+    builds one L(x) (``_op``) and contracts with it (``_apply``), and the
+    24x24 real matrix product ``_raw_mul`` is not called at all."""
 
     @staticmethod
-    def products(monkeypatch, fn, A):
-        calls = []
-        raw_mul = jordan._raw_mul
+    def counts(monkeypatch, fn, A):
+        calls = {"_op": 0, "_apply": 0, "_raw_mul": 0}
 
-        def counted(x, y):
-            calls.append(None)
-            return raw_mul(x, y)
+        def counted(name):
+            kernel = getattr(jordan, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapper
 
         with monkeypatch.context() as m:
-            m.setattr(jordan, "_raw_mul", counted)
+            for name in calls:
+                wrapper = counted(name)
+                for module in (jordan, spectral, f4):
+                    if hasattr(module, name):
+                        m.setattr(module, name, wrapper)
             fn(A)
-        return len(calls)
+        return calls
 
     def test_well_separated(self, monkeypatch):
         rng = np.random.default_rng(33)
@@ -570,12 +570,12 @@ class TestWorkDone:
             A = sampling.random_jordan(rng)
             roots = solve_characteristic(*char_poly(A)).roots
             assert min(roots[0] - roots[1], roots[1] - roots[2]) > 1.0
-            assert self.products(monkeypatch, decompose, A) <= 4
-            assert self.products(monkeypatch, diagonalize, A) <= 8
+            assert self.counts(monkeypatch, decompose, A) == {"_op": 3, "_apply": 5, "_raw_mul": 0}
+            assert self.counts(monkeypatch, diagonalize, A) == {"_op": 6, "_apply": 9, "_raw_mul": 0}
 
     def test_double_root(self, monkeypatch):
         rng = np.random.default_rng(34)
         for _ in range(10):
             A = sampling.random_double_root_matrix(rng)[0]
-            assert self.products(monkeypatch, decompose, A) <= 6
-            assert self.products(monkeypatch, diagonalize, A) <= 8
+            assert self.counts(monkeypatch, decompose, A) == {"_op": 6, "_apply": 7, "_raw_mul": 0}
+            assert self.counts(monkeypatch, diagonalize, A) == {"_op": 6, "_apply": 9, "_raw_mul": 0}
