@@ -28,7 +28,7 @@ import numpy as np
 from .config import RESIDUAL_RTOL, _rescale, _unit_scale, tolerances
 from .exceptions import InconsistentError, NonNullMomentumError
 from .jordan import JordanMatrix, OctVector3, _invariants, _outer
-from .octonion import CONJ_SIGNS, Octonion, _ArrayValue, _as_octonion
+from .octonion import CONJ_SIGNS, Octonion, _ArrayValue, _as_octonion, _finite
 
 # Relative threshold shared by the null-momentum gate and the p-square
 # class boundaries; scaled by the matching power of the input norm.
@@ -49,9 +49,7 @@ class Hermitian2(_ArrayValue):
         if z is not None:
             arr[0, 1] = _as_octonion(z).coeffs
             arr[1, 0] = arr[0, 1] * CONJ_SIGNS
-        if not np.isfinite(arr).all():
-            raise ValueError("entries must be finite")
-        super().__init__(arr)
+        super().__init__(_finite(arr))
 
     s = property(lambda self: float(self._arr[0, 0, 0]))
     t = property(lambda self: float(self._arr[1, 1, 0]))

@@ -61,12 +61,9 @@ from .jordan import (
     OctVector3,
     _apply,
     _extract,
-    _frob,
     _invariants,
     _UNIT,
     _op,
-    _pack,
-    _unpack,
     phase_align,
 )
 from .octonion import CONJ_SIGNS, _norm
@@ -100,7 +97,7 @@ def build_m1_m2(v: OctVector3) -> tuple[JordanMatrix, JordanMatrix]:
     for unit v the composite satisfies M2 (M1 v) = (0, 0, 1).
     """
     (u,), _ = _unit_scale((v._arr, 1))
-    return tuple(JordanMatrix._wrap(m) for m in _unpack(_m1_m2(u)))
+    return tuple(JordanMatrix._wrap(m) for m in _m1_m2(u))
 
 
 def _m1_m2(u: np.ndarray) -> np.ndarray:
@@ -154,17 +151,16 @@ def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
     work runs on A / 2^e at unit scale; the reflections have degree zero,
     and the diagonal and residual are multiplied back by 2^e.
     """
-    (a,), e = _unit_scale((A._arr, 1))
-    A = JordanMatrix._wrap(a)
-    poly = _invariants(a)
+    (h,), e = _unit_scale((A._arr, 1))
+    A = JordanMatrix._wrap(h)
+    poly = _invariants(h)
     roots = _solve(*poly)
     if roots.multiplicity == "triple":
         diagonal, residual = _rescale(e, (A.diagonal(), 1), (A.offdiag_norm(), 1))
         return DiagonalizationResult(steps=(), diagonal=tuple(diagonal), residual=residual)
     lam = min(roots.simple)
 
-    h = _pack(a)
-    nrm = _norm(_frob(h))
+    nrm = A.norm()
     P, _ = _idempotents(h, nrm, poly, [lam])
     v = phase_align(OctVector3._wrap(_extract(P, RESIDUAL_RTOL)[0]))
     # v is a unit vector, so already at the unit scale build_m1_m2 would take
@@ -186,8 +182,9 @@ def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
     upper = b3[3:].reshape(3, 8)
     norms2 = (upper * upper).sum(axis=1).tolist()
     diagonal, residual = _rescale(e, (b3[:3].tolist(), 1), (math.sqrt(max(norms2)), 1))
+    steps = np.array([m1, m2, m3]) + 0.0  # adding 0.0 clears negative zeros
     return DiagonalizationResult(
-        steps=tuple(JordanMatrix._wrap(m) for m in _unpack(np.array([m1, m2, m3]))),
+        steps=tuple(JordanMatrix._wrap(m) for m in steps),
         diagonal=tuple(diagonal),
         residual=residual,
     )

@@ -28,23 +28,26 @@ primitive idempotent (a point of the Cayley plane).  The construction is only
 consistent when the components of v associate, which is why
 :func:`rank1_from_vector` checks their associator.
 
-Storage: a :class:`JordanMatrix` is one read-only Hermitian (3, 3, 8) array
-(``to_array`` copies it; ``p, m, n, a, b, c`` are computed on read), an
-:class:`OctVector3` one (3, 8) array.  The computations run on the 27 real
-Hermitian coordinates (p, m, n, a, b, c) instead (:func:`_pack`,
-:func:`_unpack`), in which both products are bilinear: with the exact
-structure tensors ``_JORDAN`` and ``_FREUDENTHAL``, (27, 27, 27) stored as
-(27, 729), whose slices are the products of basis pairs, x o y is
+Storage: a :class:`JordanMatrix` is one read-only vector (27,) of the
+real Hermitian coordinates (p, m, n, a, b, c), the diagonal followed by the
+eight coefficients of each of a, b and c; ``p, m, n, a, b, c`` read slices
+of it.  An :class:`OctVector3` is one (3, 8) array.  The (3, 3, 8) array of
+octonion entries exists only in this module: ``to_array`` and
+``from_array`` convert to and from it (:func:`_unpack`, :func:`_pack`), and
+the ordinary octonionic matrix product, the 24x24 real matrix of the left
+factor (:func:`_embed`, on :func:`albert.octonion.left_mult`) times the
+columns of the right one (:func:`_raw_mul`), runs on it, for
+:func:`sandwich`, :func:`matvec`, the real oracle and the build of the
+structure tensors.  Both products are bilinear in the coordinates: with the
+exact structure tensors ``_JORDAN`` and ``_FREUDENTHAL``, (27, 27, 27)
+stored as (27, 729), whose slices are the products of basis pairs, x o y is
 ``y @ L(x)`` for the 27x27 matrix ``L(x) = (x @ _JORDAN).reshape(27, 27)``
-(:func:`_op`, :func:`_mul`), and x * y the same with ``_FREUDENTHAL``.
-The tensors are built once at import, from one stacked product of all 729
-basis pairs.  Norms weight each off-diagonal coordinate by sqrt(2)
-(:func:`_frob`), which gives the Frobenius norm of the (3, 3, 8) form.  A stack (..., 27) of
+(:func:`_op`, :func:`_mul`), and x * y the same with ``_FREUDENTHAL``.  The
+tensors are built once at import, from one stacked product of all 729 basis
+pairs.  Norms weight each off-diagonal coordinate by sqrt(2) (:func:`_frob`),
+which gives the Frobenius norm of the (3, 3, 8) form.  A stack (..., 27) of
 coordinates takes every kernel at once, a single factor broadcasting
-against a stack.  The ordinary octonionic matrix product, the 24x24 real
-matrix of the left factor (:func:`albert.octonion.left_mult`) times the
-columns of the right one, remains only for :func:`sandwich`, :func:`matvec`
-and the real oracle, and to build the tensors.
+against a stack.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from .octonion import (
     _ArrayValue,
     _as_octonion,
     _associator,
+    _finite,
     _norm,
     left_mult,
 )
@@ -87,7 +91,7 @@ __all__ = [
 ]
 
 # Rows of a (3, 3, 8) array seen as (9, 8): a = (0, 1), b = (2, 0), c = (1, 2)
-# and their conjugate mirrors.  The diagonal is rows 0, 4, 8: the slice [::4].
+# and their conjugate mirrors.
 _UPPER_ROWS = np.array([1, 6, 5])
 _LOWER_ROWS = np.array([3, 2, 7])
 
@@ -100,6 +104,9 @@ _UNPACK[[0, 1, 2], [0, 4, 8], 0] = 1.0
 _UNPACK[3:, _UPPER_ROWS] = np.eye(24).reshape(24, 3, 8)
 _UNPACK[3:, _LOWER_ROWS] = _UNPACK[3:, _UPPER_ROWS] * CONJ_SIGNS
 _UNPACK = _UNPACK.reshape(27, 72)
+
+# _UNPACK by column of the (3, 3, 8) array: h @ _COLUMNS[k] is column k, (24,).
+_COLUMNS = _UNPACK.reshape(27, 3, 3, 8).transpose(2, 0, 1, 3).reshape(3, 27, 24)
 
 #: The identity in Hermitian coordinates; x @ _UNIT is tr x.
 _UNIT = np.concatenate((np.ones(3), np.zeros(24)))
@@ -124,14 +131,9 @@ def _frob(h: np.ndarray) -> np.ndarray:
     return h * _FROB_WEIGHTS
 
 
-def _diag(arr: np.ndarray) -> np.ndarray:
-    """The real diagonal, (..., 3); a view when ``arr`` is contiguous."""
-    return arr.reshape(arr.shape[:-3] + (72,))[..., ::32]
-
-
-def _trace(arr: np.ndarray):
-    d = _diag(arr).T
-    return d[0] + d[1] + d[2]
+def _trace(h: np.ndarray):
+    """tr of coordinates (..., 27): p + m + n, added in that order."""
+    return h[..., 0] + h[..., 1] + h[..., 2]
 
 
 def _conj_transpose(arr: np.ndarray) -> np.ndarray:
@@ -140,11 +142,12 @@ def _conj_transpose(arr: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(arr: np.ndarray) -> np.ndarray:
-    return (arr + _conj_transpose(arr)) / 2.0
+    """Coordinates (..., 27) of the Hermitian part of (..., 3, 3, 8) arrays."""
+    return _pack((arr + _conj_transpose(arr)) / 2.0)
 
 
 def _embed(arr: np.ndarray) -> np.ndarray:
-    """(..., 24, 24) real matrices of v -> X v for X in arr, slot-major."""
+    """(..., 24, 24) real matrices of v -> X v, X in arr (..., 3, 3, 8), slot-major."""
     return left_mult(arr).swapaxes(-3, -2).reshape(arr.shape[:-3] + (24, 24))
 
 
@@ -160,7 +163,7 @@ def _structure_tensors() -> tuple[np.ndarray, np.ndarray]:
     (27, 729) tensors: one stacked matrix product, exact, since every
     coefficient is 0, +-1/2 or +-1."""
     basis = _unpack(np.eye(27))
-    circ = _pack(_hermitian_part(_raw_mul(basis[:, None], basis[None, :])))
+    circ = _hermitian_part(_raw_mul(basis[:, None], basis[None, :]))
     # x * y = x o y - (x tr y + y tr x) / 2 + (tr x tr y - tr(x o y)) / 2 I
     tr, eye = _UNIT, np.eye(27)
     cross = (circ - (eye[:, None] * tr[None, :, None] + eye[None, :] * tr[:, None, None]) / 2.0
@@ -190,31 +193,23 @@ def _mul(x: np.ndarray, y: np.ndarray, tensor: np.ndarray = _JORDAN) -> np.ndarr
     return _apply(y, _op(x, tensor))
 
 
-def _jordan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _unpack(_mul(_pack(x), _pack(y)))
-
-
-def _freudenthal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _unpack(_mul(_pack(x), _pack(y), _FREUDENTHAL))
-
-
-def _quadratic(arr: np.ndarray):
+def _quadratic(h: np.ndarray):
     """The diagonal [p, m, n], the rows a, b, c, their squared norms and
-    sigma(A) of the (3, 3, 8) array A, its entries read once."""
-    upper = arr.reshape(9, 8).take(_UPPER_ROWS, axis=0)
+    sigma(A) of the coordinates h, (27,), of A, its entries read once."""
+    upper = h[3:].reshape(3, 8)
     na, nb, nc = norms = (upper * upper).sum(axis=1).tolist()
-    diag = _diag(arr).tolist()
+    diag = h[:3].tolist()
     p, m, n = diag
     return diag, upper, norms, p * m + m * n + p * n - na - nb - nc
 
 
-def _invariants(arr: np.ndarray, lams=0.0):
-    """tr A, sigma(A) and det(A - lambda I) of the (3, 3, 8) array A, its entries
-    read once.  det is a float for a float lambda, a list of floats for a list
-    or tuple of them and an array for an array, each lambda's bits those of its
-    float call: the off-diagonal terms are computed once, only the diagonal
-    shifts."""
-    diag, (a, b, c), (na, nb, nc), sigma = _quadratic(arr)
+def _invariants(h: np.ndarray, lams=0.0):
+    """tr A, sigma(A) and det(A - lambda I) of the coordinates h of A, its
+    entries read once.  det is a float for a float lambda, a list of floats
+    for a list or tuple of them and an array for an array, each lambda's bits
+    those of its float call: the off-diagonal terms are computed once, only
+    the diagonal shifts."""
+    diag, (a, b, c), (na, nb, nc), sigma = _quadratic(h)
     re_bac2 = 2.0 * float((b * CONJ_SIGNS) @ (left_mult(a) @ c))
     p0, m0, n0 = diag
 
@@ -226,8 +221,8 @@ def _invariants(arr: np.ndarray, lams=0.0):
     return p0 + m0 + n0, sigma, dets
 
 
-def _det_shifted(arr: np.ndarray, lams):
-    return _invariants(arr, lams)[2]
+def _det_shifted(h: np.ndarray, lams):
+    return _invariants(h, lams)[2]
 
 
 class OctVector3(_ArrayValue):
@@ -246,7 +241,7 @@ class OctVector3(_ArrayValue):
         arr = np.array(arr, dtype=float)
         if arr.shape != (3, 8):
             raise ValueError(f"expected shape (3, 8), got {arr.shape}")
-        return cls._wrap(arr)
+        return cls._wrap(_finite(arr))
 
     @property
     def components(self) -> tuple[Octonion, Octonion, Octonion]:
@@ -283,7 +278,7 @@ class OctVector3(_ArrayValue):
 class JordanMatrix(_ArrayValue):
     """Element of the Albert algebra in the (p, m, n; a, b, c) layout.
 
-    Immutable; stored as one read-only Hermitian (3, 3, 8) array.
+    Immutable; stored as one read-only vector of its 27 Hermitian coordinates.
     """
 
     __slots__ = ()
@@ -294,18 +289,16 @@ class JordanMatrix(_ArrayValue):
         for row, x in zip(h[3:].reshape(3, 8), (a, b, c)):
             if x is not None:
                 row[:] = _as_octonion(x).coeffs
-        if not np.isfinite(h).all():
-            raise ValueError("entries must be finite")
-        super().__init__(_unpack(h))
+        super().__init__(_finite(h))
 
     # -- entries -------------------------------------------------------------
 
-    p = property(lambda self: float(self._arr[0, 0, 0]))
-    m = property(lambda self: float(self._arr[1, 1, 0]))
-    n = property(lambda self: float(self._arr[2, 2, 0]))
-    a = property(lambda self: Octonion(self._arr[0, 1]))
-    b = property(lambda self: Octonion(self._arr[2, 0]))
-    c = property(lambda self: Octonion(self._arr[1, 2]))
+    p = property(lambda self: float(self._arr[0]))
+    m = property(lambda self: float(self._arr[1]))
+    n = property(lambda self: float(self._arr[2]))
+    a = property(lambda self: Octonion._wrap(self._arr[3:11]))
+    b = property(lambda self: Octonion._wrap(self._arr[11:19]))
+    c = property(lambda self: Octonion._wrap(self._arr[19:]))
 
     # -- constructors --------------------------------------------------------
 
@@ -325,21 +318,27 @@ class JordanMatrix(_ArrayValue):
     def from_array(cls, arr: np.ndarray, check: bool = True) -> "JordanMatrix":
         """Build from a (3, 3, 8) coefficient array, symmetrising rounding noise.
 
-        With ``check`` the array must be Hermitian to tolerance.  Entries
-        must be finite.
+        With ``check`` the array must be Hermitian to tolerance, decided on
+        arr / 2^e at unit scale, so 2^k arr gets the answer arr gets.
+        Entries must be finite.
         """
         arr = np.asarray(arr, dtype=float)
         if arr.shape != (3, 3, 8):
             raise ValueError(f"expected shape (3, 3, 8), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("entries must be finite")
-        if check:
-            dev = _norm(arr - _conj_transpose(arr))
-            if dev > tolerances.atol + tolerances.rtol * _norm(arr):
-                raise ValueError("array is not Hermitian")
-        return cls._wrap(_hermitian_part(arr))
+        (u,), e = _unit_scale((_finite(arr), 1))
+        if check and _norm(u - _conj_transpose(u)) > tolerances.atol + tolerances.rtol * _norm(u):
+            raise ValueError("array is not Hermitian")
+        return cls._wrap(*_rescale(e, (_hermitian_part(u), 1)))
+
+    def to_array(self) -> np.ndarray:
+        """The (3, 3, 8) array of octonion entries, a new array."""
+        return _unpack(self._arr)
 
     # -- invariants ----------------------------------------------------------
+
+    def norm(self) -> float:
+        """Frobenius norm of the (3, 3, 8) array: off-diagonal octonions count twice."""
+        return _norm(_frob(self._arr))
 
     def trace(self) -> float:
         return float(_trace(self._arr))
@@ -354,15 +353,15 @@ class JordanMatrix(_ArrayValue):
 
     def trace_reversal(self) -> "JordanMatrix":
         """A - (tr A) I, the involution entering the determinant identities."""
-        arr = self._arr.copy()
-        _diag(arr)[:] -= self.trace()
-        return JordanMatrix._wrap(arr)
+        h = self._arr.copy()
+        h[:3] -= self.trace()
+        return JordanMatrix._wrap(h)
 
     def offdiag_norm(self) -> float:
         return math.sqrt(2.0 * sum(_quadratic(self._arr)[2]))
 
     def diagonal(self) -> tuple[float, float, float]:
-        return tuple(_diag(self._arr).tolist())
+        return tuple(self._arr[:3].tolist())
 
     # -- serialization -------------------------------------------------------
 
@@ -393,12 +392,12 @@ _IDENTITY = JordanMatrix(1.0, 1.0, 1.0)
 
 def jordan_product(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
     """(A B + B A) / 2.  Commutative, non-associative."""
-    return JordanMatrix._wrap(_jordan(A._arr, B._arr))
+    return JordanMatrix._wrap(_mul(A._arr, B._arr))
 
 
 def freudenthal_product(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
     """The symmetric cross product whose trace recovers sigma and det."""
-    return JordanMatrix._wrap(_freudenthal(A._arr, B._arr))
+    return JordanMatrix._wrap(_mul(A._arr, B._arr, _FREUDENTHAL))
 
 
 def char_poly(A: JordanMatrix) -> tuple[float, float, float]:
@@ -423,7 +422,7 @@ def det_via_trace(A: JordanMatrix) -> float:
 
 def matvec(A: JordanMatrix, v: OctVector3) -> OctVector3:
     """Ordinary matrix-vector product with octonion entries."""
-    return OctVector3._wrap((_embed(A._arr) @ v._arr.reshape(24)).reshape(3, 8))
+    return OctVector3._wrap((_embed(_unpack(A._arr)) @ v._arr.reshape(24)).reshape(3, 8))
 
 
 def sandwich(M: JordanMatrix, A: JordanMatrix) -> JordanMatrix:
@@ -434,8 +433,8 @@ def sandwich(M: JordanMatrix, A: JordanMatrix) -> JordanMatrix:
     Hermitian again when M is.  Computed from the ordinary products, as the
     Hermitian part of (M A) M, so it assumes nothing of M.
     """
-    M = M._arr
-    return JordanMatrix._wrap(_hermitian_part(_raw_mul(_raw_mul(M, A._arr), M)))
+    M = _unpack(M._arr)
+    return JordanMatrix._wrap(_hermitian_part(_raw_mul(_raw_mul(M, _unpack(A._arr)), M)))
 
 
 # -- rank-one projectors -------------------------------------------------------
@@ -450,7 +449,7 @@ def _outer(u: np.ndarray, e: int) -> np.ndarray:
     left, right = u[[0, 2, 1]], u[[1, 0, 2]] * CONJ_SIGNS
     upper = (left_mult(left) @ right[:, :, None])[:, :, 0]
     h = np.concatenate((np.einsum("ij,ij->i", u, u), upper.ravel()))
-    (V,) = _rescale(e, (_unpack(h), 2))
+    (V,) = _rescale(e, (h, 2))
     n2 = h[0] + h[1] + h[2]
     if e < 0 and n2 and math.ldexp(n2, 2 * e) < _TINY:
         raise InconsistentError(f"|v|^2 underflows the double range at scale 2^{e}")
@@ -485,14 +484,14 @@ def extract_vector(V: JordanMatrix, rank_rtol: float | None = None) -> OctVector
     scale by an even power of two and v takes half of it.
     """
     (v,), e = _unit_scale((V._arr, 2))
-    return OctVector3._wrap(*_rescale(e, (_extract(_pack(v), rank_rtol)[0], 1)))
+    return OctVector3._wrap(*_rescale(e, (_extract(v, rank_rtol)[0], 1)))
 
 
 def _extract(V: np.ndarray, rank_rtol: float | None) -> np.ndarray:
     """:func:`extract_vector` on coordinates (27,) or (k, 27), giving (k, 3, 8)."""
     rtol = tolerances.rtol if rank_rtol is None else rank_rtol
     V = V.reshape(-1, 27)
-    VxV, cols = _mul(V, V, _FREUDENTHAL), _unpack(V)
+    VxV = _mul(V, V, _FREUDENTHAL)
     out = np.empty((len(V), 3, 8))
     for i, (nrm, vxv, diag) in enumerate(zip(map(_norm, _frob(V)), map(_norm, _frob(VxV)),
                                              V[:, :3].tolist())):
@@ -506,7 +505,7 @@ def _extract(V: np.ndarray, rank_rtol: float | None) -> np.ndarray:
         pivot = max(diag)
         if pivot <= 0.0:
             raise ZeroMatrixError("no positive diagonal entry to pivot on")
-        out[i] = cols[i, :, diag.index(pivot)] / math.sqrt(pivot)
+        out[i] = (V[i] @ _COLUMNS[diag.index(pivot)]).reshape(3, 8) / math.sqrt(pivot)
     return out
 
 

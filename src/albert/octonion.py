@@ -101,9 +101,17 @@ def _norm(arr: np.ndarray) -> float:
     return math.sqrt(n2)
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """``arr``, once its entries are known finite: the one check of every public
+    constructor, refusing NaN and inf with ValueError (``_wrap`` makes none)."""
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite")
+    return arr
+
+
 class _ArrayValue:
     """Immutable value stored as one read-only float array; equal when the
-    difference has Frobenius norm ``<= atol + rtol * max(|x|, |y|)``.
+    difference has norm ``<= atol + rtol * max(|x|, |y|)``.
 
     The linear-space operators are defined here once: ``+`` and ``-`` with a
     value of the same type, ``*`` and ``/`` by a real scalar, ``/`` as the
@@ -130,14 +138,14 @@ class _ArrayValue:
         return self._arr.copy()
 
     def norm(self) -> float:
-        """Frobenius norm, a Jordan matrix counting each off-diagonal octonion
-        twice."""
+        """Euclidean norm of the stored coefficients; a Jordan matrix weights
+        its off-diagonal ones (see ``JordanMatrix.norm``)."""
         return _norm(self._arr)
 
     def isclose(self, other, atol=None, rtol=None) -> bool:
         atol = tolerances.atol if atol is None else atol
         rtol = tolerances.rtol if rtol is None else rtol
-        diff = _norm(self._arr - other._arr)
+        diff = (self - other).norm()
         return diff <= atol + rtol * max(self.norm(), other.norm())
 
     def _operand(self, other):
@@ -194,7 +202,7 @@ class Octonion(_ArrayValue):
         arr = np.array(coeffs, dtype=float)
         if arr.shape != (8,):
             raise ValueError(f"octonion needs 8 coefficients, got shape {arr.shape}")
-        super().__init__(arr)
+        super().__init__(_finite(arr))
 
     coeffs = property(lambda self: self._arr, doc="The read-only coefficients on e0..e7.")
 
@@ -223,7 +231,7 @@ class Octonion(_ArrayValue):
         return float(self.coeffs[0])
 
     def conjugate(self) -> "Octonion":
-        return Octonion(self.coeffs * CONJ_SIGNS)
+        return Octonion._wrap(self.coeffs * CONJ_SIGNS)
 
     def norm2(self) -> float:
         """Squared norm, x conj(x) = sum of squared coefficients."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import _rescale, _unit_scale
-from .jordan import JordanMatrix, OctVector3, _det_shifted, _embed
+from .jordan import JordanMatrix, OctVector3, _det_shifted, _embed, _frob, _unpack
 from .octonion import _norm
 
 __all__ = [
@@ -62,7 +62,7 @@ def embed(A: JordanMatrix) -> np.ndarray:
     left multiplication by x is left multiplication by conj(x), matching the
     Hermitian layout of A.
     """
-    return _embed(A._arr)
+    return _embed(A.to_array())
 
 
 def vector_coords(v: OctVector3) -> np.ndarray:
@@ -129,15 +129,15 @@ def modified_char_check(A: JordanMatrix) -> OracleReport:
     The report passes when the per-cluster residuals r_i fall into at most
     two groups (to tolerance) with r_plus >= 0 >= r_minus.
     """
-    (a,), e = _unit_scale((A._arr, 1))
-    eigs = np.linalg.eigvalsh(_embed(a))[::-1]
+    (h,), e = _unit_scale((A._arr, 1))
+    eigs = np.linalg.eigvalsh(_embed(_unpack(h)))[::-1]
     spread = float(eigs[0] - eigs[-1])
     gap = CLUSTER_GAP_RTOL * spread
     lam_clusters = cluster_values(eigs, gap) if spread > 0 else [(float(eigs[0]), len(eigs))]
     lams, mults = zip(*lam_clusters)
-    rs = [-d for d in _det_shifted(a, lams)]
+    rs = [-d for d in _det_shifted(h, lams)]
 
-    r_tol = R_COLLAPSE_RTOL * (1.0 + _norm(a)) ** 3
+    r_tol = R_COLLAPSE_RTOL * (1.0 + _norm(_frob(h))) ** 3
     r_groups = _clusters(sorted(rs), r_tol)
     passed = (
         len(r_groups) <= 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dirac import Hermitian2
-from .jordan import JordanMatrix, OctVector3, _unpack, rank1_from_vector
+from .jordan import JordanMatrix, OctVector3, rank1_from_vector
 from .octonion import Octonion
 
 
@@ -39,7 +39,7 @@ def random_jordan(rng: np.random.Generator, span: int = 8) -> JordanMatrix:
     h = np.zeros(27)
     h[:3] = draws[:3]
     h[3:].reshape(3, 8)[:, :span] = draws[3:].reshape(3, span)
-    return JordanMatrix._wrap(_unpack(h))
+    return JordanMatrix._wrap(h)
 
 
 def random_vector(rng: np.random.Generator, span: int = 4) -> OctVector3:

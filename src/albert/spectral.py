@@ -26,9 +26,7 @@ tr(A - lambda I) primitive and K = I - P its rank-two complement.
 The array kernels of :mod:`albert.jordan` take stacks (k, 27) of Hermitian
 coordinates, and :func:`decompose` builds, purifies, extracts and checks the
 eigenmatrices of all its roots as one stack; the public one-root functions
-are k = 1 calls.  A is packed once at entry, and only the returned
-idempotents are unpacked.  Purification polishes only a stack not yet
-idempotent to rounding.
+are k = 1 calls.  Purification polishes only a stack not idempotent to rounding.
 
 The public functions run on A (and lambda) divided by 2^e and multiply each
 output back by 2^(degree * e), so results are exact under 2^k scaling.
@@ -57,12 +55,11 @@ from .jordan import (
     _apply,
     _extract,
     _frob,
-    _freudenthal,
     _invariants,
     _mul,
     _op,
-    _pack,
-    _unpack,
+    _trace,
+    freudenthal_product,
     phase_align,
     rank1_from_vector,
 )
@@ -131,7 +128,7 @@ def q_matrix(A: JordanMatrix, lam: float) -> JordanMatrix:
     (a, lam), e = _unit_scale((A._arr, 1), (lam, 1))
     A = JordanMatrix._wrap(a)
     _check_root(_invariants(a), A.norm(), lam)
-    return JordanMatrix._wrap(*_rescale(e, (_unpack(_q_stack(_pack(a), lam)), 2)))
+    return JordanMatrix._wrap(*_rescale(e, (_q_stack(a, lam), 2)))
 
 
 def idempotent_from_q(Q: JordanMatrix) -> JordanMatrix:
@@ -157,7 +154,7 @@ def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float
     scale = 1.0 + A.norm() + abs(lam)
     if B.norm() <= tolerances.atol + tolerances.rtol * scale:
         raise NotDoubleRootError("A equals lambda I; the root is triple, not double")
-    q_norm = _norm(_freudenthal(B._arr, B._arr))
+    q_norm = freudenthal_product(B, B).norm()
     if q_norm > tolerances.atol + tolerances.mtol * scale**2:
         raise NotDoubleRootError(
             "(A - lambda I) is not rank one (|Q| / |A - lambda I|^2 = "
@@ -186,7 +183,7 @@ def _split(A: JordanMatrix, lam: float, e: int) -> tuple[JordanMatrix, JordanMat
     """:func:`double_root_split` of a unit-scale A, ordered at the scale 2^e A."""
     B, tb = _double_root_shift(A, lam)
     sign = 1.0 if tb > 0 else -1.0
-    w = OctVector3._wrap(_extract(_pack((B * sign)._arr), tolerances.mtol)[0])
+    w = OctVector3._wrap(_extract((B * sign)._arr, tolerances.mtol)[0])
     wn = w.norm()
     v = None
     for shift in range(3):
@@ -270,7 +267,7 @@ def _idempotents(A: np.ndarray, nrm: float, poly: tuple[float, float, float], la
     the arithmetic the gates of :func:`q_matrix` and :func:`idempotent_from_q`
     run root by root, as a loop over roots would."""
     Q = _q_stack(A, lams)
-    tq = Q[:, :3].sum(axis=1)
+    tq = _trace(Q)
     for lam, t, q_norm in zip(lams, tq.tolist(), map(_norm, _frob(Q))):
         _check_root(poly, nrm, lam)
         _check_q_trace(t, q_norm)
@@ -288,14 +285,13 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
     root-multiplicity conflicts between the cubic solver and the Q-matrix
     criterion the same way.
     """
-    (a,), e = _unit_scale((A._arr, 1))
-    h = _pack(a)
-    nrm = _norm(_frob(h))
-    poly = _invariants(a)
+    (h,), e = _unit_scale((A._arr, 1))
+    A = JordanMatrix._wrap(h)
+    nrm = A.norm()
+    poly = _invariants(h)
     roots: CubicRoots = _solve(*poly)
     lams, lam = roots.roots, roots.repeated
     if roots.multiplicity == "double":
-        A = JordanMatrix._wrap(a)
         # Cross-check the solver's multiplicity call against tr Q = sigma(A - lam I).
         trq = (A - JordanMatrix.identity() * lam).sigma()
         if abs(trq) > tolerances.mtol * (1.0 + max(abs(r) for r in lams)) ** 2:
@@ -314,7 +310,7 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
                 "cubic solver reports a simple root with a vanishing Q matrix"
             ) from exc
     if roots.multiplicity == "double":
-        pair = _pack(np.stack([V._arr for V in _split(A, lam, e)]))
+        pair = [V._arr for V in _split(A, lam, e)]
         P = np.stack((P[0], *pair) if lams[0] > lam else (*pair, P[0]))
         L = _op(P)
 
@@ -343,7 +339,7 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
     lams, eigen, recon = _rescale(e, (lams, 1), (eigen, 1), (recon, 1))
     return SpectralDecomposition(
         eigenvalues=tuple(float(v) for v in lams),
-        idempotents=tuple(JordanMatrix._wrap(p) for p in _unpack(P)),
+        idempotents=tuple(JordanMatrix._wrap(p) for p in P + 0.0),  # adding 0.0 clears -0.0
         eigenvectors=tuple(OctVector3._wrap(v) for v in vectors),
         residuals={
             "eigen": eigen,

@@ -19,6 +19,13 @@ from albert.octonion import Octonion, e
 
 
 class TestHermitian2:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Hermitian2(s=bad)
+        with pytest.raises(ValueError, match="finite"):
+            Hermitian2(t=1.0, z=[0.0] * 7 + [bad])
+
     def test_construction_and_invariants(self):
         P = Hermitian2(s=3.0, t=1.0, z=e(7) * 2.0)
         assert P.trace() == 4.0

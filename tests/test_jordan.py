@@ -18,10 +18,8 @@ from albert.jordan import (
     JordanMatrix,
     OctVector3,
     _det_shifted,
-    _freudenthal,
     _frob,
     _hermitian_part,
-    _jordan,
     _mul,
     _pack,
     _raw_mul,
@@ -123,6 +121,37 @@ class TestConstruction:
             JordanMatrix.from_array(arr, check=False)
         with pytest.raises(ValueError):
             JordanMatrix.from_dict({**JordanMatrix.identity().to_dict(), "m": bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        arr = np.zeros((3, 8))
+        arr[1, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            OctVector3.from_array(arr)
+        with pytest.raises(ValueError, match="finite"):
+            OctVector3(list(arr))
+        with pytest.raises(ValueError, match="finite"):
+            OctVector3((1.0, bad, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            rank1_from_vector(OctVector3.from_array(np.full((3, 8), bad)))
+
+    def test_hermitian_gate_at_unit_scale(self):
+        # each array gets the answer it gets at scale one, 2^k for every k
+        # in [-600, 600]: a gross asymmetry is refused, rounding noise of
+        # 1e-13 of the largest entry symmetrised away, exactly scaled
+        rng = np.random.default_rng(31)
+        gross = rng.uniform(-1.0, 1.0, (3, 3, 8))
+        hermitian = sampling.random_jordan(rng).to_array()
+        noisy = hermitian.copy()
+        noisy[0, 1, 2] += 1e-13
+        want = JordanMatrix.from_array(noisy).to_array()
+        assert not np.array_equal(want, noisy)
+        for k in range(-600, 601):
+            s = math.ldexp(1.0, k)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                JordanMatrix.from_array(gross * s)
+            assert np.array_equal(JordanMatrix.from_array(hermitian * s).to_array(), hermitian * s)
+            assert np.array_equal(JordanMatrix.from_array(noisy * s).to_array(), want * s)
 
     def test_immutable(self):
         A = sampling.random_jordan(np.random.default_rng(24))
@@ -606,9 +635,13 @@ class TestStructureTensors:
     def test_pack_round_trip(self):
         rng = np.random.default_rng(30)
         for _ in range(20):
-            X = sampling.random_jordan(rng).to_array()
+            A = sampling.random_jordan(rng)
+            X = A.to_array()
             assert np.array_equal(_unpack(_pack(X)), X)
             assert np.linalg.norm(_frob(_pack(X))) == pytest.approx(np.linalg.norm(X), rel=1e-15)
+            assert JordanMatrix.from_array(X).to_array().tobytes() == X.tobytes()
+            assert JordanMatrix.from_dict(A.to_dict())._arr.tobytes() == A._arr.tobytes()
+            assert A.norm() == pytest.approx(np.linalg.norm(X), rel=1e-15)
 
 
 def det_before_kernel(A):
@@ -709,20 +742,36 @@ class TestSinglePassInvariants:
         assert math.isinf(char_poly(JordanMatrix.diag(2.0**600, 2.0**600, 1.0))[1])
 
 
+def jordan_kernel(x, y):
+    return _mul(x, y)
+
+
+def freudenthal_kernel(x, y):
+    return _mul(x, y, _FREUDENTHAL)
+
+
 class TestStackKernels:
-    """The array kernels on a (5, 3, 3, 8) stack equal their per-slice single
-    calls exactly, and a single factor broadcasts against a stack."""
+    """The array kernels on a stack of five matrices equal their per-slice
+    single calls exactly, and a single factor broadcasts against a stack."""
 
     @pytest.fixture(scope="class")
     def stacks(self):
         rng = np.random.default_rng(27)
-        X, Y = (np.stack([sampling.random_jordan(rng).to_array() for _ in range(5)])
+        H, K = (np.stack([sampling.random_jordan(rng)._arr for _ in range(5)])
                 for _ in range(2))
-        return X, Y
+        return H, K
+
+    @staticmethod
+    def kernels(stacks):
+        """Each kernel with the stacks in its layout: the ordinary product on
+        (5, 3, 3, 8) arrays, the Jordan and Freudenthal products on (5, 27)
+        coordinates."""
+        H, K = stacks
+        return [(_raw_mul, _unpack(H), _unpack(K)), (jordan_kernel, H, K),
+                (freudenthal_kernel, H, K)]
 
     def test_products(self, stacks):
-        X, Y = stacks
-        for kernel in (_raw_mul, _jordan, _freudenthal):
+        for kernel, X, Y in self.kernels(stacks):
             got = kernel(X, Y)
             assert got.shape == X.shape
             for i in range(len(X)):
@@ -730,35 +779,35 @@ class TestStackKernels:
 
     def test_square(self, stacks):
         X, _ = stacks
-        got = _freudenthal(X, X)
+        got = freudenthal_kernel(X, X)
         for i in range(len(X)):
-            assert np.array_equal(got[i], _freudenthal(X[i], X[i]))
-            assert np.array_equal(got[i], _freudenthal(X[i], X[i].copy()))
+            assert np.array_equal(got[i], freudenthal_kernel(X[i], X[i]))
+            assert np.array_equal(got[i], freudenthal_kernel(X[i], X[i].copy()))
 
     def test_hermitian_part_and_trace(self, stacks):
-        X, Y = stacks
+        H, K = stacks
+        X, Y = _unpack(H), _unpack(K)
         R = _raw_mul(X, Y)
-        H, T = _hermitian_part(R), _trace(X)
+        P, T = _hermitian_part(R), _trace(H)
         assert T.shape == (len(X),)
         for i in range(len(X)):
-            assert np.array_equal(H[i], _hermitian_part(R[i]))
-            assert T[i] == _trace(X[i]) == JordanMatrix.from_array(X[i]).trace()
+            assert np.array_equal(P[i], _hermitian_part(R[i]))
+            assert T[i] == _trace(H[i]) == JordanMatrix.from_array(X[i]).trace()
 
     def test_single_factor_broadcasts(self, stacks):
-        X, Y = stacks
-        A = X[0]
-        for kernel in (_raw_mul, _jordan, _freudenthal):
+        for kernel, X, Y in self.kernels(stacks):
+            A = X[0]
             left, right = kernel(A, Y), kernel(Y, A)
             for i in range(len(Y)):
                 assert np.array_equal(left[i], kernel(A, Y[i])), kernel.__name__
                 assert np.array_equal(right[i], kernel(Y[i], A)), kernel.__name__
 
     def test_public_products_are_single_calls(self, stacks):
-        X, Y = stacks
-        A, B = JordanMatrix.from_array(X[1]), JordanMatrix.from_array(Y[1])
-        assert np.array_equal(jordan_product(A, B).to_array(), _jordan(A._arr, B._arr))
-        assert np.array_equal(freudenthal_product(A, B).to_array(),
-                              _freudenthal(A._arr, B._arr))
+        H, K = stacks
+        A, B = JordanMatrix.from_array(_unpack(H[1])), JordanMatrix.from_array(_unpack(K[1]))
+        assert np.array_equal(jordan_product(A, B)._arr, jordan_kernel(A._arr, B._arr))
+        assert np.array_equal(freudenthal_product(A, B)._arr,
+                              freudenthal_kernel(A._arr, B._arr))
 
 
 class TestScalarOperands:

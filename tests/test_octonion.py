@@ -122,6 +122,15 @@ class TestArithmetic:
             got = (y * math.ldexp(1.0, k)).inverse().coeffs
             assert np.array_equal(got, y.inverse().coeffs * math.ldexp(1.0, -k))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Octonion([1.0, 0.0, 0.0, bad, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            Octonion([bad] * 8).inverse()
+        with pytest.raises(ValueError, match="finite"):
+            Octonion.from_real(bad)
+
     def test_basis_validation(self):
         with pytest.raises(ValueError):
             e(8)

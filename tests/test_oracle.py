@@ -5,7 +5,7 @@ import pytest
 
 from albert import jordan, octonion, oracle, sampling
 from albert.config import _rescale
-from albert.jordan import JordanMatrix, OctVector3, _embed, _quadratic, matvec
+from albert.jordan import JordanMatrix, OctVector3, _embed, _frob, _quadratic, _unpack, matvec
 from albert.octonion import CONJ_SIGNS, MUL_TENSOR, Octonion, _norm, e
 from albert.oracle import (
     CLUSTER_GAP_RTOL,
@@ -239,7 +239,7 @@ def check_by_arrays(A):
     top = abs(A._arr).max()
     e = math.frexp(top)[1] if top else 0
     a = np.ldexp(A._arr, -e) if e else A._arr
-    eigs = np.linalg.eigvalsh(_embed(a))[::-1]
+    eigs = np.linalg.eigvalsh(_embed(_unpack(a)))[::-1]
     spread = float(eigs[0] - eigs[-1])
     gap = CLUSTER_GAP_RTOL * spread
     lam_clusters = clusters_by_loop(eigs, gap) if spread > 0 else [(float(eigs[0]), len(eigs))]
@@ -248,7 +248,7 @@ def check_by_arrays(A):
     re_bac = float((y * CONJ_SIGNS) @ (octonion.left_mult(x) @ z))
     p, m, n = (d - np.array(lams) for d in diag)
     rs = -(p * m * n + 2.0 * re_bac - n * na - m * nb - p * nc)
-    r_tol = R_COLLAPSE_RTOL * (1.0 + _norm(a)) ** 3
+    r_tol = R_COLLAPSE_RTOL * (1.0 + _norm(_frob(a))) ** 3
     r_groups = clusters_by_loop(np.sort(rs), r_tol)
     passed = (
         len(r_groups) <= 2

@@ -1,6 +1,7 @@
-"""No helpers that nothing calls: every private function or class of the
-package (a name with one leading underscore, dunders excepted) is referenced
-somewhere in the package besides its own definition."""
+"""No helpers that nothing calls: every private function, class or
+module-level constant of the package (a name with one leading underscore,
+dunders excepted) is referenced somewhere in the package besides its own
+definition."""
 
 import ast
 from pathlib import Path
@@ -14,17 +15,33 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def _constants(tree: ast.Module):
+    """Module-level assignment targets, tuple targets unpacked, with their line."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.lineno, name.id
+
+
 def test_every_private_definition_is_referenced():
-    defined, referenced = [], set()
+    defined, referenced = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for lineno, name in _constants(tree):
+            if _is_private(name):
+                defined.add((f"{path.name}:{lineno}", name))
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if _is_private(node.name):
-                    defined.append((f"{path.name}:{node.lineno}", node.name))
-            elif isinstance(node, ast.Name):
+                    defined.add((f"{path.name}:{node.lineno}", node.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert defined, "no private definitions found; is the package path right?"
-    unused = [f"{where} {name}" for where, name in defined if name not in referenced]
+    assert any(name == "_UNIT" for _, name in defined), "module constants not collected"
+    unused = sorted(f"{where} {name}" for where, name in defined if name not in referenced)
     assert not unused, f"private helpers that nothing in the package references: {unused}"

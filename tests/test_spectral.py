@@ -25,8 +25,6 @@ from albert.jordan import (
     _frob,
     _mul,
     _op,
-    _pack,
-    _unpack,
     char_poly,
     extract_vector,
     freudenthal_product,
@@ -397,8 +395,8 @@ class TestStackedPipeline:
             A = sampling.random_jordan(rng)
             dec = decompose(A)
             for lam, P, v in zip(dec.eigenvalues, dec.idempotents, dec.eigenvectors):
-                Q1 = _pack(idempotent_from_q(q_matrix(A, lam))._arr)
-                P1 = JordanMatrix._wrap(_unpack(_purify(Q1[None])[0][0]))
+                Q1 = idempotent_from_q(q_matrix(A, lam))._arr
+                P1 = JordanMatrix._wrap(_purify(Q1[None])[0][0])
                 v1 = extract_vector(P1, rank_rtol=RESIDUAL_RTOL)
                 assert (P - P1).norm() <= 1e-14 * P1.norm()
                 assert np.linalg.norm(v.to_array() - v1.to_array()) <= 1e-14 * v1.norm()
@@ -406,7 +404,7 @@ class TestStackedPipeline:
     def test_non_root_in_stack(self):
         A = JordanMatrix.diag(1.0, 2.0, 3.0)
         with pytest.raises(NotAnEigenvalueError):
-            _idempotents(_pack(A._arr), A.norm(), char_poly(A), (3.0, 2.5))
+            _idempotents(A._arr, A.norm(), char_poly(A), (3.0, 2.5))
 
     def test_repeated_root_precedes_later_non_root(self):
         # 1 is a double root of A: its Q vanishes.  The non-root 5 comes
@@ -418,7 +416,7 @@ class TestStackedPipeline:
             for lam in lams:
                 idempotent_from_q(q_matrix(A, lam))
         with pytest.raises(ZeroQMatrixError):
-            _idempotents(_pack(A._arr), A.norm(), char_poly(A), lams)
+            _idempotents(A._arr, A.norm(), char_poly(A), lams)
 
 
 def with_op(P):
@@ -471,7 +469,7 @@ class TestScaleFreeMessages:
         # eigen residuals are of order t * gap, but P1 o P2 = -t^2 (E11 + E22)
         # reads sqrt(2) t^2 = 1.3e-8 over RESIDUAL_RTOL.
         A = JordanMatrix.diag(4.0, 2.0 + 2.0**-16, 2.0)
-        N = _pack(JordanMatrix(c=1.0)._arr) * 9.5e-5
+        N = JordanMatrix(c=1.0)._arr * 9.5e-5
         turn = np.stack([np.zeros_like(N), N, -N])
         monkeypatch.setattr(spectral, "_purify", lambda P: with_op(_purify(P)[0] + turn))
         msgs = [self.message(InconsistentError, decompose, A * s) for s in (1.0, 2.0**20)]
@@ -491,7 +489,7 @@ def two_step_purify(P):
 def q_route(A, lams):
     """Unpurified Q-route idempotents Q / tr Q of A, in Hermitian
     coordinates, for the roots lams."""
-    Q = _q_stack(_pack(A.to_array()), lams)
+    Q = _q_stack(A._arr, lams)
     return Q / Q[:, :3].sum(axis=1)[:, None]
 
 
@@ -541,11 +539,13 @@ class TestWorkDone:
     """Products per call on the common paths, counted exactly, so a change
     that restores wasted products fails here without timing: each product
     builds one L(x) (``_op``) and contracts with it (``_apply``), and the
-    24x24 real matrix product ``_raw_mul`` is not called at all."""
+    24x24 real matrix product ``_raw_mul`` is not called at all.  Nor is a
+    conversion between the stored coordinates and the (3, 3, 8) array
+    (``_pack``, ``_unpack``)."""
 
     @staticmethod
-    def counts(monkeypatch, fn, A):
-        calls = {"_op": 0, "_apply": 0, "_raw_mul": 0}
+    def counts(monkeypatch, fn, *args, names=("_op", "_apply", "_raw_mul")):
+        calls = dict.fromkeys(names, 0)
 
         def counted(name):
             kernel = getattr(jordan, name)
@@ -561,7 +561,7 @@ class TestWorkDone:
                 for module in (jordan, spectral, f4):
                     if hasattr(module, name):
                         m.setattr(module, name, wrapper)
-            fn(A)
+            fn(*args)
         return calls
 
     def test_well_separated(self, monkeypatch):
@@ -579,3 +579,13 @@ class TestWorkDone:
             A = sampling.random_double_root_matrix(rng)[0]
             assert self.counts(monkeypatch, decompose, A) == {"_op": 6, "_apply": 7, "_raw_mul": 0}
             assert self.counts(monkeypatch, diagonalize, A) == {"_op": 6, "_apply": 9, "_raw_mul": 0}
+
+    def test_one_format(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        cases = [sampling.random_jordan(rng), sampling.random_double_root_matrix(rng)[0],
+                 JordanMatrix.identity() * 3.0]
+        for A in cases:
+            for fn, args in ((decompose, (A,)), (diagonalize, (A,)), (char_poly, (A,)),
+                             (jordan_product, (A, A)), (freudenthal_product, (A, A))):
+                calls = self.counts(monkeypatch, fn, *args, names=("_pack", "_unpack"))
+                assert calls == {"_pack": 0, "_unpack": 0}, fn.__name__
