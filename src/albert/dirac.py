@@ -4,8 +4,11 @@ A 2x2 Hermitian matrix over the octonions,
 
     P = [[s, z], [conj(z), t]],    s, t real,
 
-has determinant ``s*t - |z|^2`` and trace reversal ``P~ = P - tr(P) I``.
-When ``det P = 0`` the equation ``P~ psi = 0`` is solved in closed form:
+is stored as its block (p, m, n) = (s, t, 0), a = z, b = c = 0 of the Albert
+algebra, and the :mod:`albert.jordan` kernels do its arithmetic: det P =
+``s*t - |z|^2`` is the block's sigma, and ``theta theta^dagger`` the block's
+``v v^dagger`` for ``v = (theta, 0)``.  When ``det P = 0`` the equation
+``P~ psi = 0``, ``P~ = P - tr(P) I``, is solved in closed form:
 ``P = sign * theta theta^dagger`` for a 2-component column ``theta`` whose
 components lie in the same complex subalgebra as ``z``, and the general
 solution is ``psi = theta xi`` with ``xi`` an arbitrary octonion.
@@ -20,15 +23,14 @@ its invariants (det ~ scale^3, sigma ~ scale^2, trace ~ scale).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RESIDUAL_RTOL, _rescale, _unit_scale, tolerances
 from .exceptions import InconsistentError, NonNullMomentumError
-from .jordan import JordanMatrix, OctVector3, _invariants, _outer
-from .octonion import CONJ_SIGNS, Octonion, _ArrayValue, _as_octonion, _finite
+from .jordan import JordanMatrix, OctVector3, _invariants, _outer, _pivot_column, matvec
+from .octonion import Octonion, _ArrayValue, _as_octonion
 
 # Relative threshold shared by the null-momentum gate and the p-square
 # class boundaries; scaled by the matching power of the input norm.
@@ -36,24 +38,18 @@ CLASS_RTOL = 1e-8
 
 
 class Hermitian2(_ArrayValue):
-    """2x2 octonionic Hermitian matrix [[s, z], [conj(z), t]].
-
-    Immutable; stored as one read-only Hermitian (2, 2, 8) array.
-    """
+    """2x2 octonionic Hermitian matrix [[s, z], [conj(z), t]], immutable, stored as
+    the read-only 27 coordinates of its Albert-algebra block (s, t, 0; z, 0, 0)."""
 
     __slots__ = ()
 
     def __init__(self, s=0.0, t=0.0, z=None):
-        arr = np.zeros((2, 2, 8))
-        arr[0, 0, 0], arr[1, 1, 0] = float(s), float(t)
-        if z is not None:
-            arr[0, 1] = _as_octonion(z).coeffs
-            arr[1, 0] = arr[0, 1] * CONJ_SIGNS
-        super().__init__(_finite(arr))
+        super().__init__(JordanMatrix(s, t, 0.0, z)._arr)
 
-    s = property(lambda self: float(self._arr[0, 0, 0]))
-    t = property(lambda self: float(self._arr[1, 1, 0]))
-    z = property(lambda self: Octonion(self._arr[0, 1]))
+    s = property(lambda self: float(self._arr[0]))
+    t = property(lambda self: float(self._arr[1]))
+    z = property(lambda self: Octonion._wrap(self._arr[3:11]))
+    _block = property(lambda self: JordanMatrix._wrap(self._arr))
 
     @classmethod
     def diag(cls, s: float, t: float) -> "Hermitian2":
@@ -65,33 +61,39 @@ class Hermitian2(_ArrayValue):
 
     @classmethod
     def from_outer(cls, theta) -> "Hermitian2":
-        """theta theta^dagger for a 2-component octonionic column."""
-        t1, t2 = (_as_octonion(x) for x in theta)
-        return cls(s=t1.norm2(), t=t2.norm2(), z=t1 * t2.conjugate())
+        """theta theta^dagger for a 2-component octonionic column: the block
+        PP of :func:`psi_pack` with xi = 0, which gates its scale the same way."""
+        return cls._wrap(psi_pack(theta, 0.0)[1]._arr)
+
+    def norm(self) -> float:
+        """Frobenius norm of the 2x2 matrix, z counting twice."""
+        return self._block.norm()
 
     def trace(self) -> float:
-        return self.s + self.t
+        return self._block.trace()
 
     def det(self) -> float:
-        return self.s * self.t - self.z.norm2()
+        """s t - |z|^2, the block's sigma."""
+        return self._block.sigma()
 
     def trace_reversal(self) -> "Hermitian2":
         """P - tr(P) I; swaps and negates the diagonal."""
-        return Hermitian2(s=-self.t, t=-self.s, z=self.z)
+        h = self._arr.copy()
+        h[:2] = -self._arr[1::-1]
+        return Hermitian2._wrap(h)
 
     def apply(self, psi) -> tuple[Octonion, Octonion]:
         """Matrix-vector action on a 2-component octonionic column."""
-        p1, p2 = (_as_octonion(x) for x in psi)
-        return (self.s * p1 + self.z * p2, self.z.conjugate() * p1 + self.t * p2)
+        out = matvec(self._block, OctVector3((*psi, 0.0)))
+        return out[0], out[1]
 
     def to_dict(self) -> dict:
-        return {"s": self.s, "t": self.t, "z": self._arr[0, 1].tolist()}
+        return {"s": self.s, "t": self.t, "z": self._arr[3:11].tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Hermitian2":
         try:
-            return cls(s=float(data["s"]), t=float(data["t"]),
-                       z=Octonion(np.asarray(data["z"], dtype=float)))
+            return cls(float(data["s"]), float(data["t"]), np.asarray(data["z"], dtype=float))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid 2x2 Hermitian payload: {exc}") from exc
 
@@ -102,39 +104,29 @@ class Hermitian2(_ArrayValue):
 def dirac_solve(P: Hermitian2) -> tuple[tuple[Octonion, Octonion], int]:
     """Factor a null momentum as P = sign * theta theta^dagger.
 
-    The pivot is the larger diagonal entry of sign*P (ties keep the first),
-    and theta's pivot component is the positive real square root of it, so
-    the factor is deterministic.  Raises NonNullMomentumError when det P is
-    not zero to tolerance, InconsistentError if the factor fails to
-    reconstruct P.  P has degree two in theta: it is divided by an even
-    power of two 2^2e, and theta is multiplied back by 2^e.
+    theta is sign*P's column at its larger diagonal entry (the first on
+    ties) over that entry's square root, the rule of
+    :func:`albert.jordan.extract_vector`.  Raises NonNullMomentumError when
+    det P is not zero to tolerance, InconsistentError if the factor fails
+    to reconstruct P.  P is divided by an even power of two 2^2e, and theta,
+    of degree one in it, is multiplied back by 2^e.
     """
     (p,), e = _unit_scale((P._arr, 2))
-    P = Hermitian2._wrap(p)
-    scale = (1.0 + P.norm()) ** 2
-    if abs(P.det()) > CLASS_RTOL * scale:
-        raise NonNullMomentumError(
-            f"det / |P|^2 = {P.det() / P.norm() ** 2:.3e} exceeds tolerance; momentum is not null"
-        )
-    tr = P.trace()
-    if abs(tr) <= tolerances.atol + tolerances.rtol * (1.0 + P.norm()):
+    B = JordanMatrix._wrap(p)
+    nrm, det, tr = B.norm(), B.sigma(), B.trace()
+    if abs(det) > CLASS_RTOL * (1.0 + nrm) ** 2:
+        raise NonNullMomentumError(f"det / |P|^2 = {det / nrm ** 2:.3e} exceeds tolerance; "
+                                   "momentum is not null")
+    if abs(tr) <= tolerances.atol + tolerances.rtol * (1.0 + nrm):
         # Null and traceless forces s = t = 0 and z = 0.
         return (Octonion.zero(), Octonion.zero()), 1
     sign = 1 if tr > 0.0 else -1
-    Q = P * sign
-    if Q.s >= Q.t:
-        piv = math.sqrt(max(Q.s, 0.0))
-        theta = (Octonion.from_real(piv), Q.z.conjugate() / piv)
-    else:
-        piv = math.sqrt(max(Q.t, 0.0))
-        theta = (Q.z / piv, Octonion.from_real(piv))
-    recon = Hermitian2.from_outer(theta) * sign
-    if (P - recon).norm() > RESIDUAL_RTOL * (1.0 + P.norm()):
-        raise InconsistentError(
-            f"rank-one factor residual / |P| = {(P - recon).norm() / P.norm():.3e} "
-            "out of tolerance"
-        )
-    return tuple(map(Octonion, _rescale(e, *((t.coeffs, 1) for t in theta)))), sign
+    u = _pivot_column(p * sign)
+    resid = (B - JordanMatrix._wrap(_outer(u, 0) * sign)).norm()
+    if resid > RESIDUAL_RTOL * (1.0 + nrm):
+        raise InconsistentError(f"rank-one factor residual / |P| = {resid / nrm:.3e} "
+                                "out of tolerance")
+    return tuple(map(Octonion, *_rescale(e, (u[:2], 1)))), sign
 
 
 def psi_pack(theta, xi) -> tuple[OctVector3, JordanMatrix]:
@@ -150,8 +142,7 @@ def psi_pack(theta, xi) -> tuple[OctVector3, JordanMatrix]:
     overflows, or underflows below the smallest normal double, raises
     :class:`InconsistentError`.
     """
-    t1, t2 = (_as_octonion(x).coeffs for x in theta)
-    Psi = OctVector3._wrap(np.array([t1, t2, _as_octonion(xi).coeffs * CONJ_SIGNS]))
+    Psi = OctVector3((*theta, _as_octonion(xi).conjugate()))
     (u,), e = _unit_scale((Psi._arr, 1))
     return Psi, JordanMatrix._wrap(_outer(u, e))
 

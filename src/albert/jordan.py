@@ -502,11 +502,18 @@ def _extract(V: np.ndarray, rank_rtol: float | None) -> np.ndarray:
         tr = diag[0] + diag[1] + diag[2]
         if tr <= tolerances.atol + tolerances.rtol * nrm:
             raise ZeroMatrixError("trace is not positive")
-        pivot = max(diag)
-        if pivot <= 0.0:
-            raise ZeroMatrixError("no positive diagonal entry to pivot on")
-        out[i] = (V[i] @ _COLUMNS[diag.index(pivot)]).reshape(3, 8) / math.sqrt(pivot)
+        out[i] = _pivot_column(V[i])
     return out
+
+
+def _pivot_column(h: np.ndarray) -> np.ndarray:
+    """v with v v-dagger = h for rank-one coordinates h, by the pivot rule of
+    :func:`extract_vector`, as a (3, 8) array."""
+    diag = h[:3].tolist()
+    pivot = max(diag)
+    if pivot <= 0.0:
+        raise ZeroMatrixError("no positive diagonal entry to pivot on")
+    return (h @ _COLUMNS[diag.index(pivot)]).reshape(3, 8) / math.sqrt(pivot)
 
 
 def offdiag_associator(A: JordanMatrix) -> Octonion:

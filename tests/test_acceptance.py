@@ -14,7 +14,7 @@ import numpy as np
 
 from albert import sampling
 from albert.cubic import solve_characteristic
-from albert.dirac import Hermitian2, classify_psquare, dirac_solve, psi_pack
+from albert.dirac import classify_psquare
 from albert.exceptions import ComplexRootsError
 from albert.f4 import diagonalize
 from albert.jordan import (
@@ -29,12 +29,18 @@ from albert.jordan import (
 from albert.octonion import MUL_INDEX, MUL_SIGN, Octonion
 from albert.oracle import cluster_values, modified_char_check
 from albert.spectral import decompose
+from albert.verify import _suite_char_equation, _suite_dirac_roundtrip, _suite_rank_one_packing
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num} {name}: {status} - {detail}")
     assert ok, f"acceptance {num} ({name}): {detail}"
+
+
+def _worst(suite, rng, count: int) -> float:
+    """The largest residual of a ``verify`` suite over ``count`` samples of ``rng``."""
+    return max(suite(rng) for _ in range(count))
 
 
 def _table_product(i: int, j: int) -> tuple[int, int]:
@@ -87,15 +93,7 @@ def test_1_octonion_exactness():
 
 
 def test_2_characteristic_equation():
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(1000):
-        A = sampling.random_jordan(rng)
-        tr, sigma, det = char_poly(A)
-        A2 = jordan_product(A, A)
-        A3 = jordan_product(A2, A)
-        resid = A3 - A2 * tr + A * sigma - JordanMatrix.identity() * det
-        worst = max(worst, resid.norm() / (1.0 + A.norm() ** 3))
+    worst = _worst(_suite_char_equation, np.random.default_rng(102), 1000)
     ok = worst <= 1e-9
     _report(
         2, "characteristic-equation", ok,
@@ -311,21 +309,10 @@ def test_7_real_oracle_residual_collapse():
 
 def test_8_momentum_and_packing():
     rng = np.random.default_rng(108)
-    worst_round = 0.0
-    for _ in range(1000):
-        P, theta0, sign0 = sampling.random_null_hermitian2(rng)
-        theta, sign = dirac_solve(P)
-        recon = Hermitian2.from_outer(theta) * float(sign)
-        worst_round = max(worst_round, (P - recon).norm() / (1.0 + P.norm()))
+    worst_round = _worst(_suite_dirac_roundtrip, rng, 1000)
     round_ok = worst_round <= 1e-10
 
-    worst_pack = 0.0
-    for _ in range(1000):
-        theta = sampling.random_complex_theta(rng)
-        xi = sampling.random_octonion(rng)
-        _, PP = psi_pack(theta, xi)
-        scale = (1.0 + PP.norm()) ** 2
-        worst_pack = max(worst_pack, freudenthal_product(PP, PP).norm() / scale)
+    worst_pack = _worst(_suite_rank_one_packing, rng, 1000)
     pack_ok = worst_pack <= 1e-9
 
     mismatches = 0

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from albert import sampling
+from albert.config import RESIDUAL_RTOL, _rescale, _unit_scale, tolerances
 from albert.dirac import (
+    CLASS_RTOL,
     Hermitian2,
     PSquareClass,
     classify_psquare,
@@ -15,7 +17,7 @@ from albert.dirac import (
 from albert.exceptions import InconsistentError, NonNullMomentumError
 from albert.f4 import diagonalize
 from albert.jordan import JordanMatrix, freudenthal_product, rank1_from_vector, sandwich
-from albert.octonion import Octonion, e
+from albert.octonion import CONJ_SIGNS, Octonion, _ArrayValue, _norm, e
 
 
 class TestHermitian2:
@@ -70,6 +72,15 @@ class TestHermitian2:
         assert P.z.isclose(Octonion.from_real(2.0) * e(3).conjugate())
         assert abs(P.det()) <= 1e-14
 
+    @pytest.mark.parametrize("k", [200, -200])
+    def test_from_outer_out_of_range_is_inconsistency(self, k):
+        # |theta|^2 = 2e400 overflows, 2e-400 underflows to zero
+        x = 10.0**k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InconsistentError):
+                Hermitian2.from_outer((Octonion.from_real(x), e(1) * x))
+
     def test_apply(self):
         P = Hermitian2.identity()
         psi = (e(1), e(2))
@@ -87,6 +98,52 @@ class TestHermitian2:
             Hermitian2.from_dict({"s": 1.0})
         with pytest.raises(ValueError):
             Hermitian2.from_dict({"s": 1.0, "t": 2.0, "z": [1.0, 2.0]})
+
+
+def _hermitian_array(s, t, z):
+    arr = np.zeros((2, 2, 8))
+    arr[0, 0, 0], arr[1, 1, 0] = s, t
+    arr[0, 1], arr[1, 0] = z.coeffs, z.coeffs * CONJ_SIGNS
+    return arr
+
+
+def reference_dirac_solve(P):
+    """dirac_solve as it was written on a (2, 2, 8) array and Octonion
+    objects, kept as the reference its coordinate route must reproduce."""
+    (arr,), e = _unit_scale((_hermitian_array(P.s, P.t, P.z), 2))
+    s, t, z = float(arr[0, 0, 0]), float(arr[1, 1, 0]), Octonion(arr[0, 1])
+    nrm = _norm(arr)
+    det = s * t - z.norm2()
+    if abs(det) > CLASS_RTOL * (1.0 + nrm) ** 2:
+        raise NonNullMomentumError(
+            f"det / |P|^2 = {det / nrm ** 2:.3e} exceeds tolerance; momentum is not null"
+        )
+    tr = s + t
+    if abs(tr) <= tolerances.atol + tolerances.rtol * (1.0 + nrm):
+        return (Octonion.zero(), Octonion.zero()), 1
+    sign = 1 if tr > 0.0 else -1
+    s, t, z = s * sign, t * sign, z * float(sign)
+    if s >= t:
+        piv = math.sqrt(max(s, 0.0))
+        theta = (Octonion.from_real(piv), z.conjugate() / piv)
+    else:
+        piv = math.sqrt(max(t, 0.0))
+        theta = (z / piv, Octonion.from_real(piv))
+    t1, t2 = theta
+    resid = _norm(arr - _hermitian_array(t1.norm2(), t2.norm2(), t1 * t2.conjugate()) * sign)
+    if resid > RESIDUAL_RTOL * (1.0 + nrm):
+        raise InconsistentError(
+            f"rank-one factor residual / |P| = {resid / nrm:.3e} out of tolerance"
+        )
+    return tuple(map(Octonion, _rescale(e, *((x.coeffs, 1) for x in theta)))), sign
+
+
+def _outcome(solve, P):
+    try:
+        theta, sign = solve(P)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return np.array([x.coeffs for x in theta]), sign
 
 
 class TestDiracSolve:
@@ -126,6 +183,51 @@ class TestDiracSolve:
             recon = Hermitian2.from_outer(theta) * float(sign)
             assert (P - recon).norm() <= 1e-10 * (1.0 + P.norm())
             assert sign == sign0
+
+    def test_matches_reference_route(self):
+        rng = np.random.default_rng(77)
+        for _ in range(2000):
+            P = sampling.random_null_hermitian2(rng)[0]
+            (got, sign), (want, want_sign) = (_outcome(f, P) for f in (dirac_solve,
+                                                                        reference_dirac_solve))
+            assert sign == want_sign
+            assert np.abs(got - want).max() <= 2.0 * np.spacing(np.abs(want).max())
+
+    @pytest.mark.parametrize("P", [
+        Hermitian2.identity(),                       # not null
+        Hermitian2(),                                # zero
+        Hermitian2.diag(3.0, 0.0),
+        Hermitian2.diag(-3.0, 0.0),
+        Hermitian2.diag(0.0, 5.0),
+        Hermitian2.diag(1.0, 2.4e-7),                # null to CLASS_RTOL, not to RESIDUAL_RTOL
+        Hermitian2.diag(2.0**600, 2.0**600),         # not null
+        Hermitian2.diag(2.0**600, 0.0),
+        Hermitian2(s=1.0, t=1.0, z=e(7)),
+    ])
+    def test_edge_cases_match_reference_route(self, P):
+        got, want = _outcome(dirac_solve, P), _outcome(reference_dirac_solve, P)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert got[1] == want[1]
+            assert np.allclose(got[0], want[0], rtol=4e-16, atol=0.0)
+
+    def test_builds_only_the_returned_octonions(self, monkeypatch):
+        built = []
+        init = _ArrayValue.__init__
+
+        def counted(obj, arr):
+            built.append(type(obj))
+            init(obj, arr)
+
+        rng = np.random.default_rng(78)
+        momenta = [sampling.random_null_hermitian2(rng)[0] for _ in range(50)]
+        momenta += [Hermitian2(), Hermitian2.diag(-2.0, 0.0)]
+        monkeypatch.setattr(_ArrayValue, "__init__", counted)
+        for P in momenta:
+            del built[:]
+            dirac_solve(P)
+            assert built.count(Octonion) == 2
 
     def test_solution_annihilated_by_trace_reversal(self):
         # psi = theta xi solves P~ psi = 0 for any octonionic xi
