@@ -31,19 +31,16 @@ determinant, so the diagonal carries the characteristic roots.  The order
 in which they appear is a convention, not canonical.
 
 :func:`diagonalize` applies each reflection as the quadratic representation
-of the Jordan algebra,
+U_M X = 2 M o (M o X) - M^2 o X, with M^2 = I: two products by the one
+27x27 matrix L(M) on the Hermitian coordinates (see :mod:`albert.jordan`).
+It equals M (X M) exactly when the associator [p, q, x] vanishes for any two
+entries p, q of M and any octonion x, which holds when they lie in one
+complex subalgebra, as the entries of M1, M2 and M3 do; for a generic M it
+does not, and the public :func:`sandwich` keeps the ordinary products.
 
-    M (X M) = U_M X = 2 M o (M o X) - M^2 o X,
-
-on the Hermitian coordinates (see :mod:`albert.jordan`); M is an
-involution, M^2 = I to rounding, so this is two products by the one 27x27
-matrix L(M), less X.  Expanding the Jordan products, U_M X equals
-M (X M) exactly when M (M X) = (M M) X, (X M) M = X (M M) and
-M (X M) = (M X) M, which asks the associator [p, q, x] to vanish for any two
-entries p, q of M and any octonion x.  The octonions are alternative, so it
-does when p and q lie in one complex subalgebra, as the entries of M1, M2
-and M3 do; for a generic M it does not, and the public :func:`sandwich`
-keeps the ordinary products, which hold the formula for any M.
+The reflections are shared: M1, M2 and U_M live in :mod:`albert.spectral`,
+whose :func:`~albert.spectral.decompose` deflates close and repeated roots
+with them and closes X with its eigenprojectors instead of applying M3.
 """
 
 from __future__ import annotations
@@ -53,21 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RESIDUAL_RTOL, _rescale, _unit_scale, tolerances
+from .config import _rescale, _unit_scale, tolerances
 from .cubic import _solve
-from .exceptions import ZeroVectorError
-from .jordan import (
-    JordanMatrix,
-    OctVector3,
-    _apply,
-    _extract,
-    _invariants,
-    _UNIT,
-    _op,
-    phase_align,
-)
-from .octonion import CONJ_SIGNS, _norm
-from .spectral import _idempotents
+from .jordan import _UNIT, JordanMatrix, OctVector3, _invariants, _op
+from .spectral import _deflate, _idempotents, _m1_m2, _reflect
 
 __all__ = ["DiagonalizationResult", "build_m1_m2", "diagonalize"]
 
@@ -100,32 +86,6 @@ def build_m1_m2(v: OctVector3) -> tuple[JordanMatrix, JordanMatrix]:
     return tuple(JordanMatrix._wrap(m) for m in _m1_m2(u))
 
 
-def _m1_m2(u: np.ndarray) -> np.ndarray:
-    """:func:`build_m1_m2` of a (3, 8) array at unit scale, as the Hermitian
-    coordinates (2, 27) of M1 and M2."""
-    vn = _norm(u)
-    if vn == 0.0:
-        raise ZeroVectorError("cannot build reflections from the zero vector")
-    x, y, r = u * (1.0 / vn)
-    # computed from the coefficients directly: norm2() - real**2 cancels badly
-    imag = _norm(r[1:])
-    if imag > tolerances.atol + tolerances.rtol:
-        raise ValueError("third component is not real; phase_align the vector first")
-
-    r0, x2, y2 = float(r[0]), float(x @ x), float(y @ y)
-    n1 = math.sqrt(x2 + r0**2)
-    if n1 <= tolerances.atol + tolerances.rtol:
-        m1 = _UNIT
-    else:
-        m1 = _reflection((-r0 / n1, 1.0, r0 / n1), 1, x * CONJ_SIGNS * (1.0 / n1))
-    if math.sqrt(y2) <= tolerances.atol + tolerances.rtol:
-        m2 = _UNIT
-    else:
-        n2 = math.sqrt(n1 * n1 + y2)  # = 1 for unit v
-        m2 = _reflection((1.0, -n1 / n2, n1 / n2), 2, y * (1.0 / n2))
-    return np.array([m1, m2])
-
-
 def _reflection(diag, row: int, entry: np.ndarray) -> np.ndarray:
     """Hermitian coordinates of the matrix with diagonal ``diag`` and entry
     a, b or c (row 0, 1, 2)."""
@@ -133,14 +93,6 @@ def _reflection(diag, row: int, entry: np.ndarray) -> np.ndarray:
     h[:3] = diag
     h[3 + 8 * row:11 + 8 * row] = entry
     return h
-
-
-def _reflect(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """M (X M) of Hermitian coordinates x, (27,), for a reflection M of
-    coordinates m, as U_M X = 2 M o (M o X) - M^2 o X with M^2 = I: two
-    products by L(M)."""
-    L = _op(m)
-    return _apply(_apply(x, L), L) * 2.0 - x
 
 
 def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
@@ -162,10 +114,7 @@ def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
 
     nrm = A.norm()
     P, _ = _idempotents(h, nrm, poly, [lam])
-    v = phase_align(OctVector3._wrap(_extract(P, RESIDUAL_RTOL)[0]))
-    # v is a unit vector, so already at the unit scale build_m1_m2 would take
-    m1, m2 = _m1_m2(v._arr)
-    b2 = _reflect(_reflect(h, m1), m2)
+    _, m12, _, b2 = _deflate(h, P)
 
     # b2 is [[X, 0], [0, lam]] with X = [[s, z], [conj(z), t]] in the upper block.
     s, t, z = float(b2[0]), float(b2[1]), b2[3:11]
@@ -177,12 +126,12 @@ def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
     else:
         s3 = math.sqrt(n3)
         m3 = _reflection(((mu - t) / s3, (t - mu) / s3, 1.0), 0, z * (1.0 / s3))
-    b3 = _reflect(b2, m3)
+    b3 = _reflect(b2, _op(m3))
 
     upper = b3[3:].reshape(3, 8)
     norms2 = (upper * upper).sum(axis=1).tolist()
     diagonal, residual = _rescale(e, (b3[:3].tolist(), 1), (math.sqrt(max(norms2)), 1))
-    steps = np.array([m1, m2, m3]) + 0.0  # adding 0.0 clears negative zeros
+    steps = np.vstack((m12, m3)) + 0.0  # adding 0.0 clears negative zeros
     return DiagonalizationResult(
         steps=tuple(JordanMatrix._wrap(m) for m in steps),
         diagonal=tuple(diagonal),

@@ -9,24 +9,25 @@ idempotent comes from the cross-product square
 
     Q_lambda = (A - lambda I) * (A - lambda I),    P = Q_lambda / tr Q_lambda,
 
-using tr Q_lambda = (lambda - mu)(lambda - nu), which vanishes exactly when
-the root is repeated.  Repeated roots need their own constructions:
+using tr Q_lambda = (lambda - mu)(lambda - nu), which vanishes when the root
+is repeated; as two roots approach, Q_lambda / tr Q_lambda loses digits like
+eps / tr Q_lambda.  So :func:`decompose` deflates repeated and close roots:
+when some tr Q_lambda falls below ``DEFLATE_TRACE * (1 + |A|)^2``, only the
+best-separated root takes the Q route, the nested reflections M1 and M2 of
+its eigenvector (shared with :mod:`albert.f4`) leave the other two roots in
+a 2x2 block, and their idempotents are the block's projectors mapped back.
+A triple root, A = lambda I, gets the diagonal unit matrices.
 
-* triple root: A = lambda I and any orthogonal frame works; the diagonal
-  unit matrices are returned.
-* double root lambda: A - lambda I = +/- w w-dagger is rank one.  One
-  eigenmatrix for lambda is built from a vector orthogonal to w, the other
-  is the complement I - w w-dagger / |w|^2 - V1.  The pair spans the
-  two-dimensional lambda eigenspace; the split is not canonical.
-
-The alternative invariant form for a double root keeps the rank-two piece
-whole instead of splitting it: A = mu P + lambda K with P = (A - lambda I)/
-tr(A - lambda I) primitive and K = I - P its rank-two complement.
+:func:`double_root_split` remains the paper's orthogonal-vector
+construction for a double root lambda, A - lambda I = +/- w w-dagger: one
+eigenmatrix from a vector orthogonal to w, the other its complement in
+I - w w-dagger / |w|^2.  :func:`invariant_double_decomposition` keeps the
+rank-two piece whole: A = mu P + lambda (I - P), P = (A - lambda I) /
+tr(A - lambda I).
 
 The array kernels of :mod:`albert.jordan` take stacks (k, 27) of Hermitian
-coordinates, and :func:`decompose` builds, purifies, extracts and checks the
-eigenmatrices of all its roots as one stack; the public one-root functions
-are k = 1 calls.  Purification polishes only a stack not idempotent to rounding.
+coordinates; :func:`decompose` builds, purifies, extracts and checks its
+eigenmatrices as stacks, and the public one-root functions are k = 1 calls.
 
 The public functions run on A (and lambda) divided by 2^e and multiply each
 output back by 2^(degree * e), so results are exact under 2^k scaling.
@@ -46,6 +47,7 @@ from .exceptions import (
     NotAnEigenvalueError,
     NotDoubleRootError,
     ZeroQMatrixError,
+    ZeroVectorError,
 )
 from .jordan import (
     _FREUDENTHAL,
@@ -111,9 +113,7 @@ def _check_root(poly: tuple[float, float, float], nrm: float, lam: float) -> Non
 
 def _check_q_trace(t: float, q_norm: float) -> None:
     if abs(t) <= tolerances.atol + tolerances.rtol * (1.0 + q_norm):
-        raise ZeroQMatrixError(
-            "tr Q vanishes to tolerance; the eigenvalue is repeated"
-        )
+        raise ZeroQMatrixError("tr Q vanishes to tolerance; the eigenvalue is repeated")
 
 
 def _q_stack(A: np.ndarray, lams) -> np.ndarray:
@@ -126,8 +126,7 @@ def _q_stack(A: np.ndarray, lams) -> np.ndarray:
 def q_matrix(A: JordanMatrix, lam: float) -> JordanMatrix:
     """(A - lambda I) * (A - lambda I) for an eigenvalue lambda of A."""
     (a, lam), e = _unit_scale((A._arr, 1), (lam, 1))
-    A = JordanMatrix._wrap(a)
-    _check_root(_invariants(a), A.norm(), lam)
+    _check_root(_invariants(a), _norm(_frob(a)), lam)
     return JordanMatrix._wrap(*_rescale(e, (_q_stack(a, lam), 2)))
 
 
@@ -176,20 +175,13 @@ def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, Jordan
     coordinates are cyclically permuted until the construction applies.
     """
     (a, lam), e = _unit_scale((A._arr, 1), (lam, 1))
-    return _split(JordanMatrix._wrap(a), lam, e)
-
-
-def _split(A: JordanMatrix, lam: float, e: int) -> tuple[JordanMatrix, JordanMatrix]:
-    """:func:`double_root_split` of a unit-scale A, ordered at the scale 2^e A."""
-    B, tb = _double_root_shift(A, lam)
+    B, tb = _double_root_shift(JordanMatrix._wrap(a), lam)
     sign = 1.0 if tb > 0 else -1.0
     w = OctVector3._wrap(_extract((B * sign)._arr, tolerances.mtol)[0])
     wn = w.norm()
-    v = None
     for shift in range(3):
         # entry i of the shifted vector is entry (i + shift) % 3 of w
-        wp = phase_align(OctVector3._wrap(np.roll(w._arr, -shift, axis=0)))
-        x, y, _ = wp._arr
+        x, y, _ = phase_align(OctVector3._wrap(np.roll(w._arr, -shift, axis=0)))._arr
         y2 = float(y @ y)
         if math.sqrt(y2) > tolerances.atol + tolerances.rtol * wn:
             vp = np.zeros((3, 8))
@@ -197,12 +189,11 @@ def _split(A: JordanMatrix, lam: float, e: int) -> tuple[JordanMatrix, JordanMat
             vp[1] = -(left_mult(y) @ (x * CONJ_SIGNS))
             v = OctVector3._wrap(np.roll(vp, shift, axis=0))
             break
-    if v is None:  # unreachable for w != 0: some cyclic shift has a nonzero middle entry
+    else:  # unreachable for w != 0: some cyclic shift has a nonzero middle entry
         raise NotDoubleRootError("could not orient w for the orthogonal construction")
 
     V1 = rank1_from_vector(v) / v.norm2()
-    P_w = B / tb  # w w-dagger / (w-dagger w), independent of the sign
-    V2 = JordanMatrix.identity() - P_w - V1
+    V2 = JordanMatrix.identity() - B / tb - V1  # B / tb = w w-dagger / |w|^2, either sign
 
     # Deterministic order: descending trace of the pre-normalisation
     # matrices (v v-dagger versus the complement, which is born with
@@ -228,13 +219,15 @@ def invariant_double_decomposition(
     A = JordanMatrix._wrap(a)
     B, tb = _double_root_shift(A, unit_lam)
     (mu,) = _rescale(e, (A.trace() - 2.0 * unit_lam, 1))
-    P = B / tb
-    K = -(B.trace_reversal()) / tb
-    return ((mu, P), (float(lam), K))
+    return ((mu, B / tb), (float(lam), -(B.trace_reversal()) / tb))  # P and K = I - P
 
 
 #: |P o P - P| up to which a unit-trace P is idempotent to rounding: no step.
 PURE_DEFECT = 8 * np.finfo(float).eps
+
+#: |tr Q_lambda| / (1 + |A|)^2 below which :func:`decompose` deflates, from a
+#: gap sweep: above it the Q route is within a few eps, below it loses digits.
+DEFLATE_TRACE = 1e-2
 
 
 def _purify(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,10 +235,9 @@ def _purify(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     returns P and L(P), which the residuals of :func:`decompose` reuse.
 
     A step cuts the deviation quadratically.  Q-route noise grows like
-    eps / gap^2 as two eigenvalues approach: near 1e-4 at a gap of 1e-6,
-    which one step leaves at the 1e-8 rank-one gate and two bring to
-    rounding.  Well-separated roots give |P o P - P| of 1-12 eps already, so
-    a step (on the whole stack, at most two) runs only while some root
+    eps / |tr Q| as two eigenvalues approach (so :func:`decompose` deflates
+    close roots); well-separated roots give |P o P - P| of 1-12 eps already.
+    A step (on the whole stack, at most two) runs only while some root
     exceeds ``PURE_DEFECT``, 8 eps, as an unpolished P passes its defect to
     the result's residuals.  P has unit trace and degree zero, so the rule
     is scale-free.  Powers of one element associate: no ambiguity.
@@ -274,50 +266,108 @@ def _idempotents(A: np.ndarray, nrm: float, poly: tuple[float, float, float], la
     return _purify(Q * (1.0 / tq)[:, None])
 
 
+def _m1_m2(u: np.ndarray) -> np.ndarray:
+    """:func:`albert.f4.build_m1_m2` of a (3, 8) array at unit scale, as the
+    Hermitian coordinates (2, 27) of M1 and M2."""
+    vn = _norm(u)
+    if vn == 0.0:
+        raise ZeroVectorError("cannot build reflections from the zero vector")
+    x, y, r = u * (1.0 / vn)
+    # computed from the coefficients directly: norm2() - real**2 cancels badly
+    if _norm(r[1:]) > tolerances.atol + tolerances.rtol:
+        raise ValueError("third component is not real; phase_align the vector first")
+
+    r0, y2 = float(r[0]), float(y @ y)
+    n1 = math.sqrt(float(x @ x) + r0**2)
+    n2 = math.sqrt(n1 * n1 + y2)  # = 1 for unit v
+    m = np.zeros((2, 27))
+    m[:, :3] = 1.0  # a reflection that degenerates is the identity
+    if n1 > tolerances.atol + tolerances.rtol:
+        m[0, :3] = -r0 / n1, 1.0, r0 / n1
+        m[0, 11:19] = x * CONJ_SIGNS * (1.0 / n1)
+    if math.sqrt(y2) > tolerances.atol + tolerances.rtol:
+        m[1, :3] = 1.0, -n1 / n2, n1 / n2
+        m[1, 19:] = y * (1.0 / n2)
+    return m
+
+
+def _reflect(x: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """M (X M) of Hermitian coordinates x, (27,) or (k, 27), for a reflection
+    M with L = L(M), as U_M X = 2 M o (M o X) - M^2 o X with M^2 = I."""
+    return _apply(_apply(x, L), L) * 2.0 - x
+
+
+def _deflate(h: np.ndarray, P: np.ndarray):
+    """Reflect unit-scale coordinates h by the M1 and M2 of the simple root
+    lambda whose purified Q-route idempotent is P, (1, 27), to b2 =
+    [[X, 0], [0, lambda]].  Returns that root's eigenvector, extracted once,
+    (3, 8); M1 and M2, (2, 27); their L(M), (2, 27, 27); and b2."""
+    v = _extract(P, RESIDUAL_RTOL)[0]
+    m = _m1_m2(phase_align(OctVector3._wrap(v))._arr)
+    L = _op(m)
+    return v, m, L, _reflect(_reflect(h, L[0]), L[1])
+
+
+def _block_projectors(b2: np.ndarray):
+    """Eigenvalues mu >= nu of the block X = [[s, z], [conj(z), t]] of b2 and
+    their projectors, (2, 27): U_M3 of the first two diagonal units.  The
+    eigenvector of mu is (p, conj z) if s >= t, else (z, p), where
+    p = mu - min(s, t) >= |z| has no cancellation however close mu and nu."""
+    s, t, z = float(b2[0]), float(b2[1]), b2[3:11]
+    r = math.sqrt((s - t) ** 2 + 4.0 * float(z @ z))
+    zp = z * (1.0 / (0.5 * (abs(s - t) + r) or 1.0))  # p = 0 only if X = s I
+    w2 = float(zp @ zp)
+    f = 1.0 / (1.0 + w2)
+    W = np.zeros((2, 27))
+    W[0, :2] = W[1, 1::-1] = (f, w2 * f) if s >= t else (w2 * f, f)
+    W[0, 3:11] = zp * f
+    W[1, 3:11] = -W[0, 3:11]
+    mu = 0.5 * ((s + t) + r)
+    return W, (mu, s + t - mu)
+
+
 def decompose(A: JordanMatrix) -> SpectralDecomposition:
     """Full eigenmatrix decomposition of A with verification residuals.
 
-    The idempotents of the simple roots, the eigenvectors and the residuals
-    are each computed on one (k, 27) stack of Hermitian coordinates.  Raises
-    :class:`~albert.exceptions.InconsistentError` when any of the four
-    residuals exceeds its gate (the assembled pieces fail to reproduce A,
-    or are not orthogonal eigenmatrices of it), and propagates
-    root-multiplicity conflicts between the cubic solver and the Q-matrix
-    criterion the same way.
+    The idempotents, eigenvectors and residuals are computed on (k, 27)
+    stacks of Hermitian coordinates.  Close and repeated roots are deflated
+    (see the module docstring): the pair's idempotents are U_M1 U_M2 W for
+    the projectors W of :func:`_block_projectors`, and its eigenvalues those
+    of the block.  Raises :class:`~albert.exceptions.InconsistentError` when
+    any of the four residuals exceeds its gate (the assembled pieces fail to
+    reproduce A, or are not orthogonal eigenmatrices of it), or when the
+    cubic solver reports a simple root whose Q matrix vanishes.
     """
     (h,), e = _unit_scale((A._arr, 1))
-    A = JordanMatrix._wrap(h)
-    nrm = A.norm()
+    nrm = _norm(_frob(h))
     poly = _invariants(h)
     roots: CubicRoots = _solve(*poly)
-    lams, lam = roots.roots, roots.repeated
-    if roots.multiplicity == "double":
-        # Cross-check the solver's multiplicity call against tr Q = sigma(A - lam I).
-        trq = (A - JordanMatrix.identity() * lam).sigma()
-        if abs(trq) > tolerances.mtol * (1.0 + max(abs(r) for r in lams)) ** 2:
-            raise InconsistentError(
-                "cubic solver reports a double root but tr Q does not vanish "
-                f"(|tr Q| / |A|^2 = {abs(trq) / A.norm() ** 2:.3e})"
-            )
+    lams = l0, l1, l2 = roots.roots
     if roots.multiplicity == "triple":
         P = np.eye(27)[:3]
-        L = _op(P)
+        L, vectors = _op(P), _extract(P, RESIDUAL_RTOL)
     else:
+        # tr Q of the middle root, the smallest |tr Q|; 0 for a double root
+        deflate = (l0 - l1) * (l1 - l2) < DEFLATE_TRACE * (1.0 + nrm) ** 2
+        k = 0 if l0 - l1 >= l1 - l2 else 2  # the best-separated root, beyond the larger gap
         try:
-            P, L = _idempotents(h, nrm, poly, roots.simple)
+            P, L = _idempotents(h, nrm, poly, [lams[k]] if deflate else lams)
         except ZeroQMatrixError as exc:
-            raise InconsistentError(
-                "cubic solver reports a simple root with a vanishing Q matrix"
-            ) from exc
-    if roots.multiplicity == "double":
-        pair = [V._arr for V in _split(A, lam, e)]
-        P = np.stack((P[0], *pair) if lams[0] > lam else (*pair, P[0]))
-        L = _op(P)
+            msg = "cubic solver reports a simple root with a vanishing Q matrix"
+            raise InconsistentError(msg) from exc
+        if deflate:
+            v, _, L, b2 = _deflate(h, P)
+            W, pair_lams = _block_projectors(b2)
+            pair = _reflect(_reflect(W, L[1]), L[0])  # U_M1 U_M2 W
+            pv = _extract(pair, RESIDUAL_RTOL)
+            if k == 0:
+                lams, P, vectors = (l0, *pair_lams), np.concatenate((P, pair)), (v, *pv)
+            else:
+                lams, P, vectors = (*pair_lams, l2), np.concatenate((pair, P)), (*pv, v)
+            L = _op(P)
+        else:
+            vectors = _extract(P, RESIDUAL_RTOL)
 
-    # The idempotents were validated above; extraction uses the looser
-    # residual gate because Q-route idempotents inherit noise of order
-    # eps / gap^2 near close eigenvalues.
-    vectors = _extract(P, RESIDUAL_RTOL)
     scaled = P * np.array(lams)[:, None]
     completeness = _norm(_frob(P.sum(axis=0) - _UNIT))
     recon = _norm(_frob(scaled.sum(axis=0) - h))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from albert import f4, jordan, sampling, spectral
 from albert.config import RESIDUAL_RTOL
-from albert.cubic import CubicRoots, solve_characteristic
+from albert.cubic import solve_characteristic
 from albert.dirac import classify_psquare
 from albert.exceptions import (
     ComplexRootsError,
@@ -29,12 +29,15 @@ from albert.jordan import (
     extract_vector,
     freudenthal_product,
     jordan_product,
+    phase_align,
     rank1_from_vector,
+    sandwich,
 )
 from albert.octonion import Octonion, e
 from albert.oracle import modified_char_check
 from albert.spectral import (
     PURE_DEFECT,
+    _deflate,
     _idempotents,
     _purify,
     _q_stack,
@@ -451,12 +454,17 @@ class TestScaleFreeMessages:
         assert "0.1831" not in msg and "-5.000e-01" not in msg
 
     def test_decompose_inconsistencies(self, monkeypatch):
-        A = JordanMatrix.diag(1.0, 2.0, 4.0)  # unit scale diag(1/8, 1/4, 1/2)
+        def bad_pair(h, P):  # the block's first diagonal entry off by 1e-3
+            v, m, L, b2 = _deflate(h, P)
+            return v, m, L, b2 + np.eye(27)[0] * 1e-3
+
         with monkeypatch.context() as m:
-            m.setattr(spectral, "_solve", lambda *poly: CubicRoots(
-                (0.5, 0.1875, 0.1875), "double", 0.1875))
-            msgs = [self.message(InconsistentError, decompose, A * s) for s in (1.0, 2.0**20)]
-            assert msgs[0] == msgs[1] and "tr Q does not vanish" in msgs[0]
+            m.setattr(spectral, "_deflate", bad_pair)
+            double = JordanMatrix.diag(1.0, 4.0, 1.0)
+            msgs = [self.message(InconsistentError, decompose, double * s)
+                    for s in (1.0, 2.0**20)]
+            assert msgs[0] == msgs[1] and "fails to reproduce A" in msgs[0]
+        A = JordanMatrix.diag(1.0, 2.0, 4.0)  # unit scale diag(1/8, 1/4, 1/2)
         with monkeypatch.context() as m:
             m.setattr(spectral, "_purify", lambda P: with_op(P * 1.5))
             msgs = [self.message(InconsistentError, decompose, A * s) for s in (1.0, 2.0**20)]
@@ -467,10 +475,12 @@ class TestScaleFreeMessages:
         # as Q-route noise does near a small gap: each stays rank one to t^2
         # (under the 1e-8 gate), completeness is exact and reconstruction and
         # eigen residuals are of order t * gap, but P1 o P2 = -t^2 (E11 + E22)
-        # reads sqrt(2) t^2 = 1.3e-8 over RESIDUAL_RTOL.
+        # reads sqrt(2) t^2 = 1.3e-8 over RESIDUAL_RTOL.  Such a pair is
+        # deflated; DEFLATE_TRACE = 0 keeps it on the Q route.
         A = JordanMatrix.diag(4.0, 2.0 + 2.0**-16, 2.0)
         N = JordanMatrix(c=1.0)._arr * 9.5e-5
         turn = np.stack([np.zeros_like(N), N, -N])
+        monkeypatch.setattr(spectral, "DEFLATE_TRACE", 0.0)
         monkeypatch.setattr(spectral, "_purify", lambda P: with_op(_purify(P)[0] + turn))
         msgs = [self.message(InconsistentError, decompose, A * s) for s in (1.0, 2.0**20)]
         assert msgs[0] == msgs[1] and "not orthogonal eigenmatrices" in msgs[0]
@@ -535,6 +545,55 @@ class TestAdaptivePurification:
         assert L.tobytes() == _op(want).tobytes()
 
 
+def conjugated_spectrum(rng, spectrum):
+    """diag(spectrum) conjugated by the reflections M1, M2 of two random
+    octonionic vectors through the public ``sandwich``: a matrix whose
+    spectrum is known without any Q route."""
+    A = JordanMatrix.diag(*spectrum)
+    for _ in range(2):
+        for M in f4.build_m1_m2(phase_align(sampling.random_vector(rng, span=8))):
+            A = sandwich(M, A)
+    return A
+
+
+def close_pair(rng, gap):
+    """A spectrum (descending) with two roots a relative gap apart (gap
+    times the largest |lambda|), on top or at the bottom, and a third 0.2 to
+    1 away; gap 0 gives an exact double root.  Returns it and the indices of
+    the pair."""
+    x = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
+    y = x + rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
+    top = max(abs(x), abs(y))
+    return tuple(sorted((x, x + gap * top, y), reverse=True)), [0, 1] if y < x else [1, 2]
+
+
+class TestCloseRoots:
+    """Near pairs and exact doubles are deflated by nested reflections on
+    the best-separated root, with the Q route only for that root; the pair's
+    eigenvalues come from the reflected block, not from the cubic's merged
+    mean.  At gaps 1e-7 and 1e-8 the cubic merges the pair, which the
+    Q route and the orthogonal-vector split could not resolve."""
+
+    GAPS = [10.0**-k for k in range(2, 10)] + [0.0]
+
+    @pytest.mark.parametrize("gap", GAPS, ids=[f"gap-{g:.0e}" for g in GAPS])
+    def test_known_spectrum(self, gap):
+        rng = np.random.default_rng(round(-math.log10(gap)) if gap else 99)
+        for _ in range(20):
+            spectrum, pair = close_pair(rng, gap)
+            dec = decompose(conjugated_spectrum(rng, spectrum))
+            scale = max(map(abs, spectrum))
+            res = dec.residuals
+            assert res["reconstruction"] <= 1e-13 * scale
+            assert max(res["eigen"]) <= 1e-13 * scale
+            assert res["orthogonality"] <= 1e-13
+            error = np.abs(np.subtract(dec.eigenvalues, spectrum))
+            assert error[pair].max() <= 1e-14 * scale
+            assert error.max() <= 1e-13 * scale  # the cubic's root for the third
+            for P in dec.idempotents:
+                check_primitive(P, atol=1e-13)
+
+
 class TestWorkDone:
     """Products per call on the common paths, counted exactly, so a change
     that restores wasted products fails here without timing: each product
@@ -571,14 +630,28 @@ class TestWorkDone:
             roots = solve_characteristic(*char_poly(A)).roots
             assert min(roots[0] - roots[1], roots[1] - roots[2]) > 1.0
             assert self.counts(monkeypatch, decompose, A) == {"_op": 3, "_apply": 5, "_raw_mul": 0}
-            assert self.counts(monkeypatch, diagonalize, A) == {"_op": 6, "_apply": 9, "_raw_mul": 0}
+            assert self.counts(monkeypatch, diagonalize, A) == {"_op": 5, "_apply": 9, "_raw_mul": 0}
+
+    # A deflated decompose: the Q route, its polishing check and the
+    # extraction for the isolated root (3 and 3), L(M1) and L(M2) as one
+    # stack (1) and their reflections of A (4), the pair mapped back (4),
+    # its extraction (1 and 1), and L(P) and the residuals (1 and 2).  No
+    # rank-one matrix is built from a vector.
+    DEFLATED = {"_op": 6, "_apply": 14, "_raw_mul": 0, "rank1_from_vector": 0, "_outer": 0}
+    NAMES = tuple(DEFLATED)
 
     def test_double_root(self, monkeypatch):
         rng = np.random.default_rng(34)
         for _ in range(10):
             A = sampling.random_double_root_matrix(rng)[0]
-            assert self.counts(monkeypatch, decompose, A) == {"_op": 6, "_apply": 7, "_raw_mul": 0}
-            assert self.counts(monkeypatch, diagonalize, A) == {"_op": 6, "_apply": 9, "_raw_mul": 0}
+            assert self.counts(monkeypatch, decompose, A, names=self.NAMES) == self.DEFLATED
+            assert self.counts(monkeypatch, diagonalize, A) == {"_op": 5, "_apply": 9, "_raw_mul": 0}
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_near_pair(self, monkeypatch, seed):
+        A = near_double(1e-6, seed)
+        assert solve_characteristic(*char_poly(A)).multiplicity == "distinct"
+        assert self.counts(monkeypatch, decompose, A, names=self.NAMES) == self.DEFLATED
 
     def test_one_format(self, monkeypatch):
         rng = np.random.default_rng(35)
