@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import RESIDUAL_RTOL, _rescale, _unit_scale, tolerances
 from .exceptions import InconsistentError, NonNullMomentumError
-from .jordan import JordanMatrix, OctVector3, _invariants, _outer, _pivot_column, matvec
+from .jordan import JordanMatrix, OctVector3, _invariants, _outer, _pivot_column, _quadratic, matvec
 from .octonion import Octonion, _ArrayValue, _as_octonion
 
 # Relative threshold shared by the null-momentum gate and the p-square
@@ -113,7 +113,7 @@ def dirac_solve(P: Hermitian2) -> tuple[tuple[Octonion, Octonion], int]:
     """
     (p,), e = _unit_scale((P._arr, 2))
     B = JordanMatrix._wrap(p)
-    nrm, det, tr = B.norm(), B.sigma(), B.trace()
+    nrm, det, tr = B.norm(), _quadratic(p)[3], B.trace()  # det P is the block's sigma
     if abs(det) > CLASS_RTOL * (1.0 + nrm) ** 2:
         raise NonNullMomentumError(f"det / |P|^2 = {det / nrm ** 2:.3e} exceeds tolerance; "
                                    "momentum is not null")

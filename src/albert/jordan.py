@@ -344,12 +344,14 @@ class JordanMatrix(_ArrayValue):
         return float(_trace(self._arr))
 
     def sigma(self) -> float:
-        """Sum of the pairwise eigenvalue products, tr(A * A)."""
-        return _quadratic(self._arr)[3]
+        """Sum of the pairwise eigenvalue products, tr(A * A), as
+        :func:`char_poly` gives it: +/-inf, never NaN, out of range."""
+        return char_poly(self)[1]
 
     def det(self) -> float:
-        """Cubic norm: p m n + 2 Re(b (a c)) - n |a|^2 - m |b|^2 - p |c|^2."""
-        return _det_shifted(self._arr, 0.0)
+        """Cubic norm: p m n + 2 Re(b (a c)) - n |a|^2 - m |b|^2 - p |c|^2,
+        as :func:`char_poly` gives it: +/-inf, never NaN, out of range."""
+        return char_poly(self)[2]
 
     def trace_reversal(self) -> "JordanMatrix":
         """A - (tr A) I, the involution entering the determinant identities."""
@@ -390,14 +392,24 @@ _IDENTITY = JordanMatrix(1.0, 1.0, 1.0)
 # -- products ----------------------------------------------------------------
 
 
+def _product(A: JordanMatrix, B: JordanMatrix, tensor: np.ndarray) -> JordanMatrix:
+    """A and B each divided by its own 2^e, multiplied there, and the product
+    multiplied back by 2^(e_A + e_B), exactly: a product that leaves the
+    double range raises :class:`InconsistentError` instead of turning into
+    inf - inf = NaN."""
+    (a,), ea = _unit_scale((A._arr, 1))
+    (b,), eb = _unit_scale((B._arr, 1))
+    return JordanMatrix._wrap(*_rescale(ea + eb, (_mul(a, b, tensor), 1)))
+
+
 def jordan_product(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
     """(A B + B A) / 2.  Commutative, non-associative."""
-    return JordanMatrix._wrap(_mul(A._arr, B._arr))
+    return _product(A, B, _JORDAN)
 
 
 def freudenthal_product(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
     """The symmetric cross product whose trace recovers sigma and det."""
-    return JordanMatrix._wrap(_mul(A._arr, B._arr, _FREUDENTHAL))
+    return _product(A, B, _FREUDENTHAL)
 
 
 def char_poly(A: JordanMatrix) -> tuple[float, float, float]:

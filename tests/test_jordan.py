@@ -37,6 +37,15 @@ from albert.jordan import (
     sandwich,
 )
 from albert.octonion import CONJ_SIGNS, MUL_INDEX, MUL_SIGN, Octonion, e, left_mult
+from albert.verify import (
+    _fold,
+    _suite_char_equation,
+    _suite_det_consistency,
+    _suite_polarized_closure,
+    _suite_springer,
+    _suite_trace_inner_product,
+    _suite_trace_reversal_identity,
+)
 
 
 def all_ones():
@@ -190,11 +199,7 @@ class TestInvariants:
         assert det == 2.0
 
     def test_det_closed_form_vs_trace_form(self):
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            A = sampling.random_jordan(rng)
-            scale = (1.0 + A.norm()) ** 3
-            assert abs(A.det() - det_via_trace(A)) <= 1e-10 * scale
+        assert _fold(_suite_det_consistency, np.random.default_rng(2), 300) <= 1e-10
 
     def test_trace_reversal_is_minus_two_freudenthal_with_identity(self):
         rng = np.random.default_rng(3)
@@ -238,53 +243,41 @@ class TestProducts:
             scale = 1.0 + A.norm() ** 3 * B.norm()
             assert (lhs - rhs).norm() <= 1e-10 * scale
 
+    # the identities' residuals are albert.verify's suites, on this file's seeds
     def test_characteristic_equation(self):
-        rng = np.random.default_rng(8)
-        for _ in range(300):
-            A = sampling.random_jordan(rng)
-            tr, sigma, det = char_poly(A)
-            A2 = jordan_product(A, A)
-            A3 = jordan_product(A2, A)
-            resid = A3 - A2 * tr + A * sigma - JordanMatrix.identity() * det
-            assert resid.norm() <= 1e-9 * (1.0 + A.norm() ** 3)
+        assert _fold(_suite_char_equation, np.random.default_rng(8), 300) <= 1e-9
 
     def test_springer_identity(self):
-        rng = np.random.default_rng(9)
-        for _ in range(300):
-            A = sampling.random_jordan(rng)
-            AxA = freudenthal_product(A, A)
-            resid = freudenthal_product(AxA, AxA) - A * A.det()
-            assert resid.norm() <= 1e-9 * (1.0 + A.norm()) ** 4
+        assert _fold(_suite_springer, np.random.default_rng(9), 300) <= 1e-9
 
     def test_trace_reversal_identity(self):
-        # (A~ o A) o (A*A) = det(A) A~
-        rng = np.random.default_rng(10)
-        for _ in range(300):
-            A = sampling.random_jordan(rng)
-            At = A.trace_reversal()
-            lhs = jordan_product(jordan_product(At, A), freudenthal_product(A, A))
-            resid = lhs - At * A.det()
-            assert resid.norm() <= 1e-9 * (1.0 + A.norm()) ** 4
+        assert _fold(_suite_trace_reversal_identity, np.random.default_rng(10), 300) <= 1e-9
 
     def test_polarized_closure(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            u = sampling.random_vector(rng, span=4)
-            w = sampling.random_vector(rng, span=4)
-            AxB = freudenthal_product(rank1_from_vector(u), rank1_from_vector(w))
-            resid = freudenthal_product(AxB, AxB)
-            assert resid.norm() <= 1e-9 * (1.0 + u.norm2() + w.norm2()) ** 4
+        assert _fold(_suite_polarized_closure, np.random.default_rng(11), 300) <= 1e-9
 
     def test_trace_inner_product_quaternionic(self):
-        # (v^dag w)(w^dag v) = tr(v v^dag o w w^dag)
-        rng = np.random.default_rng(12)
-        for _ in range(300):
-            v = sampling.random_vector(rng, span=4)
-            w = sampling.random_vector(rng, span=4)
-            vw = v.dagger_dot(w)
-            lhs = (vw * vw.conjugate()).real
-            rhs = jordan_product(rank1_from_vector(v), rank1_from_vector(w)).trace()
-            assert abs(lhs - rhs) <= 1e-10 * (1.0 + v.norm2() * w.norm2())
+        assert _fold(_suite_trace_inner_product, np.random.default_rng(12), 300) <= 1e-10
+
+    def test_overflow_raises_instead_of_nan(self):
+        # at 2^600 the products and det_via_trace overflow, det and sigma go to +/-inf
+        A = sampling.random_jordan(np.random.default_rng(5)) * 2.0**600
+        for call in (jordan_product, freudenthal_product):
+            with pytest.raises(InconsistentError, match="overflows"):
+                call(A, A)
+        with pytest.raises(InconsistentError, match="overflows"):
+            det_via_trace(A)
+        assert math.isinf(A.det()) and math.isinf(A.sigma())
+
+    @pytest.mark.parametrize("k, j", [(300, 300), (-300, -300), (600, -600)])
+    def test_scaled_operands_give_the_scaled_product(self, k, j):
+        # each operand runs at its own unit scale, so scaling is exact
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            A, B = sampling.random_jordan(rng), sampling.random_jordan(rng)
+            for product in (jordan_product, freudenthal_product):
+                got = product(A * 2.0**k, B * 2.0**j)._arr
+                assert got.tobytes() == np.ldexp(product(A, B)._arr, k + j).tobytes()
 
     def test_trace_inner_product_octonionic_measured(self):
         # Not gated for non-associating columns; measure and report the worst.

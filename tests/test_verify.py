@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from albert import sampling
 from albert.jordan import JordanMatrix, OctVector3
-from albert.verify import run_verification
+from albert.verify import _SUITES, run_verification
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 @pytest.mark.parametrize("span", [8, 4, 2])
@@ -21,6 +24,14 @@ def test_block_samplers_match_per_entry_draws(span):
         v = sampling.random_vector(fast, span)
         w = OctVector3([sampling.random_octonion(ref, span) for _ in range(3)])
         assert v.to_array().tobytes() == w.to_array().tobytes()
+
+
+def test_suite_names_match_benchmark_layers():
+    # the benchmark times each suite as the per-layer metric verify.suite.<name>_s
+    layers = [m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]]
+    suites = [name[len("verify.suite."):-len("_s")] for name in layers
+              if name.startswith("verify.suite.")]
+    assert [name for name, _ in _SUITES] == suites
 
 
 class TestRunVerification:
