@@ -38,9 +38,14 @@ class Tolerances:
     mtol: float = 1e-7
 
     def __setattr__(self, name, value):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"tolerance {name} must be finite and >= 0, got {value!r}")
-        super().__setattr__(name, value)
+        super().__setattr__(name, _tolerance(name, value))
+
+
+def _tolerance(name: str, value: float) -> float:
+    """value, once it is a finite tolerance >= 0; ValueError otherwise."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"tolerance {name} must be finite and >= 0, got {value!r}")
+    return value
 
 
 tolerances = Tolerances()

@@ -56,7 +56,7 @@ import math
 
 import numpy as np
 
-from .config import _rescale, _unit_scale, tolerances
+from .config import _rescale, _tolerance, _unit_scale, tolerances
 from .exceptions import (
     InconsistentError,
     NonAssociativeComponentsError,
@@ -493,8 +493,11 @@ def extract_vector(V: JordanMatrix, rank_rtol: float | None = None) -> OctVector
     returned vector is the pivot column scaled by 1/sqrt(V_kk), so its pivot
     component is the positive real sqrt(V_kk).  v is unique up to a
     quaternionic phase.  V has degree two in v, so it is brought to unit
-    scale by an even power of two and v takes half of it.
+    scale by an even power of two and v takes half of it.  A NaN, infinite
+    or negative ``rank_rtol`` raises ValueError.
     """
+    if rank_rtol is not None:
+        _tolerance("rank_rtol", rank_rtol)
     (v,), e = _unit_scale((V._arr, 2))
     return OctVector3._wrap(*_rescale(e, (_extract(v, rank_rtol)[0], 1)))
 

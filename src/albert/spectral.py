@@ -18,19 +18,18 @@ its eigenvector (shared with :mod:`albert.f4`) leave the other two roots in
 a 2x2 block, and their idempotents are the block's projectors mapped back.
 A triple root, A = lambda I, gets the diagonal unit matrices.
 
-:func:`double_root_split` remains the paper's orthogonal-vector
-construction for a double root lambda, A - lambda I = +/- w w-dagger: one
-eigenmatrix from a vector orthogonal to w, the other its complement in
-I - w w-dagger / |w|^2.  :func:`invariant_double_decomposition` keeps the
-rank-two piece whole: A = mu P + lambda (I - P), P = (A - lambda I) /
-tr(A - lambda I).
+:func:`double_root_split` is the paper's orthogonal-vector construction
+for a double root lambda, A - lambda I = +/- w w-dagger: V1 = v v-dagger /
+|v|^2 for a v with v-dagger w = 0, and V2 = I - w w-dagger / |w|^2 - V1.
+:func:`invariant_double_decomposition` keeps the rank-two piece whole:
+A = mu P + lambda (I - P), P = (A - lambda I) / tr(A - lambda I).
 
 The array kernels of :mod:`albert.jordan` take stacks (k, 27) of Hermitian
 coordinates; :func:`decompose` builds, purifies, extracts and checks its
-eigenmatrices as stacks, and the public one-root functions are k = 1 calls.
-
-The public functions run on A (and lambda) divided by 2^e and multiply each
-output back by 2^(degree * e), so results are exact under 2^k scaling.
+eigenmatrices as stacks, and the public one-root and double-root functions
+are k = 1 calls.  They run on A and a finite lambda divided by 2^e and
+multiply each output back by 2^(degree * e), so results, the order of the
+double-root pair included, are exact under 2^k scaling.
 """
 
 from __future__ import annotations
@@ -60,10 +59,9 @@ from .jordan import (
     _invariants,
     _mul,
     _op,
+    _outer,
     _trace,
-    freudenthal_product,
     phase_align,
-    rank1_from_vector,
 )
 from .octonion import CONJ_SIGNS, _norm, left_mult
 
@@ -123,9 +121,18 @@ def _q_stack(A: np.ndarray, lams) -> np.ndarray:
     return _mul(B, B, _FREUDENTHAL)
 
 
+def _at_unit_scale(A: JordanMatrix, lam: float):
+    """The coordinates of A and lambda divided by 2^e, and e.  A NaN or
+    infinite lambda raises ValueError, as a non-finite entry does in every
+    constructor."""
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam!r}")
+    return _unit_scale((A._arr, 1), (lam, 1))
+
+
 def q_matrix(A: JordanMatrix, lam: float) -> JordanMatrix:
     """(A - lambda I) * (A - lambda I) for an eigenvalue lambda of A."""
-    (a, lam), e = _unit_scale((A._arr, 1), (lam, 1))
+    (a, lam), e = _at_unit_scale(A, lam)
     _check_root(_invariants(a), _norm(_frob(a)), lam)
     return JordanMatrix._wrap(*_rescale(e, (_q_stack(a, lam), 2)))
 
@@ -137,73 +144,58 @@ def idempotent_from_q(Q: JordanMatrix) -> JordanMatrix:
     only the magnitude is gated.
     """
     (q,), _ = _unit_scale((Q._arr, 1))  # Q / tr Q has degree zero
-    Q = JordanMatrix._wrap(q)
-    t = Q.trace()
-    _check_q_trace(t, Q.norm())
-    return Q / t
+    t = float(_trace(q))
+    _check_q_trace(t, _norm(_frob(q)))
+    return JordanMatrix._wrap(q * (1.0 / t))
 
 
-def _double_root_shift(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, float]:
-    """B = A - lambda I and its trace mu - lambda, for a double root lambda.
+def _double_root_shift(a: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+    """B = A - lambda I of unit-scale coordinates a and its trace mu - lambda.
 
     Raises :class:`NotDoubleRootError` when B vanishes or is traceless (a
     triple root) or is not rank one (a simple root).
     """
-    B = A - JordanMatrix.identity() * lam
-    scale = 1.0 + A.norm() + abs(lam)
-    if B.norm() <= tolerances.atol + tolerances.rtol * scale:
+    B = a - lam * _UNIT
+    scale = 1.0 + _norm(_frob(a)) + abs(lam)
+    b_norm = _norm(_frob(B))
+    if b_norm <= tolerances.atol + tolerances.rtol * scale:
         raise NotDoubleRootError("A equals lambda I; the root is triple, not double")
-    q_norm = freudenthal_product(B, B).norm()
+    q_norm = _norm(_frob(_mul(B, B, _FREUDENTHAL)))
     if q_norm > tolerances.atol + tolerances.mtol * scale**2:
         raise NotDoubleRootError(
             "(A - lambda I) is not rank one (|Q| / |A - lambda I|^2 = "
-            f"{q_norm / B.norm() ** 2:.3e}); lambda is not a double root"
+            f"{q_norm / b_norm**2:.3e}); lambda is not a double root"
         )
-    tb = B.trace()
+    tb = float(_trace(B))
     if abs(tb) <= tolerances.atol + tolerances.rtol * scale:
         raise NotDoubleRootError("tr(A - lambda I) vanishes; the root is triple, not double")
     return B, tb
 
 
 def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, JordanMatrix]:
-    """Two orthogonal primitive idempotents for a double eigenvalue lambda.
+    """Two orthogonal primitive idempotents (V1, V2), in that order, for a
+    double eigenvalue lambda: A - lambda I = +/- w w-dagger, of rank one.
 
-    Requires A - lambda I = +/- w w-dagger of rank one (double root, not
-    triple).  The first candidate is built from a vector orthogonal to w:
-    writing w = (x, y, r) with r real, v = (|y|^2, -y conj(x), 0) satisfies
-    v-dagger w = 0.  When the middle component is (near-)zero the
-    coordinates are cyclically permuted until the construction applies.
+    For the first slot pair (i, j) of (0, 1), (1, 2), (2, 0) with w_j
+    nonzero, v_i = |w_j|^2 and v_j = -w_j conj(w_i), the paper's
+    (|y|^2, -y conj(x), 0), give v-dagger w = 0.  w needs no phase: it is
+    the pivot column of w w-dagger over sqrt of the pivot, so its pivot
+    component is real, and its other two components generate an
+    associative subalgebra that holds every component of v and w.
     """
-    (a, lam), e = _unit_scale((A._arr, 1), (lam, 1))
-    B, tb = _double_root_shift(JordanMatrix._wrap(a), lam)
-    sign = 1.0 if tb > 0 else -1.0
-    w = OctVector3._wrap(_extract((B * sign)._arr, tolerances.mtol)[0])
-    wn = w.norm()
-    for shift in range(3):
-        # entry i of the shifted vector is entry (i + shift) % 3 of w
-        x, y, _ = phase_align(OctVector3._wrap(np.roll(w._arr, -shift, axis=0)))._arr
-        y2 = float(y @ y)
-        if math.sqrt(y2) > tolerances.atol + tolerances.rtol * wn:
-            vp = np.zeros((3, 8))
-            vp[0, 0] = y2
-            vp[1] = -(left_mult(y) @ (x * CONJ_SIGNS))
-            v = OctVector3._wrap(np.roll(vp, shift, axis=0))
-            break
-    else:  # unreachable for w != 0: some cyclic shift has a nonzero middle entry
-        raise NotDoubleRootError("could not orient w for the orthogonal construction")
-
-    V1 = rank1_from_vector(v) / v.norm2()
-    V2 = JordanMatrix.identity() - B / tb - V1  # B / tb = w w-dagger / |w|^2, either sign
-
-    # Deterministic order: descending trace of the pre-normalisation
-    # matrices (v v-dagger versus the complement, which is born with
-    # trace one); ties keep the orthogonal-vector construction first.
-    # |v|^2 has degree two, so it is compared at the caller's scale.
-    with np.errstate(over="ignore"):
-        t1, t2 = float(np.ldexp(v.norm2(), 2 * e)), 1.0
-    if t2 > t1 and abs(t1 - t2) > tolerances.atol + tolerances.rtol * max(t1, t2):
-        return (V2, V1)
-    return (V1, V2)
+    (a, lam), _ = _at_unit_scale(A, lam)
+    B, tb = _double_root_shift(a, lam)
+    w = _extract(B if tb > 0 else -B, tolerances.mtol)[0]
+    y2 = (w * w).sum(axis=1).tolist()  # |w_j|^2
+    gate = tolerances.atol + tolerances.rtol * math.sqrt(sum(y2))
+    # the pivot slot, the largest |w_j|, is taken even if a huge rtol fails it
+    i, j = next((i, j) for i, j in ((0, 1), (1, 2), (2, 0))
+                if math.sqrt(y2[j]) > gate or y2[j] == max(y2))
+    v = np.zeros((3, 8))
+    v[i, 0] = y2[j]
+    v[j] = -(left_mult(w[j]) @ (w[i] * CONJ_SIGNS))
+    V1 = _outer(v, 0) * (1.0 / float(np.vdot(v, v)))
+    return JordanMatrix._wrap(V1), JordanMatrix._wrap(_UNIT - B * (1.0 / tb) - V1)
 
 
 def invariant_double_decomposition(
@@ -212,14 +204,13 @@ def invariant_double_decomposition(
     """Basis-free form of the double-root decomposition.
 
     Returns ((mu, P), (lambda, K)) with P = (A - lambda I)/tr(A - lambda I)
-    primitive, K = -(A - lambda I)~/tr(A - lambda I) = I - P of rank two,
-    and A = mu P + lambda K.
+    primitive, K = I - P of rank two, and A = mu P + lambda K.
     """
-    (a, unit_lam), e = _unit_scale((A._arr, 1), (lam, 1))
-    A = JordanMatrix._wrap(a)
-    B, tb = _double_root_shift(A, unit_lam)
-    (mu,) = _rescale(e, (A.trace() - 2.0 * unit_lam, 1))
-    return ((mu, B / tb), (float(lam), -(B.trace_reversal()) / tb))  # P and K = I - P
+    (a, unit_lam), e = _at_unit_scale(A, lam)
+    B, tb = _double_root_shift(a, unit_lam)
+    (mu,) = _rescale(e, (float(_trace(a)) - 2.0 * unit_lam, 1))
+    P = B * (1.0 / tb)
+    return ((mu, JordanMatrix._wrap(P)), (float(lam), JordanMatrix._wrap(_UNIT - P)))
 
 
 #: |P o P - P| up to which a unit-trace P is idempotent to rounding: no step.

@@ -395,6 +395,15 @@ class TestRankOne:
         with pytest.raises(ZeroMatrixError):
             extract_vector(JordanMatrix.zero())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-10])
+    def test_extract_refuses_bad_rank_rtol(self, bad):
+        # against a NaN or infinite tolerance the rank-one gate passes
+        # whatever the residual: diag(1, 1, 0) has rank two
+        with pytest.raises(ValueError, match="rank_rtol"):
+            extract_vector(JordanMatrix.diag(1, 1, 0), rank_rtol=bad)
+        with pytest.raises(NotRankOneError):
+            extract_vector(JordanMatrix.diag(1, 1, 0), rank_rtol=0.0)
+
     def test_pivot_tie_takes_first(self):
         V = rank1_from_vector(real_vec(1, 1, 0))
         w = extract_vector(V)

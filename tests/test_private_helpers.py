@@ -45,3 +45,26 @@ def test_every_private_definition_is_referenced():
     assert any(name == "_UNIT" for _, name in defined), "module constants not collected"
     unused = sorted(f"{where} {name}" for where, name in defined if name not in referenced)
     assert not unused, f"private helpers that nothing in the package references: {unused}"
+
+
+def test_every_import_is_used():
+    # Each name a module imports is read in that module.  ``__init__.py`` is
+    # left out: its imports load submodules into the package namespace.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, f"imports that their module never uses: {unused}"

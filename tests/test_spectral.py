@@ -167,6 +167,17 @@ class TestDoubleRootSplit:
                 check_primitive(V, atol=1e-9)
                 assert (jordan_product(A, V) - V * 0.5).norm() <= 1e-9
 
+    def test_pivot_slot_always_qualifies(self, monkeypatch):
+        # with rtol = 0.6 no |w_j| of w = 0.9 (1, 1, 1) clears the gate
+        # 0.6 |w|, but the pivot slot is taken all the same
+        A = rank1_from_vector(OctVector3([Octonion.from_real(0.9)] * 3))
+        monkeypatch.setattr(spectral.tolerances, "rtol", 0.6)
+        V1, V2 = double_root_split(A, 0.0)
+        for V in (V1, V2):
+            check_primitive(V, atol=1e-12)
+            assert jordan_product(A, V).norm() <= 1e-12
+        assert jordan_product(V1, V2).norm() <= 1e-12
+
     def test_seeded_splits(self):
         rng = np.random.default_rng(40)
         for _ in range(200):
@@ -209,6 +220,15 @@ class TestInvariantDouble:
     def test_rejects_distinct(self):
         with pytest.raises(NotDoubleRootError):
             invariant_double_decomposition(JordanMatrix.diag(1, 2, 3), 1.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [q_matrix, double_root_split, invariant_double_decomposition])
+def test_non_finite_lambda_is_refused(call, lam):
+    # a NaN lambda passes every gate (each comparison with NaN is False)
+    # and would come back as NaN matrices
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        call(JordanMatrix.diag(1, 2, 3), lam)
 
 
 class TestDecomposeRandom:
@@ -375,6 +395,23 @@ class TestScaleCovariance:
                                    math.ldexp(det, 3 * k))
         assert r_k.multiplicity == r.multiplicity
         assert r_k.roots == tuple(math.ldexp(x, k) for x in r.roots)
+
+    def test_double_root_functions(self):
+        # both run on A / 2^e and lambda / 2^e, so the pair, its order, P and
+        # K keep their bits and mu scales exactly
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            A, lam, _, _ = sampling.random_double_root_matrix(rng)
+            pair = [V.to_array() for V in double_root_split(A, lam)]
+            (mu, P), (_, K) = invariant_double_decomposition(A, lam)
+            for k in (5, -5, 20, -20, 300, -300):
+                s = math.ldexp(1.0, k)
+                pair_k = [V.to_array() for V in double_root_split(A * s, lam * s)]
+                assert all(map(np.array_equal, pair_k, pair))
+                (mu_k, P_k), (lam_k, K_k) = invariant_double_decomposition(A * s, lam * s)
+                assert mu_k == math.ldexp(mu, k) and lam_k == lam * s
+                assert np.array_equal(P_k.to_array(), P.to_array())
+                assert np.array_equal(K_k.to_array(), K.to_array())
 
     def test_huge_q_normalises(self):
         # |Q|^2 = 1e400 does not fit in a double, so the trace gate must not
@@ -652,6 +689,22 @@ class TestWorkDone:
         A = near_double(1e-6, seed)
         assert solve_characteristic(*char_poly(A)).multiplicity == "distinct"
         assert self.counts(monkeypatch, decompose, A, names=self.NAMES) == self.DEFLATED
+
+    # The double-root split: B * B for the rank-one gate, the extraction of
+    # w (its B * B, 1 and 1) and v v-dagger; the invariant form only the
+    # rank-one gate.  Neither aligns a phase nor goes through the public
+    # object-level products, nor converts to or from (3, 3, 8) arrays.
+    SPLIT = {"_op": 2, "_apply": 2, "_extract": 1, "_outer": 1, "phase_align": 0,
+             "rank1_from_vector": 0, "freudenthal_product": 0, "_pack": 0, "_unpack": 0}
+    INVARIANT = {**SPLIT, "_op": 1, "_apply": 1, "_extract": 0, "_outer": 0}
+
+    def test_double_root_functions(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        for _ in range(10):
+            A, lam, _, _ = sampling.random_double_root_matrix(rng)
+            for fn, want in ((double_root_split, self.SPLIT),
+                             (invariant_double_decomposition, self.INVARIANT)):
+                assert self.counts(monkeypatch, fn, A, lam, names=tuple(want)) == want, fn.__name__
 
     def test_one_format(self, monkeypatch):
         rng = np.random.default_rng(35)
