@@ -19,13 +19,16 @@ v = (x, y, r) of a simple eigenvalue lambda, phase-aligned so r is real,
 send v to (0, 0, 1), so the conjugated matrix is block diagonal with lambda
 in the corner: [[X, 0], [0, lambda]] with X = [[s, z], [conj(z), t]].  When
 N1 = 0 (or |y| = 0) the corresponding reflection degenerates to the
-identity.  The final reflection diagonalises X using its larger eigenvalue
-mu, whose eigenvector is (mu - t, conj(z)):
+identity.  lambda is the best-separated root, beyond the larger gap, whose
+Q-route eigenvector stays accurate however close the other two roots are.
+M3 closes X with the unit eigenvector (p, +/-conj(z)) / N3 of its eigenvalue
+mu nearer s (+ when s >= t), where p = (|s - t| + r) / 2 >= |z| has no
+cancellation, r^2 = (s - t)^2 + 4 |z|^2 and N3^2 = p^2 + |z|^2:
 
-    N3 = (mu - t)^2 + |z|^2,
-    M3 = [[mu - t, z, 0], [conj(z), t - mu, 0], [0, 0, sqrt(N3)]] / sqrt(N3)
+    M3 = [[p, +/-z, 0], [+/-conj(z), -p, 0], [0, 0, N3]] / N3.
 
-with M3 = I when N3 = 0 (X already diagonal).  The result is
+M3 is never the identity: p = 0 only when X = s I, where p = 1 gives
+diag(1, -1, 1).  The result is
 diag(mu, tr X - mu, lambda); each step preserves trace, sigma and
 determinant, so the diagonal carries the characteristic roots.  The order
 in which they appear is a convention, not canonical.
@@ -38,9 +41,9 @@ entries p, q of M and any octonion x, which holds when they lie in one
 complex subalgebra, as the entries of M1, M2 and M3 do; for a generic M it
 does not, and the public :func:`sandwich` keeps the ordinary products.
 
-The reflections are shared: M1, M2 and U_M live in :mod:`albert.spectral`,
-whose :func:`~albert.spectral.decompose` deflates close and repeated roots
-with them and closes X with its eigenprojectors instead of applying M3.
+The reduction is shared with :func:`~albert.spectral.decompose`, which
+deflates close and repeated roots by the same reflections: the root choice,
+M1, M2, M3 and U_M live in :mod:`albert.spectral`.
 """
 
 from __future__ import annotations
@@ -50,10 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _rescale, _unit_scale, tolerances
+from .config import _rescale, _unit_scale
 from .cubic import _solve
-from .jordan import _UNIT, JordanMatrix, OctVector3, _invariants, _op
-from .spectral import _deflate, _idempotents, _m1_m2, _reflect
+from .jordan import JordanMatrix, OctVector3, _frob, _invariants, _op
+from .octonion import _norm
+from .spectral import _close_block, _deflate, _m1_m2, _reflect
 
 __all__ = ["DiagonalizationResult", "build_m1_m2", "diagonalize"]
 
@@ -86,52 +90,26 @@ def build_m1_m2(v: OctVector3) -> tuple[JordanMatrix, JordanMatrix]:
     return tuple(JordanMatrix._wrap(m) for m in _m1_m2(u))
 
 
-def _reflection(diag, row: int, entry: np.ndarray) -> np.ndarray:
-    """Hermitian coordinates of the matrix with diagonal ``diag`` and entry
-    a, b or c (row 0, 1, 2)."""
-    h = np.zeros(27)
-    h[:3] = diag
-    h[3 + 8 * row:11 + 8 * row] = entry
-    return h
-
-
 def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
-    """Conjugate A to diagonal form, returning the steps for audit.
-
-    The eigenvalue fed to the reflections is a simple root (the smallest
-    when all are distinct); a scalar matrix returns with no steps.  The
-    work runs on A / 2^e at unit scale; the reflections have degree zero,
-    and the diagonal and residual are multiplied back by 2^e.
+    """Conjugate A to diagonal form diag(mu, nu, lambda), returning the steps
+    for audit: M1, M2 and M3 as the module docstring builds them.  A triple
+    root returns A's diagonal with no steps.  The residual is the largest
+    off-diagonal |entry| left.  The work runs on A / 2^e at unit scale; the reflections
+    have degree zero, and the diagonal and residual are multiplied back by 2^e.
     """
     (h,), e = _unit_scale((A._arr, 1))
-    A = JordanMatrix._wrap(h)
     poly = _invariants(h)
     roots = _solve(*poly)
     if roots.multiplicity == "triple":
-        diagonal, residual = _rescale(e, (A.diagonal(), 1), (A.offdiag_norm(), 1))
-        return DiagonalizationResult(steps=(), diagonal=tuple(diagonal), residual=residual)
-    lam = min(roots.simple)
-
-    nrm = A.norm()
-    P, _ = _idempotents(h, nrm, poly, [lam])
-    _, m12, _, b2 = _deflate(h, P)
-
-    # b2 is [[X, 0], [0, lam]] with X = [[s, z], [conj(z), t]] in the upper block.
-    s, t, z = float(b2[0]), float(b2[1]), b2[3:11]
-    z2 = float(z @ z)
-    mu = 0.5 * ((s + t) + math.sqrt((s - t) ** 2 + 4.0 * z2))
-    n3 = (mu - t) ** 2 + z2
-    if n3 <= (tolerances.atol + tolerances.rtol * (1.0 + nrm)) ** 2:
-        m3 = _UNIT
+        steps, x = np.zeros((0, 27)), h
     else:
-        s3 = math.sqrt(n3)
-        m3 = _reflection(((mu - t) / s3, (t - mu) / s3, 1.0), 0, z * (1.0 / s3))
-    b3 = _reflect(b2, _op(m3))
+        *_, m12, _, b2 = _deflate(h, _norm(_frob(h)), poly, roots.roots)
+        m3 = _close_block(b2)[0]
+        steps, x = np.vstack((m12, m3)) + 0.0, _reflect(b2, _op(m3))  # + 0.0 clears -0.0
 
-    upper = b3[3:].reshape(3, 8)
-    norms2 = (upper * upper).sum(axis=1).tolist()
-    diagonal, residual = _rescale(e, (b3[:3].tolist(), 1), (math.sqrt(max(norms2)), 1))
-    steps = np.vstack((m12, m3)) + 0.0  # adding 0.0 clears negative zeros
+    upper = x[3:].reshape(3, 8)
+    residual = math.sqrt(max((upper * upper).sum(axis=1).tolist()))
+    diagonal, residual = _rescale(e, (x[:3].tolist(), 1), (residual, 1))
     return DiagonalizationResult(
         steps=tuple(JordanMatrix._wrap(m) for m in steps),
         diagonal=tuple(diagonal),

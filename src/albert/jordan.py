@@ -528,7 +528,10 @@ def _pivot_column(h: np.ndarray) -> np.ndarray:
     pivot = max(diag)
     if pivot <= 0.0:
         raise ZeroMatrixError("no positive diagonal entry to pivot on")
-    return (h @ _COLUMNS[diag.index(pivot)]).reshape(3, 8) / math.sqrt(pivot)
+    k, root = diag.index(pivot), math.sqrt(pivot)
+    v = (h @ _COLUMNS[k]).reshape(3, 8) / root
+    v[k, 0] = root  # correctly rounded, not h_kk / sqrt(h_kk)
+    return v
 
 
 def offdiag_associator(A: JordanMatrix) -> Octonion:

@@ -12,11 +12,13 @@ idempotent comes from the cross-product square
 using tr Q_lambda = (lambda - mu)(lambda - nu), which vanishes when the root
 is repeated; as two roots approach, Q_lambda / tr Q_lambda loses digits like
 eps / tr Q_lambda.  So :func:`decompose` deflates repeated and close roots:
-when some tr Q_lambda falls below ``DEFLATE_TRACE * (1 + |A|)^2``, only the
-best-separated root takes the Q route, the nested reflections M1 and M2 of
-its eigenvector (shared with :mod:`albert.f4`) leave the other two roots in
-a 2x2 block, and their idempotents are the block's projectors mapped back.
-A triple root, A = lambda I, gets the diagonal unit matrices.
+when some tr Q_lambda falls below ``DEFLATE_TRACE * (1 + |A|)^2``, it runs
+the reduction of :func:`albert.f4.diagonalize`.  Only the best-separated
+root takes the Q route; M1 and M2 of its eigenvector leave it in the corner
+beside a 2x2 block (:func:`_deflate`), and M3 of the block's
+cancellation-free eigenvector closes the block (:func:`_close_block`).  The
+pair's idempotents are U_M1 U_M2 U_M3 E_ii.  A triple root, A = lambda I,
+gets the diagonal unit matrices.
 
 :func:`double_root_split` is the paper's orthogonal-vector construction
 for a double root lambda, A - lambda I = +/- w w-dagger: V1 = v v-dagger /
@@ -288,46 +290,60 @@ def _reflect(x: np.ndarray, L: np.ndarray) -> np.ndarray:
     return _apply(_apply(x, L), L) * 2.0 - x
 
 
-def _deflate(h: np.ndarray, P: np.ndarray):
-    """Reflect unit-scale coordinates h by the M1 and M2 of the simple root
-    lambda whose purified Q-route idempotent is P, (1, 27), to b2 =
-    [[X, 0], [0, lambda]].  Returns that root's eigenvector, extracted once,
-    (3, 8); M1 and M2, (2, 27); their L(M), (2, 27, 27); and b2."""
+def _q_route(h: np.ndarray, nrm: float, poly: tuple[float, float, float], lams):
+    """:func:`_idempotents`, where a vanishing Q is an inconsistency: the
+    cubic solver reported its root simple."""
+    try:
+        return _idempotents(h, nrm, poly, lams)
+    except ZeroQMatrixError as exc:
+        msg = "cubic solver reports a simple root with a vanishing Q matrix"
+        raise InconsistentError(msg) from exc
+
+
+def _deflate(h: np.ndarray, nrm: float, poly: tuple[float, float, float], lams):
+    """Reflect unit-scale coordinates h, |h| = nrm, poly = char_poly(h) and
+    roots lams (descending), by M1 and M2 of the best-separated root lambda,
+    beyond the larger gap, to b2 = [[X, 0], [0, lambda]].  Returns its index
+    (0 or 2), its Q-route idempotent (1, 27) and eigenvector (3, 8), M1 and
+    M2 (2, 27), their L(M) (2, 27, 27) and b2."""
+    l0, l1, l2 = lams
+    k = 0 if l0 - l1 >= l1 - l2 else 2
+    P, _ = _q_route(h, nrm, poly, [lams[k]])
     v = _extract(P, RESIDUAL_RTOL)[0]
     m = _m1_m2(phase_align(OctVector3._wrap(v))._arr)
     L = _op(m)
-    return v, m, L, _reflect(_reflect(h, L[0]), L[1])
+    return k, P, v, m, L, _reflect(_reflect(h, L[0]), L[1])
 
 
-def _block_projectors(b2: np.ndarray):
-    """Eigenvalues mu >= nu of the block X = [[s, z], [conj(z), t]] of b2 and
-    their projectors, (2, 27): U_M3 of the first two diagonal units.  The
-    eigenvector of mu is (p, conj z) if s >= t, else (z, p), where
-    p = mu - min(s, t) >= |z| has no cancellation however close mu and nu."""
+def _close_block(b2: np.ndarray):
+    """M3 (27,) for the block X = [[s, z], [conj(z), t]] of b2, and X's
+    eigenvalues, the one nearer s first.  M3's first column is that
+    eigenvalue's unit eigenvector (p, +/-conj z) / n, + when s >= t, with
+    p = (|s - t| + r) / 2 >= |z| free of cancellation and n^2 = p^2 + |z|^2;
+    p = 0 only when X = s I, where p = 1 makes M3 diag(1, -1, 1)."""
     s, t, z = float(b2[0]), float(b2[1]), b2[3:11]
-    r = math.sqrt((s - t) ** 2 + 4.0 * float(z @ z))
-    zp = z * (1.0 / (0.5 * (abs(s - t) + r) or 1.0))  # p = 0 only if X = s I
-    w2 = float(zp @ zp)
-    f = 1.0 / (1.0 + w2)
-    W = np.zeros((2, 27))
-    W[0, :2] = W[1, 1::-1] = (f, w2 * f) if s >= t else (w2 * f, f)
-    W[0, 3:11] = zp * f
-    W[1, 3:11] = -W[0, 3:11]
+    z2 = float(z @ z)
+    r = math.sqrt((s - t) ** 2 + 4.0 * z2)
+    p = 0.5 * (abs(s - t) + r) or 1.0
+    n = math.sqrt(p * p + z2)
+    m3 = np.zeros(27)
+    m3[:3] = p / n, -p / n, 1.0
+    m3[3:11] = z * ((1.0 if s >= t else -1.0) / n)
     mu = 0.5 * ((s + t) + r)
-    return W, (mu, s + t - mu)
+    return m3, ((mu, s + t - mu) if s >= t else (s + t - mu, mu))
 
 
 def decompose(A: JordanMatrix) -> SpectralDecomposition:
     """Full eigenmatrix decomposition of A with verification residuals.
 
     The idempotents, eigenvectors and residuals are computed on (k, 27)
-    stacks of Hermitian coordinates.  Close and repeated roots are deflated
-    (see the module docstring): the pair's idempotents are U_M1 U_M2 W for
-    the projectors W of :func:`_block_projectors`, and its eigenvalues those
-    of the block.  Raises :class:`~albert.exceptions.InconsistentError` when
-    any of the four residuals exceeds its gate (the assembled pieces fail to
-    reproduce A, or are not orthogonal eigenmatrices of it), or when the
-    cubic solver reports a simple root whose Q matrix vanishes.
+    stacks of Hermitian coordinates.  A deflated root pair (see the module
+    docstring) takes its eigenvalues from the block, and the isolated root
+    its eigenvalue from the reflected corner.  Raises
+    :class:`~albert.exceptions.InconsistentError` when any of the four
+    residuals exceeds its gate (the assembled pieces fail to reproduce A, or
+    are not orthogonal eigenmatrices of it), or when the cubic solver
+    reports a simple root whose Q matrix vanishes.
     """
     (h,), e = _unit_scale((A._arr, 1))
     nrm = _norm(_frob(h))
@@ -337,27 +353,27 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
     if roots.multiplicity == "triple":
         P = np.eye(27)[:3]
         L, vectors = _op(P), _extract(P, RESIDUAL_RTOL)
-    else:
-        # tr Q of the middle root, the smallest |tr Q|; 0 for a double root
-        deflate = (l0 - l1) * (l1 - l2) < DEFLATE_TRACE * (1.0 + nrm) ** 2
-        k = 0 if l0 - l1 >= l1 - l2 else 2  # the best-separated root, beyond the larger gap
-        try:
-            P, L = _idempotents(h, nrm, poly, [lams[k]] if deflate else lams)
-        except ZeroQMatrixError as exc:
-            msg = "cubic solver reports a simple root with a vanishing Q matrix"
-            raise InconsistentError(msg) from exc
-        if deflate:
-            v, _, L, b2 = _deflate(h, P)
-            W, pair_lams = _block_projectors(b2)
-            pair = _reflect(_reflect(W, L[1]), L[0])  # U_M1 U_M2 W
-            pv = _extract(pair, RESIDUAL_RTOL)
-            if k == 0:
-                lams, P, vectors = (l0, *pair_lams), np.concatenate((P, pair)), (v, *pv)
-            else:
-                lams, P, vectors = (*pair_lams, l2), np.concatenate((pair, P)), (*pv, v)
-            L = _op(P)
+    # tr Q of the middle root, the smallest |tr Q|; 0 for a double root
+    elif (l0 - l1) * (l1 - l2) < DEFLATE_TRACE * (1.0 + nrm) ** 2:
+        k, P, v, _, L, b2 = _deflate(h, nrm, poly, lams)
+        m3, pair_lams = _close_block(b2)
+        c, w = float(m3[0]), m3[3:11]
+        W = np.zeros((2, 27))  # U_M3 E11 and U_M3 E22
+        W[0, :2] = W[1, 1::-1] = c * c, float(w @ w)
+        W[:, 3:11] = np.multiply.outer((c, -c), w)
+        if pair_lams[0] < pair_lams[1]:  # eigenvalues descend
+            W, pair_lams = W[::-1], pair_lams[::-1]
+        pair = _reflect(_reflect(W, L[1]), L[0])  # U_M1 U_M2 W
+        pv = _extract(pair, RESIDUAL_RTOL)
+        lam = float(b2[2])  # the reflected corner
+        if k == 0:
+            lams, P, vectors = (lam, *pair_lams), np.concatenate((P, pair)), (v, *pv)
         else:
-            vectors = _extract(P, RESIDUAL_RTOL)
+            lams, P, vectors = (*pair_lams, lam), np.concatenate((pair, P)), (*pv, v)
+        L = _op(P)
+    else:
+        P, L = _q_route(h, nrm, poly, lams)
+        vectors = _extract(P, RESIDUAL_RTOL)
 
     scaled = P * np.array(lams)[:, None]
     completeness = _norm(_frob(P.sum(axis=0) - _UNIT))

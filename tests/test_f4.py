@@ -6,14 +6,13 @@ import pytest
 from albert import sampling
 from albert.cubic import solve_characteristic
 from albert.exceptions import ZeroVectorError
-from albert.f4 import _reflection, build_m1_m2, diagonalize
+from albert.f4 import build_m1_m2, diagonalize
 from albert.jordan import (
     JordanMatrix,
     OctVector3,
     _frob,
     _op,
     _pack,
-    _unpack,
     char_poly,
     jordan_product,
     matvec,
@@ -117,13 +116,6 @@ class TestReflectionLayout:
             for M, W in zip(got, want, strict=True):
                 assert M.to_array().tobytes() == W.to_array().tobytes()
 
-    def test_any_entry_row(self):
-        rng = np.random.default_rng(56)
-        for row, name in enumerate("abc"):
-            diag, entry = tuple(rng.uniform(-1, 1, 3).tolist()), rng.uniform(-1, 1, 8)
-            want = JordanMatrix(*diag, **{name: entry})
-            assert _unpack(_reflection(diag, row, entry)).tobytes() == want.to_array().tobytes()
-
 
 def block_diagonal(rng):
     """[[X, 0], [0, n]] with n the smallest root, so M1 = diag(-1, 1, 1) and M2 = I."""
@@ -135,7 +127,8 @@ class TestReflectionRoute:
     """diagonalize applies each reflection as U_M X = 2 M o (M o X) - X on
     Hermitian coordinates; every reflected matrix, and the diagonal, equal
     the public nested sandwich M (X M) to 1e-15 |A|, including the steps that
-    degenerate to the identity (N1 = 0, |y| = 0, X already diagonal)."""
+    degenerate to the identity (N1 = 0 or |y| = 0; M3 never does, and is
+    diag(1, -1, 1) when X is already diagonal)."""
 
     @staticmethod
     def cases(span):
@@ -164,6 +157,14 @@ class TestDiagonalize:
         assert res.steps == ()
         assert res.diagonal == (2.5, 2.5, 2.5)
         assert res.residual == 0.0
+
+    def test_triple_root_residual_is_largest_entry(self):
+        # both branches report the largest off-diagonal |entry|, not a
+        # Frobenius norm of all of them
+        A = JordanMatrix.identity() * 2.0 + JordanMatrix(a=e(0) * 1e-9, b=e(1) * 1e-9)
+        res = diagonalize(A)
+        assert res.steps == ()
+        assert res.residual == pytest.approx(1e-9, rel=1e-12)
 
     def test_already_diagonal(self):
         res = diagonalize(JordanMatrix.diag(1, 2, 3))

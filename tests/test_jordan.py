@@ -22,6 +22,7 @@ from albert.jordan import (
     _hermitian_part,
     _mul,
     _pack,
+    _pivot_column,
     _raw_mul,
     _trace,
     _unpack,
@@ -403,6 +404,14 @@ class TestRankOne:
             extract_vector(JordanMatrix.diag(1, 1, 0), rank_rtol=bad)
         with pytest.raises(NotRankOneError):
             extract_vector(JordanMatrix.diag(1, 1, 0), rank_rtol=0.0)
+
+    def test_pivot_component_is_correctly_rounded(self):
+        # sqrt(V_kk), not V_kk / sqrt(V_kk), which rounds once more
+        rng = np.random.default_rng(19)
+        for _ in range(1000):
+            h = rank1_from_vector(sampling.random_vector(rng, span=4))._arr
+            k = int(np.argmax(h[:3]))
+            assert _pivot_column(h)[k, 0] == math.sqrt(h[k])
 
     def test_pivot_tie_takes_first(self):
         V = rank1_from_vector(real_vec(1, 1, 0))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from albert import f4, jordan, sampling, spectral
-from albert.config import RESIDUAL_RTOL
+from albert.config import RESIDUAL_RTOL, tolerances
 from albert.cubic import solve_characteristic
 from albert.dirac import classify_psquare
 from albert.exceptions import (
@@ -491,9 +491,9 @@ class TestScaleFreeMessages:
         assert "0.1831" not in msg and "-5.000e-01" not in msg
 
     def test_decompose_inconsistencies(self, monkeypatch):
-        def bad_pair(h, P):  # the block's first diagonal entry off by 1e-3
-            v, m, L, b2 = _deflate(h, P)
-            return v, m, L, b2 + np.eye(27)[0] * 1e-3
+        def bad_pair(*args):  # the block's first diagonal entry off by 1e-3
+            *out, b2 = _deflate(*args)
+            return *out, b2 + np.eye(27)[0] * 1e-3
 
         with monkeypatch.context() as m:
             m.setattr(spectral, "_deflate", bad_pair)
@@ -608,7 +608,7 @@ class TestCloseRoots:
     """Near pairs and exact doubles are deflated by nested reflections on
     the best-separated root, with the Q route only for that root; the pair's
     eigenvalues come from the reflected block, not from the cubic's merged
-    mean.  At gaps 1e-7 and 1e-8 the cubic merges the pair, which the
+    mean, and the third from the reflected corner.  At gaps 1e-7 and 1e-8 the cubic merges the pair, which the
     Q route and the orthogonal-vector split could not resolve."""
 
     GAPS = [10.0**-k for k in range(2, 10)] + [0.0]
@@ -617,7 +617,7 @@ class TestCloseRoots:
     def test_known_spectrum(self, gap):
         rng = np.random.default_rng(round(-math.log10(gap)) if gap else 99)
         for _ in range(20):
-            spectrum, pair = close_pair(rng, gap)
+            spectrum, _ = close_pair(rng, gap)
             dec = decompose(conjugated_spectrum(rng, spectrum))
             scale = max(map(abs, spectrum))
             res = dec.residuals
@@ -625,10 +625,49 @@ class TestCloseRoots:
             assert max(res["eigen"]) <= 1e-13 * scale
             assert res["orthogonality"] <= 1e-13
             error = np.abs(np.subtract(dec.eigenvalues, spectrum))
-            assert error[pair].max() <= 1e-14 * scale
-            assert error.max() <= 1e-13 * scale  # the cubic's root for the third
+            assert error.max() <= 1e-14 * scale
             for P in dec.idempotents:
                 check_primitive(P, atol=1e-13)
+
+
+class TestNestedReflections:
+    """decompose and diagonalize share one reduction: the Q route for the
+    best-separated root, M1 and M2 of its eigenvector, and M3 of the block's
+    cancellation-free eigenvector, whose eigenvalue nearer s comes first."""
+
+    def test_diagonalize_near_pairs(self):
+        # the pair as the two lower roots: not the best-separated one
+        rng = np.random.default_rng(7)
+        for k in range(2, 13):
+            spectrum = (3.0, 1.0 + 10.0**-k, 1.0)
+            for _ in range(20):
+                res = diagonalize(conjugated_spectrum(rng, spectrum))
+                assert res.residual <= 1e-14 * 3.0, k
+                error = np.abs(np.sort(res.diagonal)[::-1] - spectrum).max()
+                assert error <= 1e-14 * 3.0, k
+
+    def test_block_with_s_below_t(self):
+        # X = [[1, 1e-8], [1e-8, 2]] after M1 and M2: M3 must rotate z away
+        res = diagonalize(JordanMatrix(1.0, 2.0, 0.0, a=e(1) * 1e-8))
+        assert res.residual <= 1e-15
+        assert res.diagonal[2] == 0.0
+
+    def test_exact_doubles_at_zero_mtol(self, monkeypatch):
+        # the cubic then reports the pair as two simple roots; reflecting
+        # about either would feed a vanishing Q to the reflections
+        monkeypatch.setattr(tolerances, "mtol", 0.0)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            spectrum, _ = close_pair(rng, 0.0)
+            A = conjugated_spectrum(rng, spectrum)
+            scale = max(map(abs, spectrum))
+            assert diagonalize(A).residual <= 1e-14 * scale
+            assert max(decompose(A).residuals["eigen"]) <= 1e-14 * scale
+
+    def test_isolated_eigenvalue_is_the_reflected_corner(self):
+        dec = decompose(JordanMatrix.diag(1.0, 1.001, 1.002))
+        assert dec.eigenvalues[0] == 1.002
+        assert dec.residuals["eigen"][0] <= 1e-15
 
 
 class TestWorkDone:
