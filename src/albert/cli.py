@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands, one pipeline each:
+Commands, one pipeline each:
 
 - ``charpoly``     trace, sigma, det, and the three real roots
 - ``decompose``    orthogonal primitive idempotent decomposition
@@ -12,8 +12,11 @@ Subcommands, one pipeline each:
 
 Matrix input comes from ``--input PATH`` or ``--inline JSON``.  A 3x3
 matrix is ``{"p": x, "m": x, "n": x, "a": [8], "b": [8], "c": [8]}``; a
-2x2 momentum is ``{"s": x, "t": x, "z": [8]}``.  Output is ``--format
-json`` (sorted keys, byte-deterministic) or ``text``.
+2x2 momentum is ``{"s": x, "t": x, "z": [8]}``.  ``verify`` takes
+``--seed`` and ``--count`` instead; the options are shared by one parser,
+and one a command does not take is a usage error.  Output is ``--format
+json`` (sorted keys, byte-deterministic) or ``text``; the text is built
+only when asked for.
 
 Exit status: 0 success/PASS, 1 internal inconsistency (residuals over
 tolerance, failed verification), 2 invalid input.
@@ -34,7 +37,7 @@ import sys
 # module it runs, so a cold start compiles no module its command does not use.
 from .config import tolerances
 from .exceptions import AlbertError, NonNullMomentumError
-from .jordan import JordanMatrix
+from .jordan import JordanMatrix, char_poly
 from .octonion import Octonion, format_octonion
 
 EXIT_OK = 0
@@ -93,12 +96,10 @@ def _matrix_lines(A: JordanMatrix) -> list[str]:
 
 def _cmd_charpoly(args):
     from .cubic import solve_characteristic
-    from .dirac import classify_psquare
 
-    cls = classify_psquare(_load(args, JordanMatrix))
-    tr, sigma, det = cls.trace, cls.sigma, cls.det
+    tr, sigma, det = char_poly(_load(args, JordanMatrix))
     roots = solve_characteristic(tr, sigma, det)
-    return {"trace": tr, "sigma": sigma, "det": det, **roots.to_dict()}, [
+    return {"trace": tr, "sigma": sigma, "det": det, **roots.to_dict()}, lambda: [
         f"trace = {tr:.12g}",
         f"sigma = {sigma:.12g}",
         f"det   = {det:.12g}",
@@ -110,14 +111,18 @@ def _cmd_decompose(args):
     from .spectral import decompose
 
     dec = decompose(_load(args, JordanMatrix))
-    res = dec.residuals
-    lines = []
-    for lam, P in zip(dec.eigenvalues, dec.idempotents):
-        lines += [f"eigenvalue {lam:.12g}:", *("  " + line for line in _matrix_lines(P))]
-    lines.append(f"residuals: eigen {max(res['eigen']):.3e}, "
-                 f"orthogonality {res['orthogonality']:.3e}, "
-                 f"completeness {res['completeness']:.3e}, "
-                 f"reconstruction {res['reconstruction']:.3e}")
+
+    def lines():
+        res = dec.residuals
+        out = []
+        for lam, P in zip(dec.eigenvalues, dec.idempotents):
+            out += [f"eigenvalue {lam:.12g}:", *("  " + line for line in _matrix_lines(P))]
+        out.append(f"residuals: eigen {max(res['eigen']):.3e}, "
+                   f"orthogonality {res['orthogonality']:.3e}, "
+                   f"completeness {res['completeness']:.3e}, "
+                   f"reconstruction {res['reconstruction']:.3e}")
+        return out
+
     return dec.to_dict(), lines, EXIT_OK
 
 
@@ -125,11 +130,14 @@ def _cmd_diagonalize(args):
     from .f4 import diagonalize
 
     result = diagonalize(_load(args, JordanMatrix))
-    lines = [f"steps: {len(result.steps)}"]
-    for k, M in enumerate(result.steps, start=1):
-        lines += [f"M{k}:", *("  " + line for line in _matrix_lines(M))]
-    lines += [f"diagonal: {', '.join(f'{d:.12g}' for d in result.diagonal)}",
-              f"off-diagonal residual: {result.residual:.3e}"]
+
+    def lines():
+        out = [f"steps: {len(result.steps)}"]
+        for k, M in enumerate(result.steps, start=1):
+            out += [f"M{k}:", *("  " + line for line in _matrix_lines(M))]
+        return out + [f"diagonal: {', '.join(f'{d:.12g}' for d in result.diagonal)}",
+                      f"off-diagonal residual: {result.residual:.3e}"]
+
     return result.to_dict(), lines, EXIT_OK
 
 
@@ -137,7 +145,7 @@ def _cmd_classify(args):
     from .dirac import classify_psquare
 
     cls = classify_psquare(_load(args, JordanMatrix))
-    return cls.to_dict(), [
+    return cls.to_dict(), lambda: [
         f"p-square class: {cls.p}",
         f"det = {cls.det:.12g}, sigma = {cls.sigma:.12g}, trace = {cls.trace:.12g}",
     ], EXIT_OK
@@ -147,10 +155,11 @@ def _cmd_oracle(args):
     from .oracle import modified_char_check
 
     report = modified_char_check(_load(args, JordanMatrix))
-    lines = ["lambda        mult  r"]
-    lines += [f"{lam:+.9f}  {mult:4d}  {r:+.9f}" for lam, mult, r in report.clusters]
-    lines.append("PASS" if report.passed else "FAIL")
-    return report.to_dict(), lines, EXIT_OK if report.passed else EXIT_INCONSISTENT
+    return report.to_dict(), lambda: [
+        "lambda        mult  r",
+        *(f"{lam:+.9f}  {mult:4d}  {r:+.9f}" for lam, mult, r in report.clusters),
+        "PASS" if report.passed else "FAIL",
+    ], EXIT_OK if report.passed else EXIT_INCONSISTENT
 
 
 def _cmd_dirac(args):
@@ -159,7 +168,8 @@ def _cmd_dirac(args):
     P = _load(args, Hermitian2)
     theta, sign = dirac_solve(P)
     residual = (P - Hermitian2.from_outer(theta) * float(sign)).norm()
-    return {"theta": [t.coeffs.tolist() for t in theta], "sign": sign, "residual": residual}, [
+    payload = {"theta": [t.coeffs.tolist() for t in theta], "sign": sign, "residual": residual}
+    return payload, lambda: [
         f"theta = ({theta[0]}, {theta[1]})",
         f"sign  = {sign:+d}",
         f"reconstruction residual = {residual:.3e}",
@@ -169,20 +179,24 @@ def _cmd_dirac(args):
 def _cmd_verify(args):
     from .verify import _check_request, run_verification
 
+    count = 1000 if args.count is None else args.count
+    seed = 42 if args.seed is None else args.seed
     try:
-        _check_request(args.count, args.seed)
+        _check_request(count, seed)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    report = run_verification(count=args.count, seed=args.seed)
-    lines = [f"seed {report.seed}, {report.count} samples per suite"]
-    lines += [f"{row.name:26s} n={row.samples:5d}  max {row.max_residual:.3e}  "
-              f"thr {row.threshold:.1e}  {'PASS' if row.passed else 'FAIL'}"
-              for row in report.rows]
-    lines.append("PASS" if report.passed else "FAIL")
-    return report.to_dict(), lines, EXIT_OK if report.passed else EXIT_INCONSISTENT
+    report = run_verification(count=count, seed=seed)
+    return report.to_dict(), lambda: [
+        f"seed {report.seed}, {report.count} samples per suite",
+        *(f"{row.name:26s} n={row.samples:5d}  max {row.max_residual:.3e}  "
+          f"thr {row.threshold:.1e}  {'PASS' if row.passed else 'FAIL'}"
+          for row in report.rows),
+        "PASS" if report.passed else "FAIL",
+    ], EXIT_OK if report.passed else EXIT_INCONSISTENT
 
 
-# Each command returns its JSON payload, its text lines and its exit status.
+# Each command returns its JSON payload, a callable giving its text lines,
+# and its exit status; the text is built only for ``--format text``.
 _HANDLERS = {
     "charpoly": _cmd_charpoly,
     "decompose": _cmd_decompose,
@@ -195,38 +209,38 @@ _HANDLERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: the command is a positional choice and
+    the options are shared; :func:`main` refuses those the command does
+    not take."""
     parser = argparse.ArgumentParser(
         prog="albert",
         description="Exceptional Jordan algebra computations on 3x3 octonionic "
                     "Hermitian matrices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, matrix_input):
-        if matrix_input:
-            p.add_argument("--input", help="path to a JSON matrix file")
-            p.add_argument("--inline", help="inline JSON matrix")
-        p.add_argument("--atol", type=float, help="floor near zero, relative to max |entry|")
-        p.add_argument("--rtol", type=float, help="relative tolerance override")
-        p.add_argument("--mtol", type=float, help="eigenvalue merge tolerance override")
-        p.add_argument("--format", choices=("json", "text"), default="json",
-                       help="output format (default json)")
-
-    for name in _MATRIX_COMMANDS:
-        add_common(sub.add_parser(name), matrix_input=True)
-    add_common(sub.add_parser("dirac"), matrix_input=True)
-
-    verify = sub.add_parser("verify")
-    add_common(verify, matrix_input=False)
-    verify.add_argument("--seed", type=int, default=42,
-                        help="sample stream seed (default 42)")
-    verify.add_argument("--count", type=int, default=1000,
-                        help="samples per suite (default 1000)")
+    parser.add_argument("command", choices=tuple(_HANDLERS))
+    parser.add_argument("--input", help="path to a JSON matrix file (all but verify)")
+    parser.add_argument("--inline", help="inline JSON matrix (all but verify)")
+    parser.add_argument("--atol", type=float, help="floor near zero, relative to max |entry|")
+    parser.add_argument("--rtol", type=float, help="relative tolerance override")
+    parser.add_argument("--mtol", type=float, help="eigenvalue merge tolerance override")
+    parser.add_argument("--format", choices=("json", "text"), default="json",
+                        help="output format (default json)")
+    parser.add_argument("--seed", type=int, help="verify: sample stream seed (default 42)")
+    parser.add_argument("--count", type=int, help="verify: samples per suite (default 1000)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # verify draws its own samples; every other command reads one matrix
+    if args.command in (*_MATRIX_COMMANDS, "dirac"):
+        refused = {"--seed": args.seed, "--count": args.count}
+    else:
+        refused = {"--input": args.input, "--inline": args.inline}
+    given = [flag for flag, value in refused.items() if value is not None]
+    if given:
+        parser.error(f"{args.command} does not take {' or '.join(given)}")
     saved = vars(tolerances).copy()
     try:
         for name in saved:  # --atol, --rtol and --mtol last this one command
@@ -247,7 +261,7 @@ def main(argv=None) -> int:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print("\n".join(lines))
+        print("\n".join(lines()))
     return code
 
 

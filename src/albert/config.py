@@ -10,14 +10,12 @@ unit scale: every entry point works on its input divided by 2^e
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InconsistentError
 
 
-@dataclass
 class Tolerances:
     """Package-wide tolerance settings.
 
@@ -33,12 +31,17 @@ class Tolerances:
     assignment: against it a gate passes or fails whatever the residual.
     """
 
-    atol: float = 1e-12
-    rtol: float = 1e-10
-    mtol: float = 1e-7
+    def __init__(self, atol: float = 1e-12, rtol: float = 1e-10, mtol: float = 1e-7):
+        self.atol, self.rtol, self.mtol = atol, rtol, mtol
 
     def __setattr__(self, name, value):
         super().__setattr__(name, _tolerance(name, value))
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is Tolerances else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Tolerances(atol={self.atol!r}, rtol={self.rtol!r}, mtol={self.mtol!r})"
 
 
 def _tolerance(name: str, value: float) -> float:

@@ -17,7 +17,7 @@ multiplicity recorded on the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import _rescale, _unit_scale, tolerances
 from .exceptions import ComplexRootsError, InconsistentError
@@ -28,8 +28,7 @@ __all__ = ["CubicRoots", "solve_characteristic"]
 DISCRIMINANT_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CubicRoots:
+class CubicRoots(NamedTuple):
     """Roots of a characteristic cubic, sorted in descending order.
 
     ``multiplicity`` is one of ``"distinct"``, ``"double"``, ``"triple"``;

@@ -23,7 +23,7 @@ its invariants (det ~ scale^3, sigma ~ scale^2, trace ~ scale).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,8 +147,7 @@ def psi_pack(theta, xi) -> tuple[OctVector3, JordanMatrix]:
     return Psi, JordanMatrix._wrap(_outer(u, e))
 
 
-@dataclass(frozen=True)
-class PSquareClass:
+class PSquareClass(NamedTuple):
     """Number of nonzero squares in a Jordan matrix's decomposition."""
 
     p: int

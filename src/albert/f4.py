@@ -49,7 +49,7 @@ M1, M2, M3 and U_M live in :mod:`albert.spectral`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ from .spectral import _close_block, _deflate, _m1_m2, _reflect
 __all__ = ["DiagonalizationResult", "build_m1_m2", "diagonalize"]
 
 
-@dataclass(frozen=True)
-class DiagonalizationResult:
+class DiagonalizationResult(NamedTuple):
     """Reflections in application order, the final diagonal, and the
     largest off-diagonal entry magnitude left after conjugation."""
 

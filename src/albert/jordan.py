@@ -345,8 +345,14 @@ class JordanMatrix(_ArrayValue):
 
     def sigma(self) -> float:
         """Sum of the pairwise eigenvalue products, tr(A * A), as
-        :func:`char_poly` gives it: +/-inf, never NaN, out of range."""
-        return char_poly(self)[1]
+        :func:`char_poly` gives it, bit for bit: +/-inf, never NaN, out of
+        range.  Only the quadratic invariant is read, at unit scale."""
+        (a,), e = _unit_scale((self._arr, 1))
+        sigma = _quadratic(a)[3]
+        try:
+            return math.ldexp(sigma, 2 * e)
+        except OverflowError:
+            return math.copysign(math.inf, sigma)
 
     def det(self) -> float:
         """Cubic norm: p m n + 2 Re(b (a c)) - n |a|^2 - m |b|^2 - p |c|^2,

@@ -30,7 +30,7 @@ and r are multiplied back by 2^e and 2^3e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,8 +105,7 @@ def _sum(run: list[float]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Eigenvalue clusters of the 24x24 embedding with their modified
     characteristic residuals r = -det(A - lambda I)."""
 

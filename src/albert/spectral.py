@@ -37,7 +37,7 @@ double-root pair included, are exact under 2^k scaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Eigenvalues (descending), matching idempotents and eigenvectors.
 
     ``residuals`` records the verification data computed during assembly:

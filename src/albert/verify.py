@@ -13,7 +13,7 @@ F4 invariant drift takes the larger of that and the per-degree quotients.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ from .oracle import modified_char_check
 from .spectral import decompose, double_root_split
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     """Outcome of one named property suite."""
 
     name: str
@@ -56,8 +55,7 @@ class CheckRow:
         }
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     seed: int
     count: int
     rows: tuple[CheckRow, ...]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from albert import cli, spectral
+from albert import cli, octonion, spectral
 from albert.config import Tolerances, tolerances
 from albert.cubic import solve_characteristic
 from albert.dirac import Hermitian2
@@ -392,3 +392,71 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["p"] == 3
+
+
+class TestOneParser:
+    """One parser serves every command: each option a command does not take
+    is refused as a usage error, and ``--help`` lists the shared options."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["decompose", "--seed", "1", "--inline", inline(DIAG123)], "--seed"),
+        (["dirac", "--count", "3", "--inline", inline(DIAG123)], "--count"),
+        (["verify", "--inline", "{}"], "--inline"),
+        (["verify", "--input", "m.json", "--count", "1"], "--input"),
+    ])
+    def test_refused_option_exits_two(self, child_env, argv, flag):
+        proc = subprocess.run([sys.executable, "-m", "albert.cli", *argv],
+                              capture_output=True, text=True, timeout=120, env=child_env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr and flag in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", list(cli._HANDLERS))
+    def test_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(flag in out for flag in ("--inline", "--format", "--mtol", "--seed"))
+
+
+class TestTextOnlyWhenAsked:
+    """JSON output builds no text: the text callable is not called, and the
+    matrix and octonion formatters are never reached."""
+
+    ARGV = {
+        **{command: [command, "--inline", inline(ALL_ONES)] for command in cli._MATRIX_COMMANDS},
+        "dirac": ["dirac", "--inline", inline({"s": 1.0, "t": 1.0, "z": [0.0] * 7 + [1.0]})],
+        "verify": ["verify", "--count", "1"],
+    }
+
+    @pytest.fixture
+    def no_text(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("text built for JSON output")
+
+        for name, handler in cli._HANDLERS.items():
+            def quiet(args, handler=handler):
+                payload, _, code = handler(args)
+                return payload, refuse, code
+            monkeypatch.setitem(cli._HANDLERS, name, quiet)
+        monkeypatch.setattr(cli, "_matrix_lines", refuse)
+        monkeypatch.setattr(cli, "format_octonion", refuse)
+        monkeypatch.setattr(octonion, "format_octonion", refuse)
+
+    @pytest.mark.parametrize("command", list(cli._HANDLERS))
+    def test_json(self, capsys, no_text, command):
+        code, out, err = run_cli(capsys, *self.ARGV[command])
+        assert code == 0, err
+        assert json.loads(out)
+
+    @pytest.mark.parametrize("command", ["decompose", "diagonalize", "dirac"])
+    def test_text_reaches_the_formatters(self, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("formatter reached")
+
+        monkeypatch.setattr(cli, "_matrix_lines", refuse)
+        monkeypatch.setattr(octonion, "format_octonion", refuse)
+        with pytest.raises(RuntimeError, match="formatter reached"):
+            cli.main([*self.ARGV[command], "--format", "text"])

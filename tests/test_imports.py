@@ -48,7 +48,7 @@ class TestFootprint:
         assert loaded(child_env, []) == modules("config", "exceptions")
 
     @pytest.mark.parametrize("command, payload, own", [
-        ("charpoly", MATRIX, {"cubic", "dirac"}),
+        ("charpoly", MATRIX, {"cubic"}),
         ("decompose", MATRIX, {"cubic", "spectral"}),
         ("diagonalize", MATRIX, {"cubic", "spectral", "f4"}),
         ("classify", MATRIX, {"dirac"}),

@@ -752,6 +752,20 @@ class TestSinglePassInvariants:
             assert all(math.isfinite(x) or abs(x) == math.inf for x in poly)
         assert math.isinf(char_poly(JordanMatrix.diag(2.0**600, 2.0**600, 1.0))[1])
 
+    def test_sigma_is_char_poly_sigma(self):
+        # sigma() reads only the quadratic invariant: at 2^600 it overflows
+        # to +/-inf, at 2^-600 it underflows to zero, as char_poly's does
+        rng = np.random.default_rng(97)
+        seen = set()
+        for _ in range(100):
+            A = sampling.random_jordan(rng) + JordanMatrix.identity() * rng.uniform(-3.0, 3.0)
+            for k in (-600, -340, 0, 340, 600):
+                B = A * math.ldexp(1.0, k)
+                want = char_poly(B)[1]
+                assert B.sigma().hex() == want.hex()
+                seen.add(str(want) if math.isinf(want) or want == 0.0 else "finite")
+        assert seen == {"inf", "-inf", "0.0", "-0.0", "finite"}
+
 
 def jordan_kernel(x, y):
     return _mul(x, y)

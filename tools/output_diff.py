@@ -20,6 +20,16 @@ moved and the largest relative movement: max |a - b| over the field, divided by 
 largest |a| or |b| in it.  For a list of numbers (``eigenvalues``,
 ``diagonal``) it adds the movement of the sorted lists, which reads 0 where
 the values only changed order.
+
+With ``--cli`` it compares the command line instead, on the invocations of
+the ``cli`` workload (every ``python -m albert.cli`` call
+``benchmarks/workloads.py`` makes for the seeds, ``verify`` included), each
+run as it is and again with ``--format text``::
+
+    python3 tools/output_diff.py BASE HEAD --cli --seed 1 2 3
+
+Per command and format it reports how many stdout byte strings and exit
+statuses differ between the two checkouts, and how many stderr texts.
 """
 
 from __future__ import annotations
@@ -59,13 +69,58 @@ print(json.dumps({"inputs": digest.hexdigest(), "outputs": out,
                   "entries": workloads.WORKLOAD_ENTRIES[name]}))
 """
 
+# Prints the argv lists of the cli workload's invocations for the seeds.
+CLI_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
 
-def run_side(checkout: Path, workload: str, seeds) -> dict:
+argvs = []
+for seed in map(int, sys.argv[2:]):
+    cases = workloads.make_cases("cli", seed, smoke=False)
+    rng = workloads.rng_for("cli-momenta", seed)
+    momenta = [workloads.inputs.null_momentum(rng) for _ in cases]
+    argvs += [[cmd, "--inline", json.dumps(payload)]
+              for cmd, payload, _ in workloads.cli_invocations(cases, momenta)]
+    argvs.append(["verify", "--seed", str(seed), "--count", str(workloads.VERIFY_COUNT)])
+print(json.dumps(argvs))
+"""
+
+
+def side_env(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    return env
+
+
+def run_side(checkout: Path, workload: str, seeds) -> dict:
     proc = subprocess.run([sys.executable, "-c", CHILD, str(BENCHMARKS), workload,
-                           *map(str, seeds)], capture_output=True, env=env, check=True)
+                           *map(str, seeds)], capture_output=True, env=side_env(checkout),
+                          check=True)
     return json.loads(proc.stdout)
+
+
+def cli_diff(base: Path, head: Path, seeds) -> None:
+    """Run every cli-workload invocation, as JSON and as text, in both
+    checkouts and print per command and format what differs."""
+    argvs = json.loads(subprocess.run(
+        [sys.executable, "-c", CLI_CHILD, str(BENCHMARKS), *map(str, seeds)],
+        capture_output=True, env=side_env(head), check=True).stdout)
+    counts = {}
+    for argv in argvs:
+        for fmt, extra in (("json", []), ("text", ["--format", "text"])):
+            base_proc, head_proc = (subprocess.run(
+                [sys.executable, "-m", "albert.cli", *argv, *extra], capture_output=True,
+                env=side_env(side), timeout=600) for side in (base, head))
+            row = counts.setdefault((argv[0], fmt), [0, 0, 0, 0])
+            row[0] += 1
+            row[1] += base_proc.stdout != head_proc.stdout
+            row[2] += base_proc.returncode != head_proc.returncode
+            row[3] += base_proc.stderr != head_proc.stderr
+    print(f"cli, seeds {' '.join(map(str, seeds))}: {len(argvs)} invocations, two formats each")
+    for (command, fmt), (n, stdout, status, stderr) in counts.items():
+        print(f"{command} --format {fmt}: {stdout} of {n} stdout moved,"
+              f" {status} changed exit status, {stderr} changed stderr")
 
 
 def leaves(x) -> list[float]:
@@ -121,7 +176,13 @@ def main(argv=None) -> int:
     ap.add_argument("head", type=Path)
     ap.add_argument("--workload", default="generic", choices=("generic", "spectrum-edge"))
     ap.add_argument("--seed", type=int, nargs="+", default=[1])
+    ap.add_argument("--cli", action="store_true",
+                    help="compare the cli workload's command-line invocations instead")
     args = ap.parse_args(argv)
+
+    if args.cli:
+        cli_diff(args.base, args.head, args.seed)
+        return 0
 
     base, head = (run_side(p, args.workload, args.seed) for p in (args.base, args.head))
     if base["inputs"] != head["inputs"]:
