@@ -13,13 +13,19 @@ Commands, one pipeline each:
 Matrix input comes from ``--input PATH`` or ``--inline JSON``.  A 3x3
 matrix is ``{"p": x, "m": x, "n": x, "a": [8], "b": [8], "c": [8]}``; a
 2x2 momentum is ``{"s": x, "t": x, "z": [8]}``.  ``verify`` takes
-``--seed`` and ``--count`` instead; the options are shared by one parser,
-and one a command does not take is a usage error.  Output is ``--format
-json`` (sorted keys, byte-deterministic) or ``text``; the text is built
-only when asked for.
+``--seed`` and ``--count`` instead.  Output is ``--format json`` (sorted
+keys, byte-deterministic) or ``text``; the text is built only when asked
+for.
+
+The command line is one command and the long options of ``_OPTIONS``, each
+as ``--name value`` or ``--name=value`` and never abbreviated; ``-h`` or
+``--help`` prints them.  The options are shared by every command, and one a
+command does not take is a usage error, as is any other malformed command
+line: the usage line and ``albert: error: <message>`` go to stderr, and the
+exit status is 2.
 
 Exit status: 0 success/PASS, 1 internal inconsistency (residuals over
-tolerance, failed verification), 2 invalid input.
+tolerance, failed verification), 2 invalid input or usage.
 
 Examples::
 
@@ -29,9 +35,10 @@ Examples::
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
+from typing import NoReturn
 
 # Only what every command shares is imported here; each handler imports the
 # module it runs, so a cold start compiles no module its command does not use.
@@ -208,39 +215,91 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """One parser for every command: the command is a positional choice and
-    the options are shared; :func:`main` refuses those the command does
-    not take."""
-    parser = argparse.ArgumentParser(
-        prog="albert",
-        description="Exceptional Jordan algebra computations on 3x3 octonionic "
-                    "Hermitian matrices.",
-    )
-    parser.add_argument("command", choices=tuple(_HANDLERS))
-    parser.add_argument("--input", help="path to a JSON matrix file (all but verify)")
-    parser.add_argument("--inline", help="inline JSON matrix (all but verify)")
-    parser.add_argument("--atol", type=float, help="floor near zero, relative to max |entry|")
-    parser.add_argument("--rtol", type=float, help="relative tolerance override")
-    parser.add_argument("--mtol", type=float, help="eigenvalue merge tolerance override")
-    parser.add_argument("--format", choices=("json", "text"), default="json",
-                        help="output format (default json)")
-    parser.add_argument("--seed", type=int, help="verify: sample stream seed (default 42)")
-    parser.add_argument("--count", type=int, help="verify: samples per suite (default 1000)")
-    return parser
+# Each long option: its type (a converter, or the tuple of its choices) and
+# its help line.  An option not given reads None, except --format.
+_OPTIONS = {
+    "input": (str, "path to a JSON matrix file (all but verify)"),
+    "inline": (str, "inline JSON matrix (all but verify)"),
+    "atol": (float, "floor near zero, relative to max |entry|"),
+    "rtol": (float, "relative tolerance override"),
+    "mtol": (float, "eigenvalue merge tolerance override"),
+    "format": (("json", "text"), "output format (default json)"),
+    "seed": (int, "verify: sample stream seed (default 42)"),
+    "count": (int, "verify: samples per suite (default 1000)"),
+}
+
+_USAGE = f"usage: albert {{{','.join(_HANDLERS)}}} [-h] [--OPTION VALUE ...]"
+
+
+def _help() -> str:
+    rows = [("-h, --help", "show this help message and exit")]
+    for name, (kind, text) in _OPTIONS.items():
+        value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name.upper()
+        rows.append((f"--{name} {value}", text))
+    width = max(len(flag) for flag, _ in rows) + 2
+    return "\n".join([
+        _USAGE, "",
+        "Exceptional Jordan algebra computations on 3x3 octonionic Hermitian matrices.", "",
+        "options, each as --name VALUE or --name=VALUE:",
+        *(f"  {flag.ljust(width)}{text}" for flag, text in rows)])
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"{_USAGE}\nalbert: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_INVALID)
+
+
+def _value(name: str, text: str):
+    kind = _OPTIONS[name][0]
+    if isinstance(kind, tuple):
+        if text not in kind:
+            _usage_error(f"argument --{name}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(map(repr, kind))})")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        _usage_error(f"argument --{name}: invalid {kind.__name__} value: {text!r}")
+
+
+def _parse(argv) -> SimpleNamespace:
+    """One command and the options of ``_OPTIONS``; ``-h`` prints the help
+    and exits 0, anything else exits 2 through :func:`_usage_error`."""
+    args = SimpleNamespace(**{**dict.fromkeys(_OPTIONS), "command": None, "format": "json"})
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_help())
+            raise SystemExit(EXIT_OK)
+        if not token.startswith("-"):
+            if args.command is not None:
+                _usage_error(f"unrecognized arguments: {token}")
+            if token not in _HANDLERS:
+                _usage_error(f"argument command: invalid choice: {token!r} "
+                             f"(choose from {', '.join(map(repr, _HANDLERS))})")
+            args.command = token
+            continue
+        name, inline, text = token[2:].partition("=")
+        if not token.startswith("--") or name not in _OPTIONS:
+            _usage_error(f"unrecognized arguments: {token}")
+        if not inline:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                _usage_error(f"argument --{name}: expected one argument")
+        setattr(args, name, _value(name, text))
+    if args.command is None:
+        _usage_error("the following arguments are required: command")
+    # verify draws its own samples; every other command reads one matrix
+    matrix = args.command in (*_MATRIX_COMMANDS, "dirac")
+    refused = ("seed", "count") if matrix else ("input", "inline")
+    given = [f"--{name}" for name in refused if getattr(args, name) is not None]
+    if given:
+        _usage_error(f"{args.command} does not take {' or '.join(given)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    # verify draws its own samples; every other command reads one matrix
-    if args.command in (*_MATRIX_COMMANDS, "dirac"):
-        refused = {"--seed": args.seed, "--count": args.count}
-    else:
-        refused = {"--input": args.input, "--inline": args.inline}
-    given = [flag for flag, value in refused.items() if value is not None]
-    if given:
-        parser.error(f"{args.command} does not take {' or '.join(given)}")
+    args = _parse(sys.argv[1:] if argv is None else argv)
     saved = vars(tolerances).copy()
     try:
         for name in saved:  # --atol, --rtol and --mtol last this one command

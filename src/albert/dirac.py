@@ -94,7 +94,9 @@ class Hermitian2(_ArrayValue):
     def from_dict(cls, data: dict) -> "Hermitian2":
         try:
             return cls(float(data["s"]), float(data["t"]), np.asarray(data["z"], dtype=float))
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ValueError(f"invalid 2x2 Hermitian payload: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"invalid 2x2 Hermitian payload: {exc}") from exc
 
     def __repr__(self) -> str:

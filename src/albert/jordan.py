@@ -38,20 +38,24 @@ the ordinary octonionic matrix product, the 24x24 real matrix of the left
 factor (:func:`_embed`, on :func:`albert.octonion.left_mult`) times the
 columns of the right one (:func:`_raw_mul`), runs on it, for
 :func:`sandwich`, :func:`matvec`, the real oracle and the build of the
-structure tensors.  Both products are bilinear in the coordinates: with the
-exact structure tensors ``_JORDAN`` and ``_FREUDENTHAL``, (27, 27, 27)
-stored as (27, 729), whose slices are the products of basis pairs, x o y is
-``y @ L(x)`` for the 27x27 matrix ``L(x) = (x @ _JORDAN).reshape(27, 27)``
-(:func:`_op`, :func:`_mul`), and x * y the same with ``_FREUDENTHAL``.  The
-tensors are built once at import, from one stacked product of all 729 basis
-pairs.  Norms weight each off-diagonal coordinate by sqrt(2) (:func:`_frob`),
-which gives the Frobenius norm of the (3, 3, 8) form.  A stack (..., 27) of
+structure tensors.  Both products are bilinear in the coordinates: with an
+exact structure tensor T, (27, 27, 27) stored as (27, 729), whose slices
+are the products of basis pairs, x o y is ``y @ L(x)`` for the 27x27 matrix
+``L(x) = (x @ T).reshape(27, 27)`` (:func:`_op`, :func:`_mul`), and x * y
+the same with the Freudenthal tensor.  :func:`_structure_tensors` builds
+both from one stacked product of all 729 basis pairs, at most once per
+process, on the first product; ``_JORDAN`` and ``_FREUDENTHAL`` are their
+indices in its result.  Code that never multiplies (the invariants, the
+oracle, the 2x2 factor) never builds them.  Norms weight each off-diagonal
+coordinate by sqrt(2) (:func:`_frob`), which gives the Frobenius norm of
+the (3, 3, 8) form.  A stack (..., 27) of
 coordinates takes every kernel at once, a single factor broadcasting
 against a stack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -158,26 +162,31 @@ def _raw_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return prod.reshape(prod.shape[:-2] + (3, 8, 3)).swapaxes(-2, -1)
 
 
+@functools.cache
 def _structure_tensors() -> tuple[np.ndarray, np.ndarray]:
     """The Jordan and Freudenthal products of the 27 x 27 basis pairs, as
     (27, 729) tensors: one stacked matrix product, exact, since every
-    coefficient is 0, +-1/2 or +-1."""
+    coefficient is 0, +-1/2 or +-1.  Built on the first call only."""
     basis = _unpack(np.eye(27))
     circ = _hermitian_part(_raw_mul(basis[:, None], basis[None, :]))
     # x * y = x o y - (x tr y + y tr x) / 2 + (tr x tr y - tr(x o y)) / 2 I
     tr, eye = _UNIT, np.eye(27)
     cross = (circ - (eye[:, None] * tr[None, :, None] + eye[None, :] * tr[:, None, None]) / 2.0
              + ((np.outer(tr, tr) - circ @ tr) / 2.0)[..., None] * tr)
-    return circ.reshape(27, 729), cross.reshape(27, 729)
+    tensors = circ.reshape(27, 729), cross.reshape(27, 729)
+    for tensor in tensors:  # one copy serves every caller
+        tensor.flags.writeable = False
+    return tensors
 
 
-_JORDAN, _FREUDENTHAL = _structure_tensors()
+# Indices of the two tensors in ``_structure_tensors()``.
+_JORDAN, _FREUDENTHAL = 0, 1
 
 
-def _op(x: np.ndarray, tensor: np.ndarray = _JORDAN) -> np.ndarray:
+def _op(x: np.ndarray, tensor: int = _JORDAN) -> np.ndarray:
     """L(x), (..., 27, 27), of coordinates x, (..., 27): y @ L(x) is the
-    product of x and y whose structure tensor is ``tensor``."""
-    return (x @ tensor).reshape(x.shape[:-1] + (27, 27))
+    product of x and y whose structure tensor is ``_structure_tensors()[tensor]``."""
+    return (x @ _structure_tensors()[tensor]).reshape(x.shape[:-1] + (27, 27))
 
 
 def _apply(y: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -188,7 +197,7 @@ def _apply(y: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.einsum("...j,...jk->...k", y, L)
 
 
-def _mul(x: np.ndarray, y: np.ndarray, tensor: np.ndarray = _JORDAN) -> np.ndarray:
+def _mul(x: np.ndarray, y: np.ndarray, tensor: int = _JORDAN) -> np.ndarray:
     """x o y, or x * y with ``tensor=_FREUDENTHAL``, on coordinates (..., 27)."""
     return _apply(y, _op(x, tensor))
 
@@ -382,7 +391,9 @@ class JordanMatrix(_ArrayValue):
         try:
             return cls(float(data["p"]), float(data["m"]), float(data["n"]),
                        *(np.asarray(data[k], dtype=float) for k in "abc"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ValueError(f"invalid Jordan matrix payload: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"invalid Jordan matrix payload: {exc}") from exc
 
     def __repr__(self) -> str:
@@ -398,7 +409,7 @@ _IDENTITY = JordanMatrix(1.0, 1.0, 1.0)
 # -- products ----------------------------------------------------------------
 
 
-def _product(A: JordanMatrix, B: JordanMatrix, tensor: np.ndarray) -> JordanMatrix:
+def _product(A: JordanMatrix, B: JordanMatrix, tensor: int) -> JordanMatrix:
     """A and B each divided by its own 2^e, multiplied there, and the product
     multiplied back by 2^(e_A + e_B), exactly: a product that leaves the
     double range raises :class:`InconsistentError` instead of turning into

@@ -183,6 +183,14 @@ class TestInputValidation:
         code, out, err = run_cli(capsys, "charpoly", "--inline", '{"p": 1}')
         assert code == 2
 
+    @pytest.mark.parametrize("command, payload, want", [
+        ("dirac", {"s": 1, "t": 1}, "2x2 Hermitian payload: missing key 'z'"),
+        ("decompose", {"p": 1, "m": 2, "n": 3}, "Jordan matrix payload: missing key 'a'"),
+    ])
+    def test_missing_key_is_named(self, capsys, command, payload, want):
+        err = f"error: invalid {want}\n"
+        assert run_cli(capsys, command, "--inline", inline(payload)) == (2, "", err)
+
     def test_unreadable_file(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "charpoly", "--input", str(tmp_path / "missing.json")
@@ -419,6 +427,44 @@ class TestOneParser:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert all(flag in out for flag in ("--inline", "--format", "--mtol", "--seed"))
+
+
+    def test_short_help_lists_every_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: albert ")
+        assert all(f"--{name} " in out for name in cli._OPTIONS)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_equals_form_is_the_same_option(self, capsys, fmt):
+        spaced = run_cli(capsys, "decompose", "--inline", inline(DIAG123), "--format", fmt)
+        joined = run_cli(capsys, "decompose", f"--inline={inline(DIAG123)}", f"--format={fmt}")
+        assert spaced[0] == 0
+        assert joined == spaced
+
+    @pytest.mark.parametrize("argv, token", [
+        (["decompose", "--bogus", "1", "--inline", inline(DIAG123)], "--bogus"),
+        (["decompose", "--inl", inline(DIAG123)], "--inl"),  # no abbreviations
+        (["decompose", "--inline"], "--inline"),
+        (["decompose", "--inline", inline(DIAG123), "--atol", "x"], "'x'"),
+        (["verify", "--count", "1.5"], "'1.5'"),
+        (["decompose", "--inline", inline(DIAG123), "--format", "xml"], "'xml'"),
+        (["decompose", "verify", "--inline", inline(DIAG123)], "verify"),
+        (["--inline", inline(DIAG123)], "command"),
+    ], ids=["unknown", "abbreviated", "no-value", "float", "int", "choice", "two-commands",
+            "no-command"])
+    def test_usage_error_exits_two(self, capsys, argv, token):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: albert ")
+        assert error.startswith("albert: error: ") and token in error
+        assert "Traceback" not in captured.err
 
 
 class TestTextOnlyWhenAsked:

@@ -99,6 +99,10 @@ class TestHermitian2:
         with pytest.raises(ValueError):
             Hermitian2.from_dict({"s": 1.0, "t": 2.0, "z": [1.0, 2.0]})
 
+    def test_from_dict_names_missing_key(self):
+        with pytest.raises(ValueError, match=r"^invalid 2x2 Hermitian payload: missing key 'z'$"):
+            Hermitian2.from_dict({"s": 1.0, "t": 1.0})
+
 
 def _hermitian_array(s, t, z):
     arr = np.zeros((2, 2, 8))

@@ -24,6 +24,7 @@ from albert.jordan import (
     _pack,
     _pivot_column,
     _raw_mul,
+    _structure_tensors,
     _trace,
     _unpack,
     char_poly,
@@ -118,6 +119,12 @@ class TestConstruction:
             JordanMatrix.from_dict({"p": 1.0})
         with pytest.raises(ValueError):
             JordanMatrix.from_dict({"p": 1, "m": 1, "n": 1, "a": [1, 2], "b": [0] * 8, "c": [0] * 8})
+
+    def test_from_dict_names_missing_key(self):
+        payload = JordanMatrix.identity().to_dict()
+        del payload["c"]
+        with pytest.raises(ValueError, match=r"^invalid Jordan matrix payload: missing key 'c'$"):
+            JordanMatrix.from_dict(payload)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -613,7 +620,7 @@ class TestStructureTensors:
                              ids=["jordan", "freudenthal"])
     def test_basis_pairs_exact(self, tensor, ref):
         basis = _unpack(np.eye(27))
-        T = tensor.reshape(27, 27, 27)
+        T = _structure_tensors()[tensor].reshape(27, 27, 27)
         for i in range(27):
             for j in range(27):
                 assert np.array_equal(_unpack(T[i, j]), ref(basis[i], basis[j])), (i, j)
@@ -630,7 +637,7 @@ class TestStructureTensors:
 
     def test_commutative(self):
         for tensor in (_JORDAN, _FREUDENTHAL):
-            T = tensor.reshape(27, 27, 27)
+            T = _structure_tensors()[tensor].reshape(27, 27, 27)
             assert np.array_equal(T, T.swapaxes(0, 1))
 
     def test_stack_equals_slices_bit_for_bit(self):

@@ -29,7 +29,10 @@ run as it is and again with ``--format text``::
     python3 tools/output_diff.py BASE HEAD --cli --seed 1 2 3
 
 Per command and format it reports how many stdout byte strings and exit
-statuses differ between the two checkouts, and how many stderr texts.
+statuses differ between the two checkouts, and how many stderr texts.  It
+then runs the usage errors and help requests of ``USAGE_ARGVS`` in both
+checkouts and prints each one's exit statuses, whether its stdout moved, and
+both stderr texts where they differ.
 """
 
 from __future__ import annotations
@@ -87,6 +90,25 @@ print(json.dumps(argvs))
 """
 
 
+# Malformed command lines and help requests; M stands for MATRIX.
+MATRIX = json.dumps({"p": 1.0, "m": 2.0, "n": 3.0, "a": [0.0] * 8, "b": [0.0] * 8,
+                     "c": [0.0] * 8})
+USAGE_ARGVS = [
+    ["--help"],
+    ["decompose", "-h"],
+    ["decompose", "--bogus", "1", "--inline", MATRIX],
+    ["decompose", "--inl", MATRIX],
+    ["decompose", "--inline"],
+    ["decompose", "--inline", MATRIX, "--atol", "x"],
+    ["verify", "--count", "1.5"],
+    ["decompose", "--inline", MATRIX, "--format", "xml"],
+    ["decompose", "verify", "--inline", MATRIX],
+    ["--inline", MATRIX],
+    ["decompose", "--seed", "1", "--inline", MATRIX],
+    ["verify", "--inline", "{}"],
+]
+
+
 def side_env(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
@@ -121,6 +143,19 @@ def cli_diff(base: Path, head: Path, seeds) -> None:
     for (command, fmt), (n, stdout, status, stderr) in counts.items():
         print(f"{command} --format {fmt}: {stdout} of {n} stdout moved,"
               f" {status} changed exit status, {stderr} changed stderr")
+    print(f"usage errors and help, {len(USAGE_ARGVS)} invocations:")
+    for argv in USAGE_ARGVS:
+        base_proc, head_proc = (subprocess.run(
+            [sys.executable, "-m", "albert.cli", *argv], capture_output=True, text=True,
+            env=side_env(side), timeout=600) for side in (base, head))
+        shown = " ".join("M" if arg == MATRIX else arg for arg in argv)
+        print(f"  albert {shown}: exit {base_proc.returncode} -> {head_proc.returncode},"
+              f" stdout {'moved' if base_proc.stdout != head_proc.stdout else 'same'},"
+              f" stderr {'changed' if base_proc.stderr != head_proc.stderr else 'same'}")
+        if base_proc.stderr != head_proc.stderr:
+            for side, proc in (("base", base_proc), ("head", head_proc)):
+                print("".join(f"    {side}| {line}\n" for line in proc.stderr.splitlines()),
+                      end="")
 
 
 def leaves(x) -> list[float]:
