@@ -29,12 +29,15 @@ class Tolerances:
 
     A NaN, infinite or negative value is refused with ``ValueError`` on
     assignment: against it a gate passes or fails whatever the residual.
+    Any other name, such as a misspelt field, raises ``AttributeError``.
     """
 
     def __init__(self, atol: float = 1e-12, rtol: float = 1e-10, mtol: float = 1e-7):
         self.atol, self.rtol, self.mtol = atol, rtol, mtol
 
     def __setattr__(self, name, value):
+        if name not in ("atol", "rtol", "mtol"):
+            raise AttributeError(f"Tolerances has no field {name!r}")
         super().__setattr__(name, _tolerance(name, value))
 
     def __eq__(self, other):

@@ -230,10 +230,6 @@ def _invariants(h: np.ndarray, lams=0.0):
     return p0 + m0 + n0, sigma, dets
 
 
-def _det_shifted(h: np.ndarray, lams):
-    return _invariants(h, lams)[2]
-
-
 class OctVector3(_ArrayValue):
     """A column vector of three octonions, stored as one (3, 8) array."""
 
@@ -324,18 +320,18 @@ class JordanMatrix(_ArrayValue):
         return cls()
 
     @classmethod
-    def from_array(cls, arr: np.ndarray, check: bool = True) -> "JordanMatrix":
+    def from_array(cls, arr: np.ndarray) -> "JordanMatrix":
         """Build from a (3, 3, 8) coefficient array, symmetrising rounding noise.
 
-        With ``check`` the array must be Hermitian to tolerance, decided on
-        arr / 2^e at unit scale, so 2^k arr gets the answer arr gets.
-        Entries must be finite.
+        The array must be Hermitian to tolerance, decided on arr / 2^e at
+        unit scale, so 2^k arr gets the answer arr gets.  Entries must be
+        finite.
         """
         arr = np.asarray(arr, dtype=float)
         if arr.shape != (3, 3, 8):
             raise ValueError(f"expected shape (3, 3, 8), got {arr.shape}")
         (u,), e = _unit_scale((_finite(arr), 1))
-        if check and _norm(u - _conj_transpose(u)) > tolerances.atol + tolerances.rtol * _norm(u):
+        if _norm(u - _conj_transpose(u)) > tolerances.atol + tolerances.rtol * _norm(u):
             raise ValueError("array is not Hermitian")
         return cls._wrap(*_rescale(e, (_hermitian_part(u), 1)))
 
@@ -354,14 +350,8 @@ class JordanMatrix(_ArrayValue):
 
     def sigma(self) -> float:
         """Sum of the pairwise eigenvalue products, tr(A * A), as
-        :func:`char_poly` gives it, bit for bit: +/-inf, never NaN, out of
-        range.  Only the quadratic invariant is read, at unit scale."""
-        (a,), e = _unit_scale((self._arr, 1))
-        sigma = _quadratic(a)[3]
-        try:
-            return math.ldexp(sigma, 2 * e)
-        except OverflowError:
-            return math.copysign(math.inf, sigma)
+        :func:`char_poly` gives it: +/-inf, never NaN, out of range."""
+        return char_poly(self)[1]
 
     def det(self) -> float:
         """Cubic norm: p m n + 2 Re(b (a c)) - n |a|^2 - m |b|^2 - p |c|^2,
@@ -434,14 +424,22 @@ def char_poly(A: JordanMatrix) -> tuple[float, float, float]:
 
     Computed on A / 2^e and multiplied back by 2^e, 2^2e and 2^3e, which is
     exact; a coefficient outside the double range becomes +/-inf, never NaN,
-    and :func:`albert.cubic.solve_characteristic` rejects it.
+    and :func:`albert.cubic.solve_characteristic` rejects it.  ``sigma()``
+    and ``det()`` read them here, the one path off unit scale.
     """
     (a,), e = _unit_scale((A._arr, 1))
     poly = _invariants(a)
     if e == 0:
         return poly
-    with np.errstate(over="ignore", under="ignore"):
-        return tuple(np.ldexp(poly, (e, 2 * e, 3 * e)).tolist())
+    return tuple(_ldexp_or_inf(x, d * e) for x, d in zip(poly, (1, 2, 3)))
+
+
+def _ldexp_or_inf(x: float, k: int) -> float:
+    """``math.ldexp(x, k)``, or +/-inf where that overflows."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def det_via_trace(A: JordanMatrix) -> float:

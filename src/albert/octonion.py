@@ -259,9 +259,7 @@ class Octonion(_ArrayValue):
     def __truediv__(self, other) -> "Octonion":
         if isinstance(other, Octonion):
             return self * other.inverse()
-        if _is_real(other):
-            return Octonion._wrap(self._arr / float(other))
-        return NotImplemented
+        return super().__truediv__(other)
 
     # -- display -------------------------------------------------------------
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import _rescale, _unit_scale
-from .jordan import JordanMatrix, OctVector3, _det_shifted, _embed, _frob, _unpack
+from .jordan import JordanMatrix, OctVector3, _embed, _frob, _invariants, _unpack
 from .octonion import _norm
 
 __all__ = [
@@ -134,7 +134,7 @@ def modified_char_check(A: JordanMatrix) -> OracleReport:
     gap = CLUSTER_GAP_RTOL * spread
     lam_clusters = cluster_values(eigs, gap) if spread > 0 else [(float(eigs[0]), len(eigs))]
     lams, mults = zip(*lam_clusters)
-    rs = [-d for d in _det_shifted(h, lams)]
+    rs = [-d for d in _invariants(h, lams)[2]]
 
     r_tol = R_COLLAPSE_RTOL * (1.0 + _norm(_frob(h))) ** 3
     r_groups = _clusters(sorted(rs), r_tol)

@@ -249,12 +249,17 @@ def _idempotents(A: np.ndarray, nrm: float, poly: tuple[float, float, float], la
     """Purified Q-route idempotents of coordinates A, |A| = nrm and
     poly = char_poly(A), for the roots lams, (k, 27), and L of them.  After
     the arithmetic the gates of :func:`q_matrix` and :func:`idempotent_from_q`
-    run root by root, as a loop over roots would."""
+    run root by root, as a loop over roots would; the cubic solver reported
+    these roots simple, so a vanishing Q is an :class:`InconsistentError`."""
     Q = _q_stack(A, lams)
     tq = _trace(Q)
     for lam, t, q_norm in zip(lams, tq.tolist(), map(_norm, _frob(Q))):
         _check_root(poly, nrm, lam)
-        _check_q_trace(t, q_norm)
+        try:
+            _check_q_trace(t, q_norm)
+        except ZeroQMatrixError as exc:
+            msg = "cubic solver reports a simple root with a vanishing Q matrix"
+            raise InconsistentError(msg) from exc
     return _purify(Q * (1.0 / tq)[:, None])
 
 
@@ -289,16 +294,6 @@ def _reflect(x: np.ndarray, L: np.ndarray) -> np.ndarray:
     return _apply(_apply(x, L), L) * 2.0 - x
 
 
-def _q_route(h: np.ndarray, nrm: float, poly: tuple[float, float, float], lams):
-    """:func:`_idempotents`, where a vanishing Q is an inconsistency: the
-    cubic solver reported its root simple."""
-    try:
-        return _idempotents(h, nrm, poly, lams)
-    except ZeroQMatrixError as exc:
-        msg = "cubic solver reports a simple root with a vanishing Q matrix"
-        raise InconsistentError(msg) from exc
-
-
 def _deflate(h: np.ndarray, nrm: float, poly: tuple[float, float, float], lams):
     """Reflect unit-scale coordinates h, |h| = nrm, poly = char_poly(h) and
     roots lams (descending), by M1 and M2 of the best-separated root lambda,
@@ -307,7 +302,7 @@ def _deflate(h: np.ndarray, nrm: float, poly: tuple[float, float, float], lams):
     M2 (2, 27), their L(M) (2, 27, 27) and b2."""
     l0, l1, l2 = lams
     k = 0 if l0 - l1 >= l1 - l2 else 2
-    P, _ = _q_route(h, nrm, poly, [lams[k]])
+    P, _ = _idempotents(h, nrm, poly, [lams[k]])
     v = _extract(P, RESIDUAL_RTOL)[0]
     m = _m1_m2(phase_align(OctVector3._wrap(v))._arr)
     L = _op(m)
@@ -371,7 +366,7 @@ def decompose(A: JordanMatrix) -> SpectralDecomposition:
             lams, P, vectors = (*pair_lams, lam), np.concatenate((pair, P)), (*pv, v)
         L = _op(P)
     else:
-        P, L = _q_route(h, nrm, poly, lams)
+        P, L = _idempotents(h, nrm, poly, lams)
         vectors = _extract(P, RESIDUAL_RTOL)
 
     scaled = P * np.array(lams)[:, None]

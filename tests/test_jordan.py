@@ -17,9 +17,9 @@ from albert.jordan import (
     _JORDAN,
     JordanMatrix,
     OctVector3,
-    _det_shifted,
     _frob,
     _hermitian_part,
+    _invariants,
     _mul,
     _pack,
     _pivot_column,
@@ -135,7 +135,7 @@ class TestConstruction:
         arr = JordanMatrix.identity().to_array()
         arr[2, 2, 0] = bad
         with pytest.raises(ValueError):
-            JordanMatrix.from_array(arr, check=False)
+            JordanMatrix.from_array(arr)
         with pytest.raises(ValueError):
             JordanMatrix.from_dict({**JordanMatrix.identity().to_dict(), "m": bad})
 
@@ -676,8 +676,13 @@ def hexes(values):
     return [float(x).hex() for x in values]
 
 
+def det_shifted(h, lams):
+    """det(A - lambda I) of the coordinates h of A, as ``_invariants`` gives it."""
+    return _invariants(h, lams)[2]
+
+
 class TestShiftedDeterminant:
-    """_det_shifted(A, lambda) is det(A - lambda I) bit for bit, for one
+    """_invariants(h, lambda)[2] is det(A - lambda I) bit for bit, for one
     lambda or a vector of them, and det() is its lambda = 0 call."""
 
     @pytest.mark.parametrize("span", [8, 4])
@@ -687,15 +692,15 @@ class TestShiftedDeterminant:
         for _ in range(200):
             A = sampling.random_jordan(rng, span=span)
             lams = np.concatenate([[0.0, -0.75, 1.25], rng.uniform(-3.0, 3.0, 3)])
-            assert hexes([_det_shifted(A._arr, 0.0), A.det()]) == hexes([det_before_kernel(A)] * 2)
+            assert hexes([det_shifted(A._arr, 0.0), A.det()]) == hexes([det_before_kernel(A)] * 2)
             want = hexes((A - ident * float(lam)).det() for lam in lams)
-            assert hexes(_det_shifted(A._arr, lams)) == want
-            assert hexes(_det_shifted(A._arr, float(lam)) for lam in lams) == want
+            assert hexes(det_shifted(A._arr, lams)) == want
+            assert hexes(det_shifted(A._arr, float(lam)) for lam in lams) == want
 
     def test_float_in_float_out(self):
         A = JordanMatrix.diag(1.0, 2.0, 3.0)
-        assert type(_det_shifted(A._arr, 0.0)) is float
-        assert _det_shifted(A._arr, np.array([1.0, 2.0, 3.0, 0.0])).tolist() == [0, 0, 0, 6]
+        assert type(det_shifted(A._arr, 0.0)) is float
+        assert det_shifted(A._arr, np.array([1.0, 2.0, 3.0, 0.0])).tolist() == [0, 0, 0, 6]
 
 
 class TestShiftedDeterminantOnFloats:
@@ -708,15 +713,15 @@ class TestShiftedDeterminantOnFloats:
         for _ in range(100):
             A = sampling.random_jordan(rng, span=span)
             lams = rng.uniform(-3.0, 3.0, 6).tolist()
-            want = hexes(_det_shifted(A._arr, lam) for lam in lams)
-            assert hexes(_det_shifted(A._arr, np.array(lams))) == want
+            want = hexes(det_shifted(A._arr, lam) for lam in lams)
+            assert hexes(det_shifted(A._arr, np.array(lams))) == want
             for seq in (lams, tuple(lams)):
-                out = _det_shifted(A._arr, seq)
+                out = det_shifted(A._arr, seq)
                 assert type(out) is list and all(type(d) is float for d in out)
                 assert hexes(out) == want
 
     def test_empty(self):
-        assert _det_shifted(JordanMatrix.diag(1.0, 2.0, 3.0)._arr, ()) == []
+        assert det_shifted(JordanMatrix.diag(1.0, 2.0, 3.0)._arr, ()) == []
 
 
 def sigma_before_single_pass(A):
@@ -760,8 +765,8 @@ class TestSinglePassInvariants:
         assert math.isinf(char_poly(JordanMatrix.diag(2.0**600, 2.0**600, 1.0))[1])
 
     def test_sigma_is_char_poly_sigma(self):
-        # sigma() reads only the quadratic invariant: at 2^600 it overflows
-        # to +/-inf, at 2^-600 it underflows to zero, as char_poly's does
+        # sigma() is char_poly's sigma: at 2^600 it overflows to +/-inf,
+        # at 2^-600 it underflows to zero
         rng = np.random.default_rng(97)
         seen = set()
         for _ in range(100):

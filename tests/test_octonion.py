@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from albert.dirac import Hermitian2
+from albert.jordan import JordanMatrix, OctVector3
 from albert.octonion import (
     CONJ_SIGNS,
     MUL_INDEX,
@@ -108,6 +110,13 @@ class TestArithmetic:
             Octonion.zero().inverse()
         with pytest.raises(ZeroDivisionError):
             Octonion.from_real(1.0) / Octonion.zero()
+        # one "/ real" rule for every value class: no inf or NaN coefficients
+        values = (Octonion.from_real(1.0), OctVector3((1.0, 0.0, 0.0)),
+                  JordanMatrix.identity(), Hermitian2.identity())
+        for x in values:
+            for zero in (0.0, 0):
+                with pytest.raises(ZeroDivisionError):
+                    x / zero
 
     def test_small_octonion_has_an_inverse(self):
         x = Octonion.from_real(1e-7)

@@ -1,5 +1,6 @@
 """Result records are named tuples, and the tolerance settings a plain class."""
 
+import json
 import subprocess
 import sys
 
@@ -9,12 +10,14 @@ from albert import (
     JordanMatrix,
     Tolerances,
     classify_psquare,
+    cli,
     decompose,
     diagonalize,
     modified_char_check,
     run_verification,
     solve_characteristic,
 )
+from albert.config import tolerances
 
 A = JordanMatrix.diag(3.0, 2.0, 1.0)
 
@@ -63,6 +66,19 @@ def test_tolerances_keyword_construction_equality_and_repr():
     assert Tolerances(mtol=1e-3) != Tolerances()
     assert Tolerances() != (1e-12, 1e-10, 1e-7)
     assert repr(Tolerances()) == "Tolerances(atol=1e-12, rtol=1e-10, mtol=1e-07)"
+
+
+def test_tolerances_refuse_other_fields(capsys):
+    # a misspelt field would leave mtol as it was, and the CLI, which saves
+    # and restores every field, would look for it on its parsed arguments
+    try:
+        with pytest.raises(AttributeError, match="mtoll"):
+            tolerances.mtoll = 1e-3
+        assert sorted(vars(tolerances)) == ["atol", "mtol", "rtol"]
+        assert cli.main(["charpoly", "--inline", json.dumps(A.to_dict())]) == 0
+        assert '"roots"' in capsys.readouterr().out
+    finally:
+        vars(tolerances).pop("mtoll", None)
 
 
 def test_package_does_not_import_dataclasses(child_env):

@@ -449,14 +449,16 @@ class TestStackedPipeline:
     def test_repeated_root_precedes_later_non_root(self):
         # 1 is a double root of A: its Q vanishes.  The non-root 5 comes
         # later in the stack, so the vanishing Q is reported first, as a
-        # root-by-root loop would report it.
+        # root-by-root loop would report it; the stack takes its roots as
+        # simple, so the vanishing Q is an inconsistency.
         A = JordanMatrix.diag(1.0, 1.0, 3.0)
         lams = (3.0, 1.0, 5.0)
         with pytest.raises(ZeroQMatrixError):
             for lam in lams:
                 idempotent_from_q(q_matrix(A, lam))
-        with pytest.raises(ZeroQMatrixError):
+        with pytest.raises(InconsistentError) as info:
             _idempotents(A._arr, A.norm(), char_poly(A), lams)
+        assert isinstance(info.value.__cause__, ZeroQMatrixError)
 
 
 def with_op(P):
@@ -580,6 +582,23 @@ class TestAdaptivePurification:
         want = two_step_purify(P)
         assert out.tobytes() == want.tobytes()
         assert L.tobytes() == _op(want).tobytes()
+
+    def test_near_triple_takes_the_second_step(self):
+        # spectrum 0.3 (1, 1 + g, 1 + 2g), g = 1e-4: the deflated root's
+        # Q / tr Q is idempotent to 1e-4 only, one step leaves 3e-8 to 1e-6,
+        # which its eigenvector's rank-one gate refuses, and the second step
+        # 1e-15 to 7e-11
+        g = 1e-4
+        rng = np.random.default_rng(24)
+        hard = 0
+        for _ in range(100):
+            A = conjugated_spectrum(rng, (0.3 * (1.0 + 2.0 * g), 0.3 * (1.0 + g), 0.3))
+            P = np.array([X._arr for X in decompose(A).idempotents])
+            assert max(defects(P)) <= 1e-9
+            Q = q_route(A, solve_characteristic(*char_poly(A)).roots[:1])
+            Q2 = _mul(Q, Q)
+            hard += max(defects(Q2 * 3.0 - _mul(Q, Q2) * 2.0)) > 1e-9
+        assert hard > 50  # inputs on which one step is not enough
 
 
 def conjugated_spectrum(rng, spectrum):

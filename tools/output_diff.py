@@ -7,11 +7,11 @@ Usage, from the repository root::
 BASE and HEAD are two checkouts of the repository (for a parent commit,
 ``git archive <commit> | tar -x -C DIR`` gives one).  Each side runs in its
 own interpreter with ``PYTHONPATH=<checkout>/src`` and BLAS on one thread,
-as ``benchmarks/run.py`` runs it.  Both call the matrix entry points of
-``benchmarks/workloads.py`` (``charpoly``, ``decompose``, ``diagonalize``,
-``classify``) on the same inputs, which are built by the ``benchmarks/``
-next to this file and hashed on each side, and write every output in its
-JSON form.
+as ``benchmarks/run.py`` runs it.  Both call the workload's matrix entry
+points of ``benchmarks/workloads.py`` (``charpoly``, ``decompose``,
+``diagonalize`` and ``classify``, or ``oracle`` for ``--workload oracle``)
+on the same inputs, which are built by the ``benchmarks/`` next to this
+file and hashed on each side, and write every output in its JSON form.
 
 Per entry point the report gives how many outputs moved (any bit of any
 number, or the raised error), and how many per kind of input with the
@@ -209,7 +209,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", type=Path)
     ap.add_argument("head", type=Path)
-    ap.add_argument("--workload", default="generic", choices=("generic", "spectrum-edge"))
+    ap.add_argument("--workload", default="generic",
+                    choices=("generic", "spectrum-edge", "oracle"))
     ap.add_argument("--seed", type=int, nargs="+", default=[1])
     ap.add_argument("--cli", action="store_true",
                     help="compare the cli workload's command-line invocations instead")
