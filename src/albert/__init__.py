@@ -31,15 +31,13 @@ _EXPORTS = {
     ),
     "f4": ("DiagonalizationResult", "build_m1_m2", "diagonalize"),
     "jordan": (
-        "JordanMatrix", "OctVector3", "char_poly", "det_via_trace", "extract_vector",
-        "freudenthal_product", "jordan_product", "matvec", "phase_align",
-        "rank1_from_vector", "sandwich",
+        "JordanMatrix", "OctVector3", "char_poly", "extract_vector", "freudenthal_product",
+        "jordan_product", "matvec", "phase_align", "rank1_from_vector", "sandwich",
     ),
     "octonion": ("Octonion", "associator", "e", "format_octonion"),
     "oracle": ("OracleReport", "embed", "modified_char_check"),
     "spectral": (
-        "SpectralDecomposition", "decompose", "double_root_split", "idempotent_from_q",
-        "invariant_double_decomposition", "q_matrix",
+        "SpectralDecomposition", "decompose", "double_root_split", "idempotent_from_q", "q_matrix",
     ),
     "verify": ("CheckRow", "VerifyReport", "run_verification"),
 }

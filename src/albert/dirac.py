@@ -29,8 +29,18 @@ import numpy as np
 
 from .config import RESIDUAL_RTOL, _rescale, _unit_scale, tolerances
 from .exceptions import InconsistentError, NonNullMomentumError
-from .jordan import JordanMatrix, OctVector3, _invariants, _outer, _pivot_column, _quadratic, matvec
-from .octonion import Octonion, _ArrayValue, _as_octonion
+from .jordan import (
+    JordanMatrix,
+    OctVector3,
+    _frob,
+    _invariants,
+    _outer,
+    _pivot_column,
+    _quadratic,
+    _trace,
+    matvec,
+)
+from .octonion import Octonion, _ArrayValue, _as_octonion, _norm
 
 # Relative threshold shared by the null-momentum gate and the p-square
 # class boundaries; scaled by the matching power of the input norm.
@@ -96,7 +106,7 @@ class Hermitian2(_ArrayValue):
             return cls(float(data["s"]), float(data["t"]), np.asarray(data["z"], dtype=float))
         except KeyError as exc:
             raise ValueError(f"invalid 2x2 Hermitian payload: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid 2x2 Hermitian payload: {exc}") from exc
 
     def __repr__(self) -> str:
@@ -114,8 +124,7 @@ def dirac_solve(P: Hermitian2) -> tuple[tuple[Octonion, Octonion], int]:
     of degree one in it, is multiplied back by 2^e.
     """
     (p,), e = _unit_scale((P._arr, 2))
-    B = JordanMatrix._wrap(p)
-    nrm, det, tr = B.norm(), _quadratic(p)[3], B.trace()  # det P is the block's sigma
+    nrm, det, tr = _norm(_frob(p)), _quadratic(p)[3], float(_trace(p))  # det P: the block's sigma
     if abs(det) > CLASS_RTOL * (1.0 + nrm) ** 2:
         raise NonNullMomentumError(f"det / |P|^2 = {det / nrm ** 2:.3e} exceeds tolerance; "
                                    "momentum is not null")
@@ -124,7 +133,7 @@ def dirac_solve(P: Hermitian2) -> tuple[tuple[Octonion, Octonion], int]:
         return (Octonion.zero(), Octonion.zero()), 1
     sign = 1 if tr > 0.0 else -1
     u = _pivot_column(p * sign)
-    resid = (B - JordanMatrix._wrap(_outer(u, 0) * sign)).norm()
+    resid = _norm(_frob(p - _outer(u, 0) * sign))
     if resid > RESIDUAL_RTOL * (1.0 + nrm):
         raise InconsistentError(f"rank-one factor residual / |P| = {resid / nrm:.3e} "
                                 "out of tolerance")
@@ -171,8 +180,7 @@ def classify_psquare(A: JordanMatrix) -> PSquareClass:
     2^2e and 2^3e.
     """
     (a,), e = _unit_scale((A._arr, 1))
-    A = JordanMatrix._wrap(a)
-    nrm = A.norm()
+    nrm = _norm(_frob(a))
     tr, sigma, det = _invariants(a)
     if abs(det) > CLASS_RTOL * nrm**3:
         p = 3

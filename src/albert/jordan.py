@@ -85,12 +85,10 @@ __all__ = [
     "jordan_product",
     "freudenthal_product",
     "char_poly",
-    "det_via_trace",
     "matvec",
     "sandwich",
     "rank1_from_vector",
     "extract_vector",
-    "offdiag_associator",
     "phase_align",
 ]
 
@@ -383,7 +381,7 @@ class JordanMatrix(_ArrayValue):
                        *(np.asarray(data[k], dtype=float) for k in "abc"))
         except KeyError as exc:
             raise ValueError(f"invalid Jordan matrix payload: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid Jordan matrix payload: {exc}") from exc
 
     def __repr__(self) -> str:
@@ -440,11 +438,6 @@ def _ldexp_or_inf(x: float, k: int) -> float:
         return math.ldexp(x, k)
     except OverflowError:
         return math.copysign(math.inf, x)
-
-
-def det_via_trace(A: JordanMatrix) -> float:
-    """Determinant through tr((A * A) o A) / 3; cross-check for det()."""
-    return jordan_product(freudenthal_product(A, A), A).trace() / 3.0
 
 
 def matvec(A: JordanMatrix, v: OctVector3) -> OctVector3:
@@ -549,15 +542,6 @@ def _pivot_column(h: np.ndarray) -> np.ndarray:
     return v
 
 
-def offdiag_associator(A: JordanMatrix) -> Octonion:
-    """Associator of the three off-diagonal entries.
-
-    Vanishes exactly when (a, b, c) lie in a common associative subalgebra,
-    which holds for every primitive idempotent.
-    """
-    return Octonion._wrap(_associator(*_quadratic(A._arr)[1]))
-
-
 def phase_align(v: OctVector3) -> OctVector3:
     """Right-multiply by a unit phase so the third component is real >= 0.
 
@@ -565,8 +549,13 @@ def phase_align(v: OctVector3) -> OctVector3:
     v v-dagger is unchanged.  A vector whose third component vanishes
     relative to |v| is returned as-is.
     """
-    r = v._arr[2]
+    return OctVector3._wrap(_phase_align(v._arr))
+
+
+def _phase_align(u: np.ndarray) -> np.ndarray:
+    """:func:`phase_align` of a (3, 8) array."""
+    r = u[2]
     rn = _norm(r)
-    if rn <= tolerances.rtol * v.norm():
-        return v
-    return OctVector3._wrap(left_mult(v._arr) @ (r * CONJ_SIGNS * (1.0 / rn)))
+    if rn <= tolerances.rtol * _norm(u):
+        return u
+    return left_mult(u) @ (r * CONJ_SIGNS * (1.0 / rn))

@@ -216,14 +216,6 @@ class Octonion(_ArrayValue):
     def zero(cls) -> "Octonion":
         return cls(np.zeros(8))
 
-    @classmethod
-    def basis(cls, k: int) -> "Octonion":
-        if not 0 <= k <= 7:
-            raise ValueError(f"basis index must be in 0..7, got {k}")
-        arr = np.zeros(8)
-        arr[k] = 1.0
-        return cls(arr)
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -282,7 +274,11 @@ def _as_octonion(x) -> Octonion:
 
 def e(k: int) -> Octonion:
     """The k-th basis octonion (e0 is the identity)."""
-    return Octonion.basis(k)
+    if not 0 <= k <= 7:
+        raise ValueError(f"basis index must be in 0..7, got {k}")
+    arr = np.zeros(8)
+    arr[k] = 1.0
+    return Octonion(arr)
 
 
 def _associator(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:

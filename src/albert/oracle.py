@@ -35,13 +35,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import _rescale, _unit_scale
-from .jordan import JordanMatrix, OctVector3, _embed, _frob, _invariants, _unpack
+from .jordan import JordanMatrix, _embed, _frob, _invariants, _unpack
 from .octonion import _norm
 
 __all__ = [
     "embed",
-    "vector_coords",
-    "coords_vector",
     "cluster_values",
     "OracleReport",
     "modified_char_check",
@@ -63,18 +61,6 @@ def embed(A: JordanMatrix) -> np.ndarray:
     Hermitian layout of A.
     """
     return _embed(A.to_array())
-
-
-def vector_coords(v: OctVector3) -> np.ndarray:
-    """Flatten an octonion 3-vector to its 24 real coordinates."""
-    return v.to_array().reshape(24)
-
-
-def coords_vector(coords: np.ndarray) -> OctVector3:
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (24,):
-        raise ValueError(f"expected 24 coordinates, got shape {coords.shape}")
-    return OctVector3.from_array(coords.reshape(3, 8))
 
 
 def cluster_values(values: np.ndarray, gap: float) -> list[tuple[float, int]]:

@@ -23,8 +23,6 @@ gets the diagonal unit matrices.
 :func:`double_root_split` is the paper's orthogonal-vector construction
 for a double root lambda, A - lambda I = +/- w w-dagger: V1 = v v-dagger /
 |v|^2 for a v with v-dagger w = 0, and V2 = I - w w-dagger / |w|^2 - V1.
-:func:`invariant_double_decomposition` keeps the rank-two piece whole:
-A = mu P + lambda (I - P), P = (A - lambda I) / tr(A - lambda I).
 
 The array kernels of :mod:`albert.jordan` take stacks (k, 27) of Hermitian
 coordinates; :func:`decompose` builds, purifies, extracts and checks its
@@ -62,8 +60,8 @@ from .jordan import (
     _mul,
     _op,
     _outer,
+    _phase_align,
     _trace,
-    phase_align,
 )
 from .octonion import CONJ_SIGNS, _norm, left_mult
 
@@ -72,7 +70,6 @@ __all__ = [
     "q_matrix",
     "idempotent_from_q",
     "double_root_split",
-    "invariant_double_decomposition",
     "decompose",
 ]
 
@@ -150,12 +147,20 @@ def idempotent_from_q(Q: JordanMatrix) -> JordanMatrix:
     return JordanMatrix._wrap(q * (1.0 / t))
 
 
-def _double_root_shift(a: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
-    """B = A - lambda I of unit-scale coordinates a and its trace mu - lambda.
+def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, JordanMatrix]:
+    """Two orthogonal primitive idempotents (V1, V2), in that order, for a
+    double eigenvalue lambda: A - lambda I = +/- w w-dagger, of rank one.
 
-    Raises :class:`NotDoubleRootError` when B vanishes or is traceless (a
-    triple root) or is not rank one (a simple root).
+    For the first slot pair (i, j) of (0, 1), (1, 2), (2, 0) with w_j
+    nonzero, v_i = |w_j|^2 and v_j = -w_j conj(w_i), the paper's
+    (|y|^2, -y conj(x), 0), give v-dagger w = 0.  w needs no phase: it is
+    the pivot column of w w-dagger over sqrt of the pivot, so its pivot
+    component is real, and its other two components generate an
+    associative subalgebra that holds every component of v and w.  Raises
+    :class:`NotDoubleRootError` when A - lambda I vanishes or is traceless
+    (a triple root) or is not rank one (a simple root).
     """
+    (a, lam), _ = _at_unit_scale(A, lam)
     B = a - lam * _UNIT
     scale = 1.0 + _norm(_frob(a)) + abs(lam)
     b_norm = _norm(_frob(B))
@@ -167,25 +172,9 @@ def _double_root_shift(a: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
             "(A - lambda I) is not rank one (|Q| / |A - lambda I|^2 = "
             f"{q_norm / b_norm**2:.3e}); lambda is not a double root"
         )
-    tb = float(_trace(B))
+    tb = float(_trace(B))  # mu - lambda
     if abs(tb) <= tolerances.atol + tolerances.rtol * scale:
         raise NotDoubleRootError("tr(A - lambda I) vanishes; the root is triple, not double")
-    return B, tb
-
-
-def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, JordanMatrix]:
-    """Two orthogonal primitive idempotents (V1, V2), in that order, for a
-    double eigenvalue lambda: A - lambda I = +/- w w-dagger, of rank one.
-
-    For the first slot pair (i, j) of (0, 1), (1, 2), (2, 0) with w_j
-    nonzero, v_i = |w_j|^2 and v_j = -w_j conj(w_i), the paper's
-    (|y|^2, -y conj(x), 0), give v-dagger w = 0.  w needs no phase: it is
-    the pivot column of w w-dagger over sqrt of the pivot, so its pivot
-    component is real, and its other two components generate an
-    associative subalgebra that holds every component of v and w.
-    """
-    (a, lam), _ = _at_unit_scale(A, lam)
-    B, tb = _double_root_shift(a, lam)
     w = _extract(B if tb > 0 else -B, tolerances.mtol)[0]
     y2 = (w * w).sum(axis=1).tolist()  # |w_j|^2
     gate = tolerances.atol + tolerances.rtol * math.sqrt(sum(y2))
@@ -197,21 +186,6 @@ def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, Jordan
     v[j] = -(left_mult(w[j]) @ (w[i] * CONJ_SIGNS))
     V1 = _outer(v, 0) * (1.0 / float(np.vdot(v, v)))
     return JordanMatrix._wrap(V1), JordanMatrix._wrap(_UNIT - B * (1.0 / tb) - V1)
-
-
-def invariant_double_decomposition(
-    A: JordanMatrix, lam: float
-) -> tuple[tuple[float, JordanMatrix], tuple[float, JordanMatrix]]:
-    """Basis-free form of the double-root decomposition.
-
-    Returns ((mu, P), (lambda, K)) with P = (A - lambda I)/tr(A - lambda I)
-    primitive, K = I - P of rank two, and A = mu P + lambda K.
-    """
-    (a, unit_lam), e = _at_unit_scale(A, lam)
-    B, tb = _double_root_shift(a, unit_lam)
-    (mu,) = _rescale(e, (float(_trace(a)) - 2.0 * unit_lam, 1))
-    P = B * (1.0 / tb)
-    return ((mu, JordanMatrix._wrap(P)), (float(lam), JordanMatrix._wrap(_UNIT - P)))
 
 
 #: |P o P - P| up to which a unit-trace P is idempotent to rounding: no step.
@@ -304,7 +278,7 @@ def _deflate(h: np.ndarray, nrm: float, poly: tuple[float, float, float], lams):
     k = 0 if l0 - l1 >= l1 - l2 else 2
     P, _ = _idempotents(h, nrm, poly, [lams[k]])
     v = _extract(P, RESIDUAL_RTOL)[0]
-    m = _m1_m2(phase_align(OctVector3._wrap(v))._arr)
+    m = _m1_m2(_phase_align(v))
     L = _op(m)
     return k, P, v, m, L, _reflect(_reflect(h, L[0]), L[1])
 

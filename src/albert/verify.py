@@ -25,13 +25,12 @@ from .jordan import (
     JordanMatrix,
     _invariants,
     char_poly,
-    det_via_trace,
     freudenthal_product,
     jordan_product,
-    offdiag_associator,
     rank1_from_vector,
     sandwich,
 )
+from .octonion import associator
 from .oracle import modified_char_check
 from .spectral import decompose, double_root_split
 
@@ -155,8 +154,10 @@ def _suite_trace_inner_product(rng):
 
 @_suite(1e-10)
 def _suite_det_consistency(rng):
+    # det A = tr((A * A) o A) / 3
     A = sampling.random_jordan(rng)
-    return abs(A.det() - det_via_trace(A)) / (1.0 + A.norm()) ** 3
+    det_via_trace = jordan_product(freudenthal_product(A, A), A).trace() / 3.0
+    return abs(A.det() - det_via_trace) / (1.0 + A.norm()) ** 3
 
 
 @_suite(1e-8)
@@ -172,13 +173,19 @@ def _suite_decomposition(rng):
     return resid / (1.0 + A.norm())
 
 
+def _offdiag_associator(P: JordanMatrix) -> float:
+    """|[a, b, c]| of the off-diagonal entries of P: zero exactly when they
+    lie in a common associative subalgebra, as for every primitive idempotent."""
+    return associator(P.a, P.b, P.c).norm()
+
+
 @_suite(1e-8)
 def _suite_cayley_plane(rng):
     # Decomposition idempotents are points: P*P = 0 and tr P = 1, P o P = P,
     # and their off-diagonal components associate.
     A = sampling.random_jordan(rng)
     return max(max(freudenthal_product(P, P).norm() + abs(P.trace() - 1.0),
-                   (jordan_product(P, P) - P).norm(), offdiag_associator(P).norm())
+                   (jordan_product(P, P) - P).norm(), _offdiag_associator(P))
                for P in decompose(A).idempotents)
 
 

@@ -105,6 +105,10 @@ MALFORMED = [
     ("dirac", json.dumps({"s": 1.0, "t": 1.0})),
     ("dirac", json.dumps({"s": 1.0, "t": 2.0, "z": [1.0] + [0.0] * 7})),  # not null
     ("charpoly", json.dumps({"s": 1.0, "t": 1.0, "z": ZERO8})),
+    # integers too large for a double
+    ("charpoly", json.dumps({"p": 10**400, "m": 2.0, "n": 3.0, "a": ZERO8, "b": ZERO8,
+                             "c": ZERO8})),
+    ("dirac", json.dumps({"s": 1.0, "t": 1.0, "z": [10**400] + [0.0] * 7})),
 ]
 
 

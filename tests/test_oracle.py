@@ -11,10 +11,8 @@ from albert.oracle import (
     CLUSTER_GAP_RTOL,
     R_COLLAPSE_RTOL,
     cluster_values,
-    coords_vector,
     embed,
     modified_char_check,
-    vector_coords,
 )
 
 
@@ -59,16 +57,9 @@ class TestEmbedding:
         for _ in range(100):
             A = sampling.random_jordan(rng)
             v = sampling.random_vector(rng, span=8)
-            lhs = embed(A) @ vector_coords(v)
-            rhs = vector_coords(matvec(A, v))
+            lhs = embed(A) @ v.to_array().reshape(24)
+            rhs = matvec(A, v).to_array().reshape(24)
             assert np.allclose(lhs, rhs, atol=1e-13 * (1 + A.norm() * v.norm()))
-
-    def test_coords_round_trip(self):
-        rng = np.random.default_rng(62)
-        v = sampling.random_vector(rng, span=8)
-        assert coords_vector(vector_coords(v)).isclose(v)
-        with pytest.raises(ValueError):
-            coords_vector(np.zeros(23))
 
 
 class TestClustering:

@@ -1,7 +1,8 @@
 """No helpers that nothing calls: every private function, class or
 module-level constant of the package (a name with one leading underscore,
 dunders excepted) is referenced somewhere in the package besides its own
-definition."""
+definition, and every public name of ``albert`` somewhere outside the
+tests."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import albert
 
 PACKAGE = Path(albert.__file__).parent
+ROOT = PACKAGE.parents[1]
 
 
 def _is_private(name: str) -> bool:
@@ -26,6 +28,22 @@ def _constants(tree: ast.Module):
                     yield name.lineno, name.id
 
 
+def _references(tree: ast.Module) -> set[str]:
+    """Names read and attributes taken in a module; a top-level function or
+    class does not count as a reference to itself."""
+    referenced = set()
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        names.discard(getattr(stmt, "name", None))
+        referenced |= names
+    return referenced
+
+
 def test_every_private_definition_is_referenced():
     defined, referenced = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -37,10 +55,7 @@ def test_every_private_definition_is_referenced():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if _is_private(node.name):
                     defined.add((f"{path.name}:{node.lineno}", node.name))
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+        referenced |= _references(tree)
     assert defined, "no private definitions found; is the package path right?"
     assert any(name == "_UNIT" for _, name in defined), "module constants not collected"
     unused = sorted(f"{where} {name}" for where, name in defined if name not in referenced)
@@ -68,3 +83,16 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, f"imports that their module never uses: {unused}"
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # A reference in the package (not the name's own definition), the
+    # benchmark harness, a demo or a tool; the benchmark files are only read.
+    referenced = set()
+    for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "benchmarks").glob("*.py"),
+                        *(ROOT / "demos").glob("*.py"), *(ROOT / "tools").glob("*.py")]):
+        referenced |= _references(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    public = [name for name in albert.__all__ if name != "__version__"]
+    assert "decompose" in public and "decompose" in referenced
+    unused = sorted(name for name in public if name not in referenced)
+    assert not unused, f"public names that only the tests use: {unused}"

@@ -44,7 +44,6 @@ from albert.spectral import (
     decompose,
     double_root_split,
     idempotent_from_q,
-    invariant_double_decomposition,
     q_matrix,
 )
 
@@ -190,40 +189,8 @@ class TestDoubleRootSplit:
             assert jordan_product(V1, V2).norm() <= 1e-8 * scale
 
 
-class TestInvariantDouble:
-    def test_diagonal_example(self):
-        (mu, P), (lam, K) = invariant_double_decomposition(JordanMatrix.diag(0, 0, 1), 0.0)
-        assert mu == pytest.approx(1.0)
-        assert lam == 0.0
-        assert P.isclose(JordanMatrix.diag(0, 0, 1))
-        assert K.isclose(JordanMatrix.diag(1, 1, 0))
-        assert K.trace() == pytest.approx(2.0)
-
-    def test_all_ones(self):
-        A = all_ones()
-        (mu, P), (lam, K) = invariant_double_decomposition(A, -1.0)
-        assert mu == pytest.approx(2.0, abs=1e-12)
-        assert P.isclose((A + JordanMatrix.identity()) / 3.0)
-        assert K.isclose(JordanMatrix.identity() - P)
-        assert (P * mu + K * lam - A).norm() <= 1e-12
-
-    def test_reconstruction_seeded(self):
-        rng = np.random.default_rng(41)
-        for _ in range(100):
-            A, lam, sign, w = sampling.random_double_root_matrix(rng)
-            (mu, P), (lam2, K) = invariant_double_decomposition(A, lam)
-            scale = 1.0 + A.norm()
-            assert (P * mu + K * lam2 - A).norm() <= 1e-9 * scale
-            assert (jordan_product(P, K)).norm() <= 1e-9 * scale
-            assert abs(K.trace() - 2.0) <= 1e-9
-
-    def test_rejects_distinct(self):
-        with pytest.raises(NotDoubleRootError):
-            invariant_double_decomposition(JordanMatrix.diag(1, 2, 3), 1.0)
-
-
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("call", [q_matrix, double_root_split, invariant_double_decomposition])
+@pytest.mark.parametrize("call", [q_matrix, double_root_split])
 def test_non_finite_lambda_is_refused(call, lam):
     # a NaN lambda passes every gate (each comparison with NaN is False)
     # and would come back as NaN matrices
@@ -359,10 +326,7 @@ class TestOverflowingInput:
         (lambda: double_root_split(JordanMatrix.diag(9e153, 9e153, 0), 9e153),
          lambda Vs: Vs == (JordanMatrix.diag(0, 1, 0), JordanMatrix.diag(1, 0, 0))
          == double_root_split(JordanMatrix.diag(2, 2, 0), 2.0)),
-        (lambda: invariant_double_decomposition(JordanMatrix.diag(9e153, 9e153, 0), 9e153),
-         lambda out: out[0][0] == 0.0 and out[1][0] == 9e153
-         and out[0][1] == JordanMatrix.diag(0, 0, 1) and out[1][1] == JordanMatrix.diag(1, 1, 0)),
-    ], ids=["q_matrix", "double_root_split", "invariant_double_decomposition"])
+    ], ids=["q_matrix", "double_root_split"])
     def test_scale_power_overflow(self, call, check):
         assert check(call())
 
@@ -397,21 +361,16 @@ class TestScaleCovariance:
         assert r_k.roots == tuple(math.ldexp(x, k) for x in r.roots)
 
     def test_double_root_functions(self):
-        # both run on A / 2^e and lambda / 2^e, so the pair, its order, P and
-        # K keep their bits and mu scales exactly
+        # the split runs on A / 2^e and lambda / 2^e, so the pair and its
+        # order keep their bits
         rng = np.random.default_rng(40)
         for _ in range(200):
             A, lam, _, _ = sampling.random_double_root_matrix(rng)
             pair = [V.to_array() for V in double_root_split(A, lam)]
-            (mu, P), (_, K) = invariant_double_decomposition(A, lam)
             for k in (5, -5, 20, -20, 300, -300):
                 s = math.ldexp(1.0, k)
                 pair_k = [V.to_array() for V in double_root_split(A * s, lam * s)]
                 assert all(map(np.array_equal, pair_k, pair))
-                (mu_k, P_k), (lam_k, K_k) = invariant_double_decomposition(A * s, lam * s)
-                assert mu_k == math.ldexp(mu, k) and lam_k == lam * s
-                assert np.array_equal(P_k.to_array(), P.to_array())
-                assert np.array_equal(K_k.to_array(), K.to_array())
 
     def test_huge_q_normalises(self):
         # |Q|^2 = 1e400 does not fit in a double, so the trace gate must not
@@ -699,6 +658,7 @@ class TestWorkDone:
 
     @staticmethod
     def counts(monkeypatch, fn, *args, names=("_op", "_apply", "_raw_mul")):
+        jordan._structure_tensors()  # built on a process's first product: not counted
         calls = dict.fromkeys(names, 0)
 
         def counted(name):
@@ -731,8 +691,10 @@ class TestWorkDone:
     # extraction for the isolated root (3 and 3), L(M1) and L(M2) as one
     # stack (1) and their reflections of A (4), the pair mapped back (4),
     # its extraction (1 and 1), and L(P) and the residuals (1 and 2).  No
-    # rank-one matrix is built from a vector.
-    DEFLATED = {"_op": 6, "_apply": 14, "_raw_mul": 0, "rank1_from_vector": 0, "_outer": 0}
+    # rank-one matrix is built from a vector, and the eigenvector's phase is
+    # aligned on its array, not through the public ``phase_align``.
+    DEFLATED = {"_op": 6, "_apply": 14, "_raw_mul": 0, "rank1_from_vector": 0, "_outer": 0,
+                "phase_align": 0}
     NAMES = tuple(DEFLATED)
 
     def test_double_root(self, monkeypatch):
@@ -740,7 +702,9 @@ class TestWorkDone:
         for _ in range(10):
             A = sampling.random_double_root_matrix(rng)[0]
             assert self.counts(monkeypatch, decompose, A, names=self.NAMES) == self.DEFLATED
-            assert self.counts(monkeypatch, diagonalize, A) == {"_op": 5, "_apply": 9, "_raw_mul": 0}
+            assert self.counts(monkeypatch, diagonalize, A,
+                               names=("_op", "_apply", "_raw_mul", "phase_align")) == {
+                "_op": 5, "_apply": 9, "_raw_mul": 0, "phase_align": 0}
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_near_pair(self, monkeypatch, seed):
@@ -749,20 +713,18 @@ class TestWorkDone:
         assert self.counts(monkeypatch, decompose, A, names=self.NAMES) == self.DEFLATED
 
     # The double-root split: B * B for the rank-one gate, the extraction of
-    # w (its B * B, 1 and 1) and v v-dagger; the invariant form only the
-    # rank-one gate.  Neither aligns a phase nor goes through the public
-    # object-level products, nor converts to or from (3, 3, 8) arrays.
+    # w (its B * B, 1 and 1) and v v-dagger.  It neither aligns a phase nor
+    # goes through the public object-level products, nor converts to or from
+    # (3, 3, 8) arrays.
     SPLIT = {"_op": 2, "_apply": 2, "_extract": 1, "_outer": 1, "phase_align": 0,
              "rank1_from_vector": 0, "freudenthal_product": 0, "_pack": 0, "_unpack": 0}
-    INVARIANT = {**SPLIT, "_op": 1, "_apply": 1, "_extract": 0, "_outer": 0}
 
     def test_double_root_functions(self, monkeypatch):
         rng = np.random.default_rng(36)
         for _ in range(10):
             A, lam, _, _ = sampling.random_double_root_matrix(rng)
-            for fn, want in ((double_root_split, self.SPLIT),
-                             (invariant_double_decomposition, self.INVARIANT)):
-                assert self.counts(monkeypatch, fn, A, lam, names=tuple(want)) == want, fn.__name__
+            assert self.counts(monkeypatch, double_root_split, A, lam,
+                               names=tuple(self.SPLIT)) == self.SPLIT
 
     def test_one_format(self, monkeypatch):
         rng = np.random.default_rng(35)
