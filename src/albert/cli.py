@@ -75,6 +75,8 @@ def _load_payload(args) -> dict:
         raise _InputError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise _InputError("malformed JSON: nested too deeply") from exc
     if not isinstance(payload, dict):
         raise _InputError("top-level JSON value must be an object")
     return payload

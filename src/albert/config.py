@@ -1,10 +1,10 @@
 """Global numerical tolerances, and the one place that decides scale.
 
-Every approximate comparison reads the one ``tolerances`` object below.
-Library callers set its fields themselves; the CLI sets them for one command.
-Two values compare close when ``|x - y| <= atol + rtol * max(|x|, |y|)``;
-matrices and vectors use the same rule with norms.  The gates are meant at
-unit scale: every entry point works on its input divided by 2^e
+Every tolerance is a field of the one ``tolerances`` object below, which
+library callers set themselves and the CLI for one command, and every gate
+bound ``atol + rtol * scale`` is formed by :func:`_bound`, on a scale each
+gate picks (``max(|x|, |y|)`` for two values, with norms).  The gates are
+meant at unit scale: every entry point works on its input divided by 2^e
 (:func:`_unit_scale`) and multiplies each output back by 2^(degree * e)
 (:func:`_rescale`), so atol and rtol are relative to the largest |entry|.
 """
@@ -32,13 +32,15 @@ class Tolerances:
     Any other name, such as a misspelt field, raises ``AttributeError``.
     """
 
-    def __init__(self, atol: float = 1e-12, rtol: float = 1e-10, mtol: float = 1e-7):
-        self.atol, self.rtol, self.mtol = atol, rtol, mtol
+    def __init__(self):
+        self.atol, self.rtol, self.mtol = 1e-12, 1e-10, 1e-7
 
     def __setattr__(self, name, value):
         if name not in ("atol", "rtol", "mtol"):
             raise AttributeError(f"Tolerances has no field {name!r}")
-        super().__setattr__(name, _tolerance(name, value))
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"tolerance {name} must be finite and >= 0, got {value!r}")
+        super().__setattr__(name, value)
 
     def __eq__(self, other):
         return vars(self) == vars(other) if type(other) is Tolerances else NotImplemented
@@ -47,17 +49,15 @@ class Tolerances:
         return f"Tolerances(atol={self.atol!r}, rtol={self.rtol!r}, mtol={self.mtol!r})"
 
 
-def _tolerance(name: str, value: float) -> float:
-    """value, once it is a finite tolerance >= 0; ValueError otherwise."""
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"tolerance {name} must be finite and >= 0, got {value!r}")
-    return value
-
-
 tolerances = Tolerances()
 
 #: Gate on the residuals of assembled decompositions and factors, at unit scale.
 RESIDUAL_RTOL = 1e-8
+
+
+def _bound(scale: float, r: float | None = None) -> float:
+    """``atol + r * scale``, with r = ``rtol`` unless the gate passes its own."""
+    return tolerances.atol + (tolerances.rtol if r is None else r) * scale
 
 
 def _unit_scale(*pairs):

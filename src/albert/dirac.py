@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import RESIDUAL_RTOL, _rescale, _unit_scale, tolerances
+from .config import RESIDUAL_RTOL, _bound, _rescale, _unit_scale
 from .exceptions import InconsistentError, NonNullMomentumError
 from .jordan import (
     JordanMatrix,
@@ -128,7 +128,7 @@ def dirac_solve(P: Hermitian2) -> tuple[tuple[Octonion, Octonion], int]:
     if abs(det) > CLASS_RTOL * (1.0 + nrm) ** 2:
         raise NonNullMomentumError(f"det / |P|^2 = {det / nrm ** 2:.3e} exceeds tolerance; "
                                    "momentum is not null")
-    if abs(tr) <= tolerances.atol + tolerances.rtol * (1.0 + nrm):
+    if abs(tr) <= _bound(1.0 + nrm):
         # Null and traceless forces s = t = 0 and z = 0.
         return (Octonion.zero(), Octonion.zero()), 1
     sign = 1 if tr > 0.0 else -1

@@ -53,8 +53,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import _rescale, _unit_scale
+from .config import RESIDUAL_RTOL, _rescale, _unit_scale
 from .cubic import _solve
+from .exceptions import InconsistentError
 from .jordan import JordanMatrix, OctVector3, _frob, _invariants, _op
 from .octonion import _norm
 from .spectral import _close_block, _deflate, _m1_m2, _reflect
@@ -92,22 +93,27 @@ def build_m1_m2(v: OctVector3) -> tuple[JordanMatrix, JordanMatrix]:
 def diagonalize(A: JordanMatrix) -> DiagonalizationResult:
     """Conjugate A to diagonal form diag(mu, nu, lambda), returning the steps
     for audit: M1, M2 and M3 as the module docstring builds them.  A triple
-    root returns A's diagonal with no steps.  The residual is the largest
-    off-diagonal |entry| left.  The work runs on A / 2^e at unit scale; the reflections
-    have degree zero, and the diagonal and residual are multiplied back by 2^e.
+    root returns A's diagonal with no steps.  The residual, the largest
+    off-diagonal |entry| left, raises :class:`InconsistentError` above
+    ``RESIDUAL_RTOL * (1 + |A|)``, as when the cubic merges three close roots.
+    The work runs on A / 2^e at unit scale; the reflections have degree zero,
+    and the diagonal and residual are multiplied back by 2^e.
     """
     (h,), e = _unit_scale((A._arr, 1))
+    nrm = _norm(_frob(h))
     poly = _invariants(h)
     roots = _solve(*poly)
     if roots.multiplicity == "triple":
         steps, x = np.zeros((0, 27)), h
     else:
-        *_, m12, _, b2 = _deflate(h, _norm(_frob(h)), poly, roots.roots)
+        *_, m12, _, b2 = _deflate(h, nrm, poly, roots.roots)
         m3 = _close_block(b2)[0]
         steps, x = np.vstack((m12, m3)) + 0.0, _reflect(b2, _op(m3))  # + 0.0 clears -0.0
 
     upper = x[3:].reshape(3, 8)
     residual = math.sqrt(max((upper * upper).sum(axis=1).tolist()))
+    if residual > RESIDUAL_RTOL * (1.0 + nrm):
+        raise InconsistentError(f"off-diagonal residual / |A| = {residual / nrm:.3e} remains")
     diagonal, residual = _rescale(e, (x[:3].tolist(), 1), (residual, 1))
     return DiagonalizationResult(
         steps=tuple(JordanMatrix._wrap(m) for m in steps),

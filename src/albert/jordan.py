@@ -60,7 +60,7 @@ import math
 
 import numpy as np
 
-from .config import _rescale, _tolerance, _unit_scale, tolerances
+from .config import _bound, _rescale, _unit_scale
 from .exceptions import (
     InconsistentError,
     NonAssociativeComponentsError,
@@ -329,7 +329,7 @@ class JordanMatrix(_ArrayValue):
         if arr.shape != (3, 3, 8):
             raise ValueError(f"expected shape (3, 3, 8), got {arr.shape}")
         (u,), e = _unit_scale((_finite(arr), 1))
-        if _norm(u - _conj_transpose(u)) > tolerances.atol + tolerances.rtol * _norm(u):
+        if _norm(u - _conj_transpose(u)) > _bound(_norm(u)):
             raise ValueError("array is not Hermitian")
         return cls._wrap(*_rescale(e, (_hermitian_part(u), 1)))
 
@@ -487,43 +487,41 @@ def rank1_from_vector(v: OctVector3) -> JordanMatrix:
     """
     (u,), e = _unit_scale((v._arr, 1))
     assoc, scale = _norm(_associator(*u)), math.prod(map(_norm, u))
-    if assoc > tolerances.atol + tolerances.rtol * scale:
+    if assoc > _bound(scale):
         raise NonAssociativeComponentsError(
             f"components do not associate (|[v1,v2,v3]| / (|v1| |v2| |v3|) = {assoc / scale:.3e})"
         )
     return JordanMatrix._wrap(_outer(u, e))
 
 
-def extract_vector(V: JordanMatrix, rank_rtol: float | None = None) -> OctVector3:
+def extract_vector(V: JordanMatrix) -> OctVector3:
     """Recover v with v v-dagger = V from a rank-one matrix.
 
     The pivot is the largest diagonal entry (smallest index on ties) and the
     returned vector is the pivot column scaled by 1/sqrt(V_kk), so its pivot
     component is the positive real sqrt(V_kk).  v is unique up to a
     quaternionic phase.  V has degree two in v, so it is brought to unit
-    scale by an even power of two and v takes half of it.  A NaN, infinite
-    or negative ``rank_rtol`` raises ValueError.
+    scale by an even power of two and v takes half of it.  The rank-one gate
+    on |V * V| reads ``rtol`` from :data:`albert.config.tolerances`.
     """
-    if rank_rtol is not None:
-        _tolerance("rank_rtol", rank_rtol)
     (v,), e = _unit_scale((V._arr, 2))
-    return OctVector3._wrap(*_rescale(e, (_extract(v, rank_rtol)[0], 1)))
+    return OctVector3._wrap(*_rescale(e, (_extract(v, None)[0], 1)))
 
 
 def _extract(V: np.ndarray, rank_rtol: float | None) -> np.ndarray:
-    """:func:`extract_vector` on coordinates (27,) or (k, 27), giving (k, 3, 8)."""
-    rtol = tolerances.rtol if rank_rtol is None else rank_rtol
+    """:func:`extract_vector` on (27,) or (k, 27), giving (k, 3, 8); the rank-one
+    gate takes rank_rtol in place of rtol unless it is None."""
     V = V.reshape(-1, 27)
     VxV = _mul(V, V, _FREUDENTHAL)
     out = np.empty((len(V), 3, 8))
     for i, (nrm, vxv, diag) in enumerate(zip(map(_norm, _frob(V)), map(_norm, _frob(VxV)),
                                              V[:, :3].tolist())):
-        if vxv > tolerances.atol + rtol * nrm * nrm:
+        if vxv > _bound(nrm * nrm, rank_rtol):
             raise NotRankOneError(
                 f"V * V does not vanish (|V*V| / |V|^2 = {vxv / (nrm * nrm):.3e})"
             )
         tr = diag[0] + diag[1] + diag[2]
-        if tr <= tolerances.atol + tolerances.rtol * nrm:
+        if tr <= _bound(nrm):
             raise ZeroMatrixError("trace is not positive")
         out[i] = _pivot_column(V[i])
     return out
@@ -546,16 +544,17 @@ def phase_align(v: OctVector3) -> OctVector3:
     """Right-multiply by a unit phase so the third component is real >= 0.
 
     The phase lies in the subalgebra spanned by the components, so
-    v v-dagger is unchanged.  A vector whose third component vanishes
-    relative to |v| is returned as-is.
+    v v-dagger is unchanged.  A vector whose third component vanishes to
+    tolerance at scale |v|, decided on v / 2^e, is returned as-is.
     """
-    return OctVector3._wrap(_phase_align(v._arr))
+    (u,), e = _unit_scale((v._arr, 1))
+    return OctVector3._wrap(*_rescale(e, (_phase_align(u), 1)))
 
 
 def _phase_align(u: np.ndarray) -> np.ndarray:
-    """:func:`phase_align` of a (3, 8) array."""
+    """:func:`phase_align` of a (3, 8) array at unit scale."""
     r = u[2]
     rn = _norm(r)
-    if rn <= tolerances.rtol * _norm(u):
+    if rn <= _bound(_norm(u)):
         return u
     return left_mult(u) @ (r * CONJ_SIGNS * (1.0 / rn))

@@ -32,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import _rescale, _unit_scale, tolerances
+from .config import _bound, _rescale, _unit_scale
 
 __all__ = [
     "Octonion",
@@ -142,11 +142,8 @@ class _ArrayValue:
         its off-diagonal ones (see ``JordanMatrix.norm``)."""
         return _norm(self._arr)
 
-    def isclose(self, other, atol=None, rtol=None) -> bool:
-        atol = tolerances.atol if atol is None else atol
-        rtol = tolerances.rtol if rtol is None else rtol
-        diff = (self - other).norm()
-        return diff <= atol + rtol * max(self.norm(), other.norm())
+    def isclose(self, other) -> bool:
+        return (self - other).norm() <= _bound(max(self.norm(), other.norm()))
 
     def _operand(self, other):
         """``other`` as an operand of ``+``, ``-`` and ``==``, or None."""
@@ -292,16 +289,11 @@ def associator(x: Octonion, y: Octonion, z: Octonion) -> Octonion:
     return Octonion._wrap(_associator(*(_as_octonion(w)._arr for w in (x, y, z))))
 
 
-def format_octonion(x: Octonion, fmt: str = "%.12g") -> str:
+def format_octonion(x: Octonion) -> str:
     """Render as 'c0 + c1 e1 + ...' suppressing zero terms."""
     parts = []
     for k, c in enumerate(x.coeffs):
-        if c == 0.0:
-            continue
-        mag = fmt % abs(c)
-        term = mag if k == 0 else f"{mag} e{k}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts) if parts else "0"
+        if c != 0.0:
+            sign = ("+ " if c > 0 else "- ") if parts else ("" if c > 0 else "-")
+            parts.append(sign + "%.12g" % abs(c) + (f" e{k}" if k else ""))
+    return " ".join(parts) or "0"

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import RESIDUAL_RTOL, _rescale, _unit_scale, tolerances
+from .config import RESIDUAL_RTOL, _bound, _rescale, _unit_scale, tolerances
 from .cubic import CubicRoots, _solve
 from .exceptions import (
     InconsistentError,
@@ -100,7 +100,7 @@ def _check_root(poly: tuple[float, float, float], nrm: float, lam: float) -> Non
     """Raise unless lambda is a root of char_poly(A) = poly, where |A| = nrm."""
     t, s, d = poly
     value = ((lam - t) * lam + s) * lam - d
-    if abs(value) > tolerances.atol + tolerances.rtol * (1.0 + nrm + abs(lam)) ** 3:
+    if abs(value) > _bound((1.0 + nrm + abs(lam)) ** 3):
         raise NotAnEigenvalueError(
             "lambda is not a root: |characteristic value| / (|A| + |lambda|)^3 = "
             f"{abs(value) / (nrm + abs(lam)) ** 3:.3e} exceeds tolerance"
@@ -108,7 +108,7 @@ def _check_root(poly: tuple[float, float, float], nrm: float, lam: float) -> Non
 
 
 def _check_q_trace(t: float, q_norm: float) -> None:
-    if abs(t) <= tolerances.atol + tolerances.rtol * (1.0 + q_norm):
+    if abs(t) <= _bound(1.0 + q_norm):
         raise ZeroQMatrixError("tr Q vanishes to tolerance; the eigenvalue is repeated")
 
 
@@ -164,20 +164,20 @@ def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, Jordan
     B = a - lam * _UNIT
     scale = 1.0 + _norm(_frob(a)) + abs(lam)
     b_norm = _norm(_frob(B))
-    if b_norm <= tolerances.atol + tolerances.rtol * scale:
+    if b_norm <= _bound(scale):
         raise NotDoubleRootError("A equals lambda I; the root is triple, not double")
     q_norm = _norm(_frob(_mul(B, B, _FREUDENTHAL)))
-    if q_norm > tolerances.atol + tolerances.mtol * scale**2:
+    if q_norm > _bound(scale**2, tolerances.mtol):
         raise NotDoubleRootError(
             "(A - lambda I) is not rank one (|Q| / |A - lambda I|^2 = "
             f"{q_norm / b_norm**2:.3e}); lambda is not a double root"
         )
     tb = float(_trace(B))  # mu - lambda
-    if abs(tb) <= tolerances.atol + tolerances.rtol * scale:
+    if abs(tb) <= _bound(scale):
         raise NotDoubleRootError("tr(A - lambda I) vanishes; the root is triple, not double")
     w = _extract(B if tb > 0 else -B, tolerances.mtol)[0]
     y2 = (w * w).sum(axis=1).tolist()  # |w_j|^2
-    gate = tolerances.atol + tolerances.rtol * math.sqrt(sum(y2))
+    gate = _bound(math.sqrt(sum(y2)))
     # the pivot slot, the largest |w_j|, is taken even if a huge rtol fails it
     i, j = next((i, j) for i, j in ((0, 1), (1, 2), (2, 0))
                 if math.sqrt(y2[j]) > gate or y2[j] == max(y2))
@@ -245,7 +245,7 @@ def _m1_m2(u: np.ndarray) -> np.ndarray:
         raise ZeroVectorError("cannot build reflections from the zero vector")
     x, y, r = u * (1.0 / vn)
     # computed from the coefficients directly: norm2() - real**2 cancels badly
-    if _norm(r[1:]) > tolerances.atol + tolerances.rtol:
+    if _norm(r[1:]) > _bound(1.0):
         raise ValueError("third component is not real; phase_align the vector first")
 
     r0, y2 = float(r[0]), float(y @ y)
@@ -253,10 +253,10 @@ def _m1_m2(u: np.ndarray) -> np.ndarray:
     n2 = math.sqrt(n1 * n1 + y2)  # = 1 for unit v
     m = np.zeros((2, 27))
     m[:, :3] = 1.0  # a reflection that degenerates is the identity
-    if n1 > tolerances.atol + tolerances.rtol:
+    if n1 > _bound(1.0):
         m[0, :3] = -r0 / n1, 1.0, r0 / n1
         m[0, 11:19] = x * CONJ_SIGNS * (1.0 / n1)
-    if math.sqrt(y2) > tolerances.atol + tolerances.rtol:
+    if math.sqrt(y2) > _bound(1.0):
         m[1, :3] = 1.0, -n1 / n2, n1 / n2
         m[1, 19:] = y * (1.0 / n2)
     return m

@@ -325,7 +325,7 @@ class TestBadToleranceOverrides:
             with pytest.raises(ValueError, match=f"tolerance {name} must be finite"):
                 setattr(tolerances, name, value)
             with pytest.raises(ValueError):
-                Tolerances(**{name: value})
+                setattr(Tolerances(), name, value)
         assert tolerances == Tolerances()
 
     def test_zero_is_allowed(self, capsys):

@@ -5,9 +5,10 @@ Inputs are built by the benchmark (``benchmarks/inputs.py``) from a spectrum
 fixed first, and judged by its scale-free checks (``benchmarks/checks.py``);
 both are imported as they are, read-only.  The spectra cover every kind the
 spectrum-edge workload probes and more: well spread, a zero root, an exact
-double, near pairs at relative gaps 1e-2 to 1e-12, a small root and a triple
-root.  Every second input, null momenta included, is scaled by 2^k with k
-drawn from [-600, 600].  A wrong or non-finite result, or an exception that
+double, near pairs at relative gaps 1e-2 to 1e-12, a small root, a triple
+root and near triples (x, x(1 + g), x(1 + 2g)) at g = 1e-4 to 1e-9.  Every
+second input, null momenta included, is scaled by 2^k with k drawn from
+[-600, 600].  A wrong or non-finite result, or an exception that
 is not an AlbertError, fails the sweep.
 
 The command line's share runs ``cli.main`` on a few of those kinds, on null
@@ -32,6 +33,7 @@ import checks  # noqa: E402
 import inputs  # noqa: E402
 
 GAPS = tuple(10.0 ** -k for k in range(2, 13))
+TRIPLE_GAPS = tuple(10.0 ** -k for k in range(4, 10))
 ROUNDS = 10
 MOMENTA_PER_ROUND = 4
 
@@ -47,6 +49,8 @@ def spectra(rng):
         yield f"near {gap:.0e}", (x, x + gap * top, y)
     yield "small", (x, y, top * 10.0 ** -rng.uniform(3.0, 12.0))
     yield "triple", (x, x, x)
+    for gap in TRIPLE_GAPS:
+        yield f"near triple {gap:.0e}", (x, x * (1.0 + gap), x * (1.0 + 2.0 * gap))
 
 
 def outcome(call, check):
@@ -86,12 +90,13 @@ def test_every_outcome_is_checked_or_albert_error(seed):
             outcomes.append((fn.__name__, kind, k, outcome(
                 lambda: fn(sub.A), lambda out: check(out.to_dict(), sub, sub.ref))))
 
-    assert len(cases) == ROUNDS * (5 + len(GAPS) + MOMENTA_PER_ROUND)
+    assert len(cases) == ROUNDS * (5 + len(GAPS) + len(TRIPLE_GAPS) + MOMENTA_PER_ROUND)
     bad = [o for o in outcomes if not (o[3] == "pass" or o[3].startswith("albert:"))]
     assert not bad
 
 
-CLI_KINDS = ("spread", "zero", "double", "near 1e-04", "near 1e-09", "small", "triple")
+CLI_KINDS = ("spread", "zero", "double", "near 1e-04", "near 1e-09", "small", "triple",
+             "near triple 1e-06")
 CLI_CHECKS = {"decompose": checks.check_decompose, "diagonalize": checks.check_diagonalize}
 ZERO8 = [0.0] * 8
 MALFORMED = [
@@ -109,6 +114,8 @@ MALFORMED = [
     ("charpoly", json.dumps({"p": 10**400, "m": 2.0, "n": 3.0, "a": ZERO8, "b": ZERO8,
                              "c": ZERO8})),
     ("dirac", json.dumps({"s": 1.0, "t": 1.0, "z": [10**400] + [0.0] * 7})),
+    ("charpoly", "[" * 100_000),  # nested deeper than the parser recurses
+    ("dirac", '{"s": 1.0, "t": 1.0, "z": ' + "[" * 100_000),
 ]
 
 

@@ -2,9 +2,12 @@
 module-level constant of the package (a name with one leading underscore,
 dunders excepted) is referenced somewhere in the package besides its own
 definition, and every public name of ``albert`` somewhere outside the
-tests."""
+tests.  No public callable takes a tolerance: ``albert.config.tolerances``
+is the one place to set one."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import albert
@@ -96,3 +99,31 @@ def test_every_public_name_is_used_outside_the_tests():
     assert "decompose" in public and "decompose" in referenced
     unused = sorted(name for name in public if name not in referenced)
     assert not unused, f"public names that only the tests use: {unused}"
+
+
+def _public_callables():
+    """(qualified name, callable) for every public function, public method and
+    constructor defined in a module of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"albert.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr in dir(obj):
+                    if attr in ("__init__", "__new__") or not attr.startswith("_"):
+                        member = getattr(obj, attr)
+                        if inspect.isfunction(member) or inspect.ismethod(member):
+                            yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_no_public_callable_takes_a_tolerance():
+    callables = dict(_public_callables())
+    assert "albert.octonion.Octonion.isclose" in callables
+    assert "albert.config.Tolerances.__init__" in callables
+    taking = [f"{where}({p})" for where, fn in callables.items()
+              for p in inspect.signature(fn).parameters
+              if p in ("atol", "rtol", "mtol") or p.endswith("_rtol")]
+    assert not taking, f"public callables with a tolerance parameter: {taking}"

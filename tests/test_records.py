@@ -60,10 +60,14 @@ def test_cubic_roots_keep_their_default_and_property():
 
 
 def test_tolerances_keyword_construction_equality_and_repr():
-    # refusal of NaN, inf and negative values: test_cli.TestBadToleranceOverrides
-    assert Tolerances() == Tolerances(atol=1e-12, rtol=1e-10, mtol=1e-7)
-    assert Tolerances(1e-3) == Tolerances(atol=1e-3)
-    assert Tolerances(mtol=1e-3) != Tolerances()
+    # refusal of NaN, inf and negative values: test_cli.TestBadToleranceOverrides.
+    # A tolerance is set on a field, never passed to the constructor.
+    with pytest.raises(TypeError):
+        Tolerances(atol=1e-3)
+    one, two = Tolerances(), Tolerances()
+    assert (one.atol, one.rtol, one.mtol) == (1e-12, 1e-10, 1e-7)
+    one.mtol = two.mtol = 1e-3
+    assert one == two != Tolerances()
     assert Tolerances() != (1e-12, 1e-10, 1e-7)
     assert repr(Tolerances()) == "Tolerances(atol=1e-12, rtol=1e-10, mtol=1e-07)"
 
