@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 # Each submodule and the public names it exports.
 _EXPORTS = {
-    "config": ("Tolerances", "tolerances"),
     "cubic": ("CubicRoots", "solve_characteristic"),
     "dirac": ("Hermitian2", "PSquareClass", "classify_psquare", "dirac_solve", "psi_pack"),
     "exceptions": (

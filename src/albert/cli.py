@@ -22,7 +22,8 @@ as ``--name value`` or ``--name=value`` and never abbreviated; ``-h`` or
 ``--help`` prints them.  The options are shared by every command, and one a
 command does not take is a usage error, as is any other malformed command
 line: the usage line and ``albert: error: <message>`` go to stderr, and the
-exit status is 2.
+exit status is 2.  No option sets a tolerance: they are the constants of
+:mod:`albert.config`.
 
 Exit status: 0 success/PASS, 1 internal inconsistency (residuals over
 tolerance, failed verification), 2 invalid input or usage.
@@ -42,7 +43,6 @@ from typing import NoReturn
 
 # Only what every command shares is imported here; each handler imports the
 # module it runs, so a cold start compiles no module its command does not use.
-from .config import tolerances
 from .exceptions import AlbertError, NonNullMomentumError
 from .jordan import JordanMatrix, char_poly
 from .octonion import Octonion, format_octonion
@@ -222,9 +222,6 @@ _HANDLERS = {
 _OPTIONS = {
     "input": (str, "path to a JSON matrix file (all but verify)"),
     "inline": (str, "inline JSON matrix (all but verify)"),
-    "atol": (float, "floor near zero, relative to max |entry|"),
-    "rtol": (float, "relative tolerance override"),
-    "mtol": (float, "eigenvalue merge tolerance override"),
     "format": (("json", "text"), "output format (default json)"),
     "seed": (int, "verify: sample stream seed (default 42)"),
     "count": (int, "verify: samples per suite (default 1000)"),
@@ -302,14 +299,7 @@ def _parse(argv) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
-    saved = vars(tolerances).copy()
     try:
-        for name in saved:  # --atol, --rtol and --mtol last this one command
-            if getattr(args, name) is not None:
-                try:
-                    setattr(tolerances, name, getattr(args, name))
-                except ValueError as exc:
-                    raise _InputError(str(exc)) from exc
         payload, lines, code = _HANDLERS[args.command](args)
     except (_InputError, NonNullMomentumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -317,8 +307,6 @@ def main(argv=None) -> int:
     except AlbertError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    finally:
-        vars(tolerances).update(saved)
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

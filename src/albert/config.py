@@ -1,12 +1,12 @@
-"""Global numerical tolerances, and the one place that decides scale.
+"""The numerical tolerance constants, and the one place that decides scale.
 
-Every tolerance is a field of the one ``tolerances`` object below, which
-library callers set themselves and the CLI for one command, and every gate
-bound ``atol + rtol * scale`` is formed by :func:`_bound`, on a scale each
-gate picks (``max(|x|, |y|)`` for two values, with norms).  The gates are
-meant at unit scale: every entry point works on its input divided by 2^e
-(:func:`_unit_scale`) and multiplies each output back by 2^(degree * e)
-(:func:`_rescale`), so atol and rtol are relative to the largest |entry|.
+Every tolerance is one of the module constants below, fixed for the
+package, and every gate bound ``ATOL + RTOL * scale`` is formed by
+:func:`_bound`, on a scale each gate picks (``max(|x|, |y|)`` for two
+values, with norms).  The gates are meant at unit scale: every entry point
+works on its input divided by 2^e (:func:`_unit_scale`) and multiplies each
+output back by 2^(degree * e) (:func:`_rescale`), so ATOL and RTOL are
+relative to the largest |entry|.
 """
 
 import math
@@ -16,48 +16,20 @@ import numpy as np
 from .exceptions import InconsistentError
 
 
-class Tolerances:
-    """Package-wide tolerance settings.
-
-    atol
-        Floor near zero (at unit scale, so relative to the largest |entry|).
-    rtol
-        Relative tolerance for approximate equality.
-    mtol
-        Root-merging tolerance: characteristic roots closer than
-        ``mtol * (1 + max |root|)`` are treated as repeated.
-
-    A NaN, infinite or negative value is refused with ``ValueError`` on
-    assignment: against it a gate passes or fails whatever the residual.
-    Any other name, such as a misspelt field, raises ``AttributeError``.
-    """
-
-    def __init__(self):
-        self.atol, self.rtol, self.mtol = 1e-12, 1e-10, 1e-7
-
-    def __setattr__(self, name, value):
-        if name not in ("atol", "rtol", "mtol"):
-            raise AttributeError(f"Tolerances has no field {name!r}")
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"tolerance {name} must be finite and >= 0, got {value!r}")
-        super().__setattr__(name, value)
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is Tolerances else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Tolerances(atol={self.atol!r}, rtol={self.rtol!r}, mtol={self.mtol!r})"
-
-
-tolerances = Tolerances()
-
+#: Floor near zero, at unit scale, so relative to the largest |entry|.
+ATOL = 1e-12
+#: Relative tolerance for approximate equality.
+RTOL = 1e-10
+#: Root-merging tolerance: characteristic roots closer than
+#: ``MTOL * (1 + max |root|)`` are treated as repeated.
+MTOL = 1e-7
 #: Gate on the residuals of assembled decompositions and factors, at unit scale.
 RESIDUAL_RTOL = 1e-8
 
 
-def _bound(scale: float, r: float | None = None) -> float:
-    """``atol + r * scale``, with r = ``rtol`` unless the gate passes its own."""
-    return tolerances.atol + (tolerances.rtol if r is None else r) * scale
+def _bound(scale: float, r: float = RTOL) -> float:
+    """``ATOL + r * scale``, with r = ``RTOL`` unless the gate passes its own."""
+    return ATOL + r * scale
 
 
 def _unit_scale(*pairs):

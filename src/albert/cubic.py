@@ -10,7 +10,7 @@ round-off are clamped.  Coefficients that are not finite raise
 
 The coefficients (degrees 1, 2, 3) are brought to unit scale by 2^e, 2^2e,
 2^3e and the roots multiplied back by 2^e; there, roots closer than
-``mtol * (1 + max |root|)`` are merged and reported at their mean, with the
+``MTOL * (1 + max |root|)`` are merged and reported at their mean, with the
 multiplicity recorded on the result.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .config import _rescale, _unit_scale, tolerances
+from .config import ATOL, MTOL, _rescale, _unit_scale
 from .exceptions import ComplexRootsError, InconsistentError
 
 __all__ = ["CubicRoots", "solve_characteristic"]
@@ -57,7 +57,7 @@ class CubicRoots(NamedTuple):
 
 def _merge(roots: list[float]) -> CubicRoots:
     roots = sorted(roots, reverse=True)
-    thr = tolerances.mtol * (1.0 + max(abs(r) for r in roots))
+    thr = MTOL * (1.0 + max(abs(r) for r in roots))
     g01 = roots[0] - roots[1]
     g12 = roots[1] - roots[2]
     if g01 <= thr and g12 <= thr:
@@ -93,7 +93,7 @@ def _solve(tr: float, sigma: float, det: float) -> CubicRoots:
     # With the discriminant this close to non-negative, p > 0 forces both
     # p and q to be tiny: the depressed cubic is u^3 = 0 to tolerance.
     p_floor = 1e-13 * (1.0 + abs(tr) ** 2 + abs(sigma) + abs(det) ** (2.0 / 3.0))
-    if disc < -max(tolerances.atol, DISCRIMINANT_RTOL * terms):
+    if disc < -max(ATOL, DISCRIMINANT_RTOL * terms):
         raise ComplexRootsError(
             f"discriminant / (4 |p|^3 + 27 q^2) = {disc / terms:.3e} is negative "
             "beyond tolerance; the polynomial has complex roots"

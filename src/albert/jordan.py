@@ -60,7 +60,7 @@ import math
 
 import numpy as np
 
-from .config import _bound, _rescale, _unit_scale
+from .config import RTOL, _bound, _rescale, _unit_scale
 from .exceptions import (
     InconsistentError,
     NonAssociativeComponentsError,
@@ -363,7 +363,10 @@ class JordanMatrix(_ArrayValue):
         return JordanMatrix._wrap(h)
 
     def offdiag_norm(self) -> float:
-        return math.sqrt(2.0 * sum(_quadratic(self._arr)[2]))
+        """Frobenius norm of the off-diagonal entries, each counted twice,
+        computed on A / 2^e and multiplied back by 2^e."""
+        (h,), e = _unit_scale((self._arr, 1))
+        return _rescale(e, (math.sqrt(2.0 * sum(_quadratic(h)[2])), 1))[0]
 
     def diagonal(self) -> tuple[float, float, float]:
         return tuple(self._arr[:3].tolist())
@@ -502,15 +505,15 @@ def extract_vector(V: JordanMatrix) -> OctVector3:
     component is the positive real sqrt(V_kk).  v is unique up to a
     quaternionic phase.  V has degree two in v, so it is brought to unit
     scale by an even power of two and v takes half of it.  The rank-one gate
-    on |V * V| reads ``rtol`` from :data:`albert.config.tolerances`.
+    on |V * V| is ``ATOL + RTOL * |V|^2`` (:mod:`albert.config`).
     """
     (v,), e = _unit_scale((V._arr, 2))
-    return OctVector3._wrap(*_rescale(e, (_extract(v, None)[0], 1)))
+    return OctVector3._wrap(*_rescale(e, (_extract(v, RTOL)[0], 1)))
 
 
-def _extract(V: np.ndarray, rank_rtol: float | None) -> np.ndarray:
-    """:func:`extract_vector` on (27,) or (k, 27), giving (k, 3, 8); the rank-one
-    gate takes rank_rtol in place of rtol unless it is None."""
+def _extract(V: np.ndarray, rank_rtol: float) -> np.ndarray:
+    """:func:`extract_vector` on (27,) or (k, 27), giving (k, 3, 8), with the
+    rank-one gate ``ATOL + rank_rtol * |V|^2``."""
     V = V.reshape(-1, 27)
     VxV = _mul(V, V, _FREUDENTHAL)
     out = np.empty((len(V), 3, 8))

@@ -111,7 +111,7 @@ def _finite(arr: np.ndarray) -> np.ndarray:
 
 class _ArrayValue:
     """Immutable value stored as one read-only float array; equal when the
-    difference has norm ``<= atol + rtol * max(|x|, |y|)``.
+    difference has norm ``<= ATOL + RTOL * max(|x|, |y|)`` (:mod:`albert.config`).
 
     The linear-space operators are defined here once: ``+`` and ``-`` with a
     value of the same type, ``*`` and ``/`` by a real scalar, ``/`` as the
@@ -190,7 +190,8 @@ class Octonion(_ArrayValue):
 
     The coefficient array is frozen after construction.  Arithmetic accepts
     real scalars wherever another octonion would do, treating them as real
-    multiples of e0.  Equality is tolerance-based via the global config.
+    multiples of e0.  Equality is tolerance-based, by the constants of
+    :mod:`albert.config`.
     """
 
     __slots__ = ()

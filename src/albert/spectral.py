@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import RESIDUAL_RTOL, _bound, _rescale, _unit_scale, tolerances
+from .config import MTOL, RESIDUAL_RTOL, _bound, _rescale, _unit_scale
 from .cubic import CubicRoots, _solve
 from .exceptions import (
     InconsistentError,
@@ -167,7 +167,7 @@ def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, Jordan
     if b_norm <= _bound(scale):
         raise NotDoubleRootError("A equals lambda I; the root is triple, not double")
     q_norm = _norm(_frob(_mul(B, B, _FREUDENTHAL)))
-    if q_norm > _bound(scale**2, tolerances.mtol):
+    if q_norm > _bound(scale**2, MTOL):
         raise NotDoubleRootError(
             "(A - lambda I) is not rank one (|Q| / |A - lambda I|^2 = "
             f"{q_norm / b_norm**2:.3e}); lambda is not a double root"
@@ -175,12 +175,12 @@ def double_root_split(A: JordanMatrix, lam: float) -> tuple[JordanMatrix, Jordan
     tb = float(_trace(B))  # mu - lambda
     if abs(tb) <= _bound(scale):
         raise NotDoubleRootError("tr(A - lambda I) vanishes; the root is triple, not double")
-    w = _extract(B if tb > 0 else -B, tolerances.mtol)[0]
+    w = _extract(B if tb > 0 else -B, MTOL)[0]
     y2 = (w * w).sum(axis=1).tolist()  # |w_j|^2
     gate = _bound(math.sqrt(sum(y2)))
-    # the pivot slot, the largest |w_j|, is taken even if a huge rtol fails it
-    i, j = next((i, j) for i, j in ((0, 1), (1, 2), (2, 0))
-                if math.sqrt(y2[j]) > gate or y2[j] == max(y2))
+    # the pivot slot k always qualifies: |w_k| = sqrt(B_kk) >= sqrt(|tb| / 3),
+    # with |tb| > ATOL + RTOL, lies far above the gate ATOL + RTOL |w|
+    i, j = next((i, j) for i, j in ((0, 1), (1, 2), (2, 0)) if math.sqrt(y2[j]) > gate)
     v = np.zeros((3, 8))
     v[i, 0] = y2[j]
     v[j] = -(left_mult(w[j]) @ (w[i] * CONJ_SIGNS))

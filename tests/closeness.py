@@ -1,11 +1,10 @@
 """Approximate equality with a bound of the test's own: the package's
-``isclose`` reads only the configured tolerances."""
+``isclose`` reads only the fixed tolerances of ``albert.config``."""
 
-from albert.config import tolerances
+from albert.config import RTOL
 
 
-def close(x, y, atol: float, rtol: float | None = None) -> bool:
+def close(x, y, atol: float, rtol: float = RTOL) -> bool:
     """|x - y| <= atol + rtol * max(|x|, |y|) for two values of one type,
-    the rule of ``isclose``; rtol is the configured one unless given."""
-    rtol = tolerances.rtol if rtol is None else rtol
+    the rule of ``isclose``; rtol is the package's ``RTOL`` unless given."""
     return (x - y).norm() <= atol + rtol * max(x.norm(), y.norm())

@@ -7,8 +7,6 @@ import sys
 import pytest
 
 from albert import cli, octonion, spectral
-from albert.config import Tolerances, tolerances
-from albert.cubic import solve_characteristic
 from albert.dirac import Hermitian2
 from albert.exceptions import InconsistentError
 from albert.octonion import Octonion
@@ -55,15 +53,6 @@ class TestCharpoly:
         assert code == 0
         assert "trace = 6" in out
         assert "distinct" in out
-
-    def test_mtol_override_merges_near_roots(self, capsys):
-        near = matrix_payload(p=1.0, m=1.0 + 1e-5, n=2.0)
-        code, out, _ = run_cli(capsys, "charpoly", "--inline", inline(near))
-        assert json.loads(out)["multiplicity"] == "distinct"
-        code, out, _ = run_cli(
-            capsys, "charpoly", "--inline", inline(near), "--mtol", "1e-3"
-        )
-        assert json.loads(out)["multiplicity"] == "double"
 
 
 class TestDecompose:
@@ -277,65 +266,6 @@ class TestInputValidation:
         assert json.loads(out)["det"] == 6.0
 
 
-class TestToleranceOverrides:
-    @pytest.mark.parametrize("argv, expected", [
-        (["charpoly", "--inline", inline(DIAG123)], 0),
-        (["charpoly", "--inline", '{"p": 1,,}'], 2),
-        (["charpoly", "--inline", inline(matrix_payload(
-            p=2.0**600, m=1.0, n=-2.0**599, a=[2.0**599] * 8))], 1),
-    ], ids=["pass", "invalid", "inconsistent"])
-    def test_last_one_command(self, capsys, argv, expected):
-        code, _, _ = run_cli(capsys, *argv, "--atol", "1e-3", "--mtol", "1e-3")
-        assert code == expected
-        assert tolerances == Tolerances()
-        a, b, c = 1.0, 1.0 + 1e-5, 2.0
-        roots = solve_characteristic(a + b + c, a * b + a * c + b * c, a * b * c)
-        assert roots.multiplicity == "distinct"
-
-    def test_restored_after_uncaught_exception(self, monkeypatch):
-        def boom(A):
-            raise RuntimeError("not an AlbertError")
-
-        monkeypatch.setattr(spectral, "decompose", boom)
-        with pytest.raises(RuntimeError):
-            cli.main(["decompose", "--inline", inline(DIAG123), "--rtol", "1e-3"])
-        assert tolerances == Tolerances()
-
-
-class TestBadToleranceOverrides:
-    """A NaN, infinite or negative tolerance is refused by config and exits 2
-    before the command runs; the tolerances stay as they were."""
-
-    DOUBLE = matrix_payload(p=1.0, m=1.0, n=2.0)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    @pytest.mark.parametrize("flag", ["--atol", "--rtol", "--mtol"])
-    @pytest.mark.parametrize("command", ["charpoly", "decompose"])
-    def test_exit_two(self, capsys, command, flag, value):
-        code, out, err = run_cli(capsys, command, "--inline", inline(self.DOUBLE),
-                                 "--atol", "1e-3", flag, value)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: tolerance ") and "Traceback" not in err
-        assert tolerances == Tolerances()
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
-    def test_config_refuses_on_assignment(self, value):
-        for name in ("atol", "rtol", "mtol"):
-            with pytest.raises(ValueError, match=f"tolerance {name} must be finite"):
-                setattr(tolerances, name, value)
-            with pytest.raises(ValueError):
-                setattr(Tolerances(), name, value)
-        assert tolerances == Tolerances()
-
-    def test_zero_is_allowed(self, capsys):
-        code, out, _ = run_cli(capsys, "charpoly", "--inline", inline(DIAG123),
-                               "--atol", "0", "--rtol", "0", "--mtol", "0")
-        assert code == 0
-        assert json.loads(out)["roots"] == pytest.approx([3.0, 2.0, 1.0])
-        assert tolerances == Tolerances()
-
-
 class TestInternalInconsistency:
     def test_maps_to_exit_one(self, capsys, monkeypatch):
         def boom(A):
@@ -426,7 +356,7 @@ class TestOneParser:
             cli.main([command, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert all(flag in out for flag in ("--inline", "--format", "--mtol", "--seed"))
+        assert all(flag in out for flag in ("--inline", "--format", "--seed", "--count"))
 
 
     def test_short_help_lists_every_option(self, capsys):
@@ -448,13 +378,19 @@ class TestOneParser:
         (["decompose", "--bogus", "1", "--inline", inline(DIAG123)], "--bogus"),
         (["decompose", "--inl", inline(DIAG123)], "--inl"),  # no abbreviations
         (["decompose", "--inline"], "--inline"),
-        (["decompose", "--inline", inline(DIAG123), "--atol", "x"], "'x'"),
         (["verify", "--count", "1.5"], "'1.5'"),
         (["decompose", "--inline", inline(DIAG123), "--format", "xml"], "'xml'"),
         (["decompose", "verify", "--inline", inline(DIAG123)], "verify"),
         (["--inline", inline(DIAG123)], "command"),
-    ], ids=["unknown", "abbreviated", "no-value", "float", "int", "choice", "two-commands",
-            "no-command"])
+        # the tolerances are constants, and no option sets them
+        (["decompose", "--inline", inline(DIAG123), "--atol", "1"],
+         "unrecognized arguments: --atol"),
+        (["decompose", "--inline", inline(DIAG123), "--rtol", "1"],
+         "unrecognized arguments: --rtol"),
+        (["charpoly", "--inline", inline(DIAG123), "--mtol", "0"],
+         "unrecognized arguments: --mtol"),
+    ], ids=["unknown", "abbreviated", "no-value", "int", "choice", "two-commands",
+            "no-command", "atol", "rtol", "mtol"])
     def test_usage_error_exits_two(self, capsys, argv, token):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from albert import sampling
-from albert.config import tolerances
 from albert.cubic import CubicRoots, solve_characteristic
 from albert.exceptions import ComplexRootsError
 from albert.jordan import char_poly
@@ -65,13 +64,6 @@ class TestGates:
         a, b, c = big, big + 1e-5, 1.0
         r = solve_characteristic(a + b + c, a * b + a * c + b * c, a * b * c)
         assert r.multiplicity == "double"
-
-    def test_mtol_override(self, monkeypatch):
-        a, b, c = 1.0, 1.0 + 1e-5, 2.0
-        tr, sg, dt = a + b + c, a * b + a * c + b * c, a * b * c
-        assert solve_characteristic(tr, sg, dt).multiplicity == "distinct"
-        monkeypatch.setattr(tolerances, "mtol", 1e-3)
-        assert solve_characteristic(tr, sg, dt).multiplicity == "double"
 
 
 class TestRandomized:

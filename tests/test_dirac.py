@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from albert import sampling
-from albert.config import RESIDUAL_RTOL, _rescale, _unit_scale, tolerances
+from albert.config import ATOL, RESIDUAL_RTOL, RTOL, _rescale, _unit_scale
 from albert.dirac import (
     CLASS_RTOL,
     Hermitian2,
@@ -123,7 +123,7 @@ def reference_dirac_solve(P):
             f"det / |P|^2 = {det / nrm ** 2:.3e} exceeds tolerance; momentum is not null"
         )
     tr = s + t
-    if abs(tr) <= tolerances.atol + tolerances.rtol * (1.0 + nrm):
+    if abs(tr) <= ATOL + RTOL * (1.0 + nrm):
         return (Octonion.zero(), Octonion.zero()), 1
     sign = 1 if tr > 0.0 else -1
     s, t, z = s * sign, t * sign, z * float(sign)

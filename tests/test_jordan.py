@@ -71,6 +71,16 @@ class TestConstruction:
         assert JordanMatrix.diag(1e200, 0, 0).norm() == 1e200
         assert JordanMatrix.diag(1e-200, 0, 0).norm() == 1e-200
 
+    @pytest.mark.parametrize("k", [520, -520, 600, -600])
+    def test_offdiag_norm_without_overflow_or_underflow(self, k):
+        # |a|^2 is 2^(2k), out of the double range; sqrt(2) |a| is not
+        s = 2.0**k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert JordanMatrix(s, 0, 0, a=e(1) * s).offdiag_norm() == math.sqrt(2.0) * s
+            A = sampling.random_jordan(np.random.default_rng(7))
+            assert (A * s).offdiag_norm() == A.offdiag_norm() * s
+
     def test_array_round_trip(self):
         rng = np.random.default_rng(0)
         A = sampling.random_jordan(rng)

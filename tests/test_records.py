@@ -1,6 +1,5 @@
-"""Result records are named tuples, and the tolerance settings a plain class."""
+"""Result records are named tuples."""
 
-import json
 import subprocess
 import sys
 
@@ -8,16 +7,13 @@ import pytest
 
 from albert import (
     JordanMatrix,
-    Tolerances,
     classify_psquare,
-    cli,
     decompose,
     diagonalize,
     modified_char_check,
     run_verification,
     solve_characteristic,
 )
-from albert.config import tolerances
 
 A = JordanMatrix.diag(3.0, 2.0, 1.0)
 
@@ -57,32 +53,6 @@ def test_cubic_roots_keep_their_default_and_property():
     roots = solve_characteristic(6.0, 11.0, 6.0)
     assert roots.repeated is None and roots.simple == roots.roots
     assert type(roots)(roots.roots, "distinct") == roots
-
-
-def test_tolerances_keyword_construction_equality_and_repr():
-    # refusal of NaN, inf and negative values: test_cli.TestBadToleranceOverrides.
-    # A tolerance is set on a field, never passed to the constructor.
-    with pytest.raises(TypeError):
-        Tolerances(atol=1e-3)
-    one, two = Tolerances(), Tolerances()
-    assert (one.atol, one.rtol, one.mtol) == (1e-12, 1e-10, 1e-7)
-    one.mtol = two.mtol = 1e-3
-    assert one == two != Tolerances()
-    assert Tolerances() != (1e-12, 1e-10, 1e-7)
-    assert repr(Tolerances()) == "Tolerances(atol=1e-12, rtol=1e-10, mtol=1e-07)"
-
-
-def test_tolerances_refuse_other_fields(capsys):
-    # a misspelt field would leave mtol as it was, and the CLI, which saves
-    # and restores every field, would look for it on its parsed arguments
-    try:
-        with pytest.raises(AttributeError, match="mtoll"):
-            tolerances.mtoll = 1e-3
-        assert sorted(vars(tolerances)) == ["atol", "mtol", "rtol"]
-        assert cli.main(["charpoly", "--inline", json.dumps(A.to_dict())]) == 0
-        assert '"roots"' in capsys.readouterr().out
-    finally:
-        vars(tolerances).pop("mtoll", None)
 
 
 def test_package_does_not_import_dataclasses(child_env):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from albert import f4, jordan, sampling, spectral
-from albert.config import RESIDUAL_RTOL, tolerances
+from albert import cubic, f4, jordan, sampling, spectral
+from albert.config import RESIDUAL_RTOL
 from albert.cubic import solve_characteristic
 from albert.dirac import classify_psquare
 from albert.exceptions import (
@@ -168,17 +168,6 @@ class TestDoubleRootSplit:
             for V in (V1, V2):
                 check_primitive(V, atol=1e-9)
                 assert (jordan_product(A, V) - V * 0.5).norm() <= 1e-9
-
-    def test_pivot_slot_always_qualifies(self, monkeypatch):
-        # with rtol = 0.6 no |w_j| of w = 0.9 (1, 1, 1) clears the gate
-        # 0.6 |w|, but the pivot slot is taken all the same
-        A = rank1_from_vector(OctVector3([Octonion.from_real(0.9)] * 3))
-        monkeypatch.setattr(spectral.tolerances, "rtol", 0.6)
-        V1, V2 = double_root_split(A, 0.0)
-        for V in (V1, V2):
-            check_primitive(V, atol=1e-12)
-            assert jordan_product(A, V).norm() <= 1e-12
-        assert jordan_product(V1, V2).norm() <= 1e-12
 
     def test_seeded_splits(self):
         rng = np.random.default_rng(40)
@@ -636,7 +625,7 @@ class TestNestedReflections:
     def test_exact_doubles_at_zero_mtol(self, monkeypatch):
         # the cubic then reports the pair as two simple roots; reflecting
         # about either would feed a vanishing Q to the reflections
-        monkeypatch.setattr(tolerances, "mtol", 0.0)
+        monkeypatch.setattr(cubic, "MTOL", 0.0)
         rng = np.random.default_rng(5)
         for _ in range(200):
             spectrum, _ = close_pair(rng, 0.0)

@@ -99,7 +99,8 @@ USAGE_ARGVS = [
     ["decompose", "--bogus", "1", "--inline", MATRIX],
     ["decompose", "--inl", MATRIX],
     ["decompose", "--inline"],
-    ["decompose", "--inline", MATRIX, "--atol", "x"],
+    ["charpoly", "--inline", MATRIX, "--mtol", "0"],
+    ["dirac", "--inline", json.dumps({"s": 0.5, "t": 0.0, "z": [0.0] * 8}), "--atol", "1"],
     ["verify", "--count", "1.5"],
     ["decompose", "--inline", MATRIX, "--format", "xml"],
     ["decompose", "verify", "--inline", MATRIX],
