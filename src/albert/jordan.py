@@ -32,25 +32,23 @@ Storage: a :class:`JordanMatrix` is one read-only vector (27,) of the
 real Hermitian coordinates (p, m, n, a, b, c), the diagonal followed by the
 eight coefficients of each of a, b and c; ``p, m, n, a, b, c`` read slices
 of it.  An :class:`OctVector3` is one (3, 8) array.  The (3, 3, 8) array of
-octonion entries exists only in this module: ``to_array`` and
-``from_array`` convert to and from it (:func:`_unpack`, :func:`_pack`), and
-the ordinary octonionic matrix product, the 24x24 real matrix of the left
-factor (:func:`_embed`, on :func:`albert.octonion.left_mult`) times the
-columns of the right one (:func:`_raw_mul`), runs on it, for
-:func:`sandwich`, :func:`matvec`, the real oracle and the build of the
-structure tensors.  Both products are bilinear in the coordinates: with an
-exact structure tensor T, (27, 27, 27) stored as (27, 729), whose slices
-are the products of basis pairs, x o y is ``y @ L(x)`` for the 27x27 matrix
-``L(x) = (x @ T).reshape(27, 27)`` (:func:`_op`, :func:`_mul`), and x * y
-the same with the Freudenthal tensor.  :func:`_structure_tensors` builds
-both from one stacked product of all 729 basis pairs, at most once per
-process, on the first product; ``_JORDAN`` and ``_FREUDENTHAL`` are their
-indices in its result.  Code that never multiplies (the invariants, the
-oracle, the 2x2 factor) never builds them.  Norms weight each off-diagonal
-coordinate by sqrt(2) (:func:`_frob`), which gives the Frobenius norm of
-the (3, 3, 8) form.  A stack (..., 27) of
-coordinates takes every kernel at once, a single factor broadcasting
-against a stack.
+octonion entries exists only in this module: in ``to_array`` and
+``from_array`` (:func:`_unpack`, :func:`_pack`), in the build of E and as
+the non-Hermitian M A of :func:`sandwich`.  The real matrix of A is linear
+and both products are bilinear in the coordinates, so each is one exact
+tensor (entries 0, +-1/2, +-1), built once per process, on first use.  With E, (27, 576)
+(:func:`_embedding`), ``(h @ E).reshape(24, 24)`` is the 24x24 real
+matrix of v -> A v, bit for bit the one :func:`_embed` builds on the
+(3, 3, 8) array, for :func:`matvec`, :func:`sandwich` and the real oracle.
+With a structure tensor T, (27, 27, 27) stored as (27, 729), x o y is
+``y @ L(x)`` for ``L(x) = (x @ T).reshape(27, 27)`` (:func:`_op`,
+:func:`_mul`), and x * y the same with the Freudenthal tensor;
+:func:`_structure_tensors` builds both on the first product, from the rows
+of E times the basis columns (:func:`_times`), and ``_JORDAN`` and
+``_FREUDENTHAL`` are their indices in its result.  Norms weight each
+off-diagonal coordinate by sqrt(2) (:func:`_frob`), which gives the
+Frobenius norm of the (3, 3, 8) form.  A stack (..., 27) of coordinates
+takes every kernel at once, a single factor broadcasting against a stack.
 """
 
 from __future__ import annotations
@@ -107,8 +105,9 @@ _UNPACK[3:, _UPPER_ROWS] = np.eye(24).reshape(24, 3, 8)
 _UNPACK[3:, _LOWER_ROWS] = _UNPACK[3:, _UPPER_ROWS] * CONJ_SIGNS
 _UNPACK = _UNPACK.reshape(27, 72)
 
-# _UNPACK by column of the (3, 3, 8) array: h @ _COLUMNS[k] is column k, (24,).
+# h @ _COLUMNS[k] is column k, (24,), of the (3, 3, 8) array; h @ _COLUMN_MATRIX is all 3.
 _COLUMNS = _UNPACK.reshape(27, 3, 3, 8).transpose(2, 0, 1, 3).reshape(3, 27, 24)
+_COLUMN_MATRIX = _COLUMNS.transpose(1, 2, 0).reshape(27, 72)
 
 #: The identity in Hermitian coordinates; x @ _UNIT is tr x.
 _UNIT = np.concatenate((np.ones(3), np.zeros(24)))
@@ -153,22 +152,30 @@ def _embed(arr: np.ndarray) -> np.ndarray:
     return left_mult(arr).swapaxes(-3, -2).reshape(arr.shape[:-3] + (24, 24))
 
 
-def _raw_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Ordinary (non-Hermitian) products of (..., 3, 3, 8) octonion matrices."""
-    cols = y.swapaxes(-2, -1).reshape(y.shape[:-3] + (24, 3))
-    prod = _embed(x) @ cols
+@functools.cache
+def _embedding() -> np.ndarray:
+    """E, (27, 576): ``(h @ E).reshape(24, 24)`` is the real matrix of v -> A v
+    for the coordinates h of A.  Built on the first call only, read-only."""
+    E = _embed(_unpack(np.eye(27))).reshape(27, 576)
+    E.flags.writeable = False
+    return E
+
+
+def _times(L: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(..., 3, 3, 8) ordinary products X Y of X with real matrix L (..., 24, 24)
+    and Y Hermitian with coordinates h (..., 27), Y entering by its columns."""
+    prod = L @ (h @ _COLUMN_MATRIX).reshape(h.shape[:-1] + (24, 3))
     return prod.reshape(prod.shape[:-2] + (3, 8, 3)).swapaxes(-2, -1)
 
 
 @functools.cache
 def _structure_tensors() -> tuple[np.ndarray, np.ndarray]:
     """The Jordan and Freudenthal products of the 27 x 27 basis pairs, as
-    (27, 729) tensors: one stacked matrix product, exact, since every
-    coefficient is 0, +-1/2 or +-1.  Built on the first call only."""
-    basis = _unpack(np.eye(27))
-    circ = _hermitian_part(_raw_mul(basis[:, None], basis[None, :]))
-    # x * y = x o y - (x tr y + y tr x) / 2 + (tr x tr y - tr(x o y)) / 2 I
+    (27, 729) tensors: one stacked matrix product on the rows of E, exact,
+    since every coefficient is 0, +-1/2 or +-1.  Built on the first call only."""
     tr, eye = _UNIT, np.eye(27)
+    circ = _hermitian_part(_times(_embedding().reshape(27, 1, 24, 24), eye))
+    # x * y = x o y - (x tr y + y tr x) / 2 + (tr x tr y - tr(x o y)) / 2 I
     cross = (circ - (eye[:, None] * tr[None, :, None] + eye[None, :] * tr[:, None, None]) / 2.0
              + ((np.outer(tr, tr) - circ @ tr) / 2.0)[..., None] * tr)
     tensors = circ.reshape(27, 729), cross.reshape(27, 729)
@@ -363,10 +370,10 @@ class JordanMatrix(_ArrayValue):
         return JordanMatrix._wrap(h)
 
     def offdiag_norm(self) -> float:
-        """Frobenius norm of the off-diagonal entries, each counted twice,
-        computed on A / 2^e and multiplied back by 2^e."""
+        """Frobenius norm of the off-diagonal entries, each counted twice:
+        sqrt(2) |h[3:]|, computed on A / 2^e and multiplied back by 2^e."""
         (h,), e = _unit_scale((self._arr, 1))
-        return _rescale(e, (math.sqrt(2.0 * sum(_quadratic(h)[2])), 1))[0]
+        return _rescale(e, (math.sqrt(2.0) * _norm(h[3:]), 1))[0]
 
     def diagonal(self) -> tuple[float, float, float]:
         return tuple(self._arr[:3].tolist())
@@ -445,7 +452,8 @@ def _ldexp_or_inf(x: float, k: int) -> float:
 
 def matvec(A: JordanMatrix, v: OctVector3) -> OctVector3:
     """Ordinary matrix-vector product with octonion entries."""
-    return OctVector3._wrap((_embed(_unpack(A._arr)) @ v._arr.reshape(24)).reshape(3, 8))
+    Av = (A._arr @ _embedding()).reshape(24, 24) @ v._arr.reshape(24)
+    return OctVector3._wrap(Av.reshape(3, 8))
 
 
 def sandwich(M: JordanMatrix, A: JordanMatrix) -> JordanMatrix:
@@ -456,8 +464,8 @@ def sandwich(M: JordanMatrix, A: JordanMatrix) -> JordanMatrix:
     Hermitian again when M is.  Computed from the ordinary products, as the
     Hermitian part of (M A) M, so it assumes nothing of M.
     """
-    M = _unpack(M._arr)
-    return JordanMatrix._wrap(_hermitian_part(_raw_mul(_raw_mul(M, _unpack(A._arr)), M)))
+    MA = _times((M._arr @ _embedding()).reshape(24, 24), A._arr)
+    return JordanMatrix._wrap(_hermitian_part(_times(_embed(MA), M._arr)))
 
 
 # -- rank-one projectors -------------------------------------------------------

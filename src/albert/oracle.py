@@ -17,15 +17,15 @@ lie in an associative subalgebra), while the true Jordan eigenvalues -- which
 need not appear in the 24x24 spectrum at all -- satisfy the unmodified
 equation det(A - lambda I) = 0.
 
-The eigenvalues come from LAPACK (``numpy.linalg.eigvalsh``), so the oracle
-shares no code path with the Jordan-side solvers.  The tail after the
-eigensolve handles at most 24 numbers, where a numpy call costs more than
-its arithmetic, so it is one pass over Python floats: :func:`cluster_values`
-finds the cluster boundaries with one scan of the sorted spectrum, the
-residuals of all clusters come from one call of the shifted-determinant
-kernel behind ``JordanMatrix.det``, and the residuals are grouped by the same
-scan.  The check runs on A / 2^e at unit scale, and each cluster's lambda
-and r are multiplied back by 2^e and 2^3e.
+The 24x24 matrix is one product of the coordinates with the exact tensor E
+of :mod:`albert.jordan`, and its eigenvalues come from LAPACK
+(``numpy.linalg.eigvalsh``), so the oracle shares no code path with the
+Jordan-side solvers.  The tail handles at most 24 numbers, so it runs on
+the spectrum read once as Python floats: one scan finds the clusters
+(:func:`cluster_values`), one call of the shifted-determinant kernel
+behind ``JordanMatrix.det`` gives all their residuals, and the same scan
+groups those.  The check runs on A / 2^e at unit scale, and each cluster's
+lambda and r are multiplied back by 2^e and 2^3e.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import _rescale, _unit_scale
-from .jordan import JordanMatrix, _embed, _frob, _invariants, _unpack
+from .jordan import JordanMatrix, _embedding, _frob, _invariants
 from .octonion import _norm
 
 __all__ = [
@@ -60,22 +60,18 @@ def embed(A: JordanMatrix) -> np.ndarray:
     left multiplication by x is left multiplication by conj(x), matching the
     Hermitian layout of A.
     """
-    return _embed(A.to_array())
+    return (A._arr @ _embedding()).reshape(24, 24)
 
 
-def cluster_values(values: np.ndarray, gap: float) -> list[tuple[float, int]]:
-    """Group sorted values whose consecutive gaps stay within ``gap``.
+def cluster_values(values, gap: float) -> list[tuple[float, int]]:
+    """Group sorted values (a list or 1-D array) whose consecutive gaps stay within ``gap``.
 
     Returns (mean, count) per cluster, in the order of the input sort, each
     mean with the bits of numpy's ``mean()`` of its run.
     """
-    return _clusters(np.asarray(values, dtype=float).tolist(), gap)
-
-
-def _clusters(vals: list[float], gap: float) -> list[tuple[float, int]]:
-    cuts = [i for i in range(1, len(vals)) if abs(vals[i] - vals[i - 1]) > gap]
-    bounds = zip([0, *cuts], [*cuts, len(vals)]) if vals else ()
-    return [(_sum(vals[i:j]) / (j - i), j - i) for i, j in bounds]
+    cuts = [i for i in range(1, len(values)) if abs(values[i] - values[i - 1]) > gap]
+    bounds = zip([0, *cuts], [*cuts, len(values)]) if len(values) else ()
+    return [(_sum(values[i:j]) / (j - i), j - i) for i, j in bounds]
 
 
 def _sum(run: list[float]) -> float:
@@ -115,19 +111,14 @@ def modified_char_check(A: JordanMatrix) -> OracleReport:
     two groups (to tolerance) with r_plus >= 0 >= r_minus.
     """
     (h,), e = _unit_scale((A._arr, 1))
-    eigs = np.linalg.eigvalsh(_embed(_unpack(h)))[::-1]
-    spread = float(eigs[0] - eigs[-1])
-    gap = CLUSTER_GAP_RTOL * spread
-    lam_clusters = cluster_values(eigs, gap) if spread > 0 else [(float(eigs[0]), len(eigs))]
-    lams, mults = zip(*lam_clusters)
+    eigs = np.linalg.eigvalsh((h @ _embedding()).reshape(24, 24)).tolist()[::-1]
+    spread = eigs[0] - eigs[-1]
+    lams, mults = zip(*(cluster_values(eigs, CLUSTER_GAP_RTOL * spread) if spread > 0
+                        else [(eigs[0], len(eigs))]))
     rs = [-d for d in _invariants(h, lams)[2]]
 
     r_tol = R_COLLAPSE_RTOL * (1.0 + _norm(_frob(h))) ** 3
-    r_groups = _clusters(sorted(rs), r_tol)
-    passed = (
-        len(r_groups) <= 2
-        and r_groups[0][0] <= r_tol
-        and r_groups[-1][0] >= -r_tol
-    )
+    r_groups = cluster_values(sorted(rs), r_tol)
+    passed = len(r_groups) <= 2 and r_groups[0][0] <= r_tol and r_groups[-1][0] >= -r_tol
     lams, rs = _rescale(e, (lams, 1), (rs, 3))
     return OracleReport(clusters=tuple(zip(lams, mults, rs)), passed=passed)

@@ -17,14 +17,16 @@ from albert.jordan import (
     _JORDAN,
     JordanMatrix,
     OctVector3,
+    _embed,
+    _embedding,
     _frob,
     _hermitian_part,
     _invariants,
     _mul,
     _pack,
     _pivot_column,
-    _raw_mul,
     _structure_tensors,
+    _times,
     _trace,
     _unpack,
     char_poly,
@@ -78,6 +80,8 @@ class TestConstruction:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert JordanMatrix(s, 0, 0, a=e(1) * s).offdiag_norm() == math.sqrt(2.0) * s
+            # entries 2^|k| apart: at the unit scale of the diagonal 1, |a|^2 leaves the range
+            assert JordanMatrix(1, 0, 0, a=e(1) * s).offdiag_norm() == math.sqrt(2.0) * s
             A = sampling.random_jordan(np.random.default_rng(7))
             assert (A * s).offdiag_norm() == A.offdiag_norm() * s
 
@@ -662,6 +666,29 @@ class TestStructureTensors:
             assert A.norm() == pytest.approx(np.linalg.norm(X), rel=1e-15)
 
 
+class TestEmbeddingTensor:
+    """E holds the 24x24 real forms of the 27 basis matrices, so that h @ E
+    is the real form of any coordinates h, bit for bit the one built
+    through the (3, 3, 8) array, at every scale."""
+
+    def test_exact_and_read_only(self):
+        E = _embedding()
+        assert E.shape == (27, 576) and not E.flags.writeable
+        assert set(np.unique(E)) <= {-1.0, 0.0, 1.0}
+        assert (np.abs(E).sum(axis=0) <= 1).all()
+
+    @pytest.mark.parametrize("span", [8, 4])
+    def test_bit_for_bit(self, span):
+        rng = np.random.default_rng(37)
+        ks = [-600, -300, 0, 300, 600, *rng.integers(-600, 601, 15)]
+        H = np.stack([np.ldexp(sampling.random_jordan(rng, span)._arr, k) for k in ks])
+        got = (H @ _embedding()).reshape(len(H), 24, 24)
+        for i, h in enumerate(H):
+            want = _embed(_unpack(h)).tobytes()
+            assert (h @ _embedding()).reshape(24, 24).tobytes() == want, ks[i]
+            assert got[i].tobytes() == want, ks[i]
+
+
 def det_before_kernel(A):
     """det() as it was written before the shifted kernel, kept as reference."""
     p, m, n = A.diagonal()
@@ -800,12 +827,9 @@ class TestStackKernels:
 
     @staticmethod
     def kernels(stacks):
-        """Each kernel with the stacks in its layout: the ordinary product on
-        (5, 3, 3, 8) arrays, the Jordan and Freudenthal products on (5, 27)
-        coordinates."""
+        """The Jordan and Freudenthal products with the (5, 27) stacks."""
         H, K = stacks
-        return [(_raw_mul, _unpack(H), _unpack(K)), (jordan_kernel, H, K),
-                (freudenthal_kernel, H, K)]
+        return [(jordan_kernel, H, K), (freudenthal_kernel, H, K)]
 
     def test_products(self, stacks):
         for kernel, X, Y in self.kernels(stacks):
@@ -823,8 +847,8 @@ class TestStackKernels:
 
     def test_hermitian_part_and_trace(self, stacks):
         H, K = stacks
-        X, Y = _unpack(H), _unpack(K)
-        R = _raw_mul(X, Y)
+        X = _unpack(H)
+        R = _times(_embed(X), K)  # ordinary products, not Hermitian
         P, T = _hermitian_part(R), _trace(H)
         assert T.shape == (len(X),)
         for i in range(len(X)):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from albert import cubic, f4, jordan, sampling, spectral
+from albert import cubic, f4, jordan, oracle, sampling, spectral
 from albert.config import RESIDUAL_RTOL
 from albert.cubic import solve_characteristic
 from albert.dirac import classify_psquare
@@ -30,12 +30,13 @@ from albert.jordan import (
     extract_vector,
     freudenthal_product,
     jordan_product,
+    matvec,
     phase_align,
     rank1_from_vector,
     sandwich,
 )
 from albert.octonion import Octonion, e
-from albert.oracle import modified_char_check
+from albert.oracle import embed, modified_char_check
 from albert.spectral import (
     PURE_DEFECT,
     _deflate,
@@ -643,14 +644,15 @@ class TestNestedReflections:
 class TestWorkDone:
     """Products per call on the common paths, counted exactly, so a change
     that restores wasted products fails here without timing: each product
-    builds one L(x) (``_op``) and contracts with it (``_apply``), and the
-    24x24 real matrix product ``_raw_mul`` is not called at all.  Nor is a
-    conversion between the stored coordinates and the (3, 3, 8) array
-    (``_pack``, ``_unpack``)."""
+    builds one L(x) (``_op``) and contracts with it (``_apply``).  No path
+    unpacks the stored coordinates to the (3, 3, 8) array (``_unpack``): the
+    24x24 real matrices of the oracle, ``matvec`` and ``sandwich`` come from
+    the coordinates through the embedding tensor E.  Only ``sandwich`` packs
+    an array back (``_pack``), once, for the Hermitian part of its product."""
 
     @staticmethod
-    def counts(monkeypatch, fn, *args, names=("_op", "_apply", "_raw_mul")):
-        jordan._structure_tensors()  # built on a process's first product: not counted
+    def counts(monkeypatch, fn, *args, names=("_op", "_apply")):
+        jordan._structure_tensors()  # built, with E, on a process's first use: not counted
         calls = dict.fromkeys(names, 0)
 
         def counted(name):
@@ -664,7 +666,7 @@ class TestWorkDone:
         with monkeypatch.context() as m:
             for name in calls:
                 wrapper = counted(name)
-                for module in (jordan, spectral, f4):
+                for module in (jordan, spectral, f4, oracle):
                     if hasattr(module, name):
                         m.setattr(module, name, wrapper)
             fn(*args)
@@ -676,8 +678,8 @@ class TestWorkDone:
             A = sampling.random_jordan(rng)
             roots = solve_characteristic(*char_poly(A)).roots
             assert min(roots[0] - roots[1], roots[1] - roots[2]) > 1.0
-            assert self.counts(monkeypatch, decompose, A) == {"_op": 3, "_apply": 5, "_raw_mul": 0}
-            assert self.counts(monkeypatch, diagonalize, A) == {"_op": 5, "_apply": 9, "_raw_mul": 0}
+            assert self.counts(monkeypatch, decompose, A) == {"_op": 3, "_apply": 5}
+            assert self.counts(monkeypatch, diagonalize, A) == {"_op": 5, "_apply": 9}
 
     # A deflated decompose: the Q route, its polishing check and the
     # extraction for the isolated root (3 and 3), L(M1) and L(M2) as one
@@ -685,8 +687,7 @@ class TestWorkDone:
     # its extraction (1 and 1), and L(P) and the residuals (1 and 2).  No
     # rank-one matrix is built from a vector, and the eigenvector's phase is
     # aligned on its array, not through the public ``phase_align``.
-    DEFLATED = {"_op": 6, "_apply": 14, "_raw_mul": 0, "rank1_from_vector": 0, "_outer": 0,
-                "phase_align": 0}
+    DEFLATED = {"_op": 6, "_apply": 14, "rank1_from_vector": 0, "_outer": 0, "phase_align": 0}
     NAMES = tuple(DEFLATED)
 
     def test_double_root(self, monkeypatch):
@@ -695,8 +696,8 @@ class TestWorkDone:
             A = sampling.random_double_root_matrix(rng)[0]
             assert self.counts(monkeypatch, decompose, A, names=self.NAMES) == self.DEFLATED
             assert self.counts(monkeypatch, diagonalize, A,
-                               names=("_op", "_apply", "_raw_mul", "phase_align")) == {
-                "_op": 5, "_apply": 9, "_raw_mul": 0, "phase_align": 0}
+                               names=("_op", "_apply", "phase_align")) == {
+                "_op": 5, "_apply": 9, "phase_align": 0}
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_near_pair(self, monkeypatch, seed):
@@ -722,8 +723,13 @@ class TestWorkDone:
         rng = np.random.default_rng(35)
         cases = [sampling.random_jordan(rng), sampling.random_double_root_matrix(rng)[0],
                  JordanMatrix.identity() * 3.0]
+        v = sampling.random_vector(rng, span=8)
         for A in cases:
-            for fn, args in ((decompose, (A,)), (diagonalize, (A,)), (char_poly, (A,)),
-                             (jordan_product, (A, A)), (freudenthal_product, (A, A))):
+            # sandwich packs the Hermitian part of its product (M A) M, once
+            for fn, args, packs in ((decompose, (A,), 0), (diagonalize, (A,), 0),
+                                    (char_poly, (A,), 0), (jordan_product, (A, A), 0),
+                                    (freudenthal_product, (A, A), 0),
+                                    (modified_char_check, (A,), 0), (embed, (A,), 0),
+                                    (matvec, (A, v), 0), (sandwich, (A, cases[0]), 1)):
                 calls = self.counts(monkeypatch, fn, *args, names=("_pack", "_unpack"))
-                assert calls == {"_pack": 0, "_unpack": 0}, fn.__name__
+                assert calls == {"_pack": packs, "_unpack": 0}, fn.__name__
